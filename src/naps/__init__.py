@@ -44,15 +44,7 @@ from .nuisance import (
     full_space_set,
     oracle_quantile_set,
 )
-from .prediction_sets import (
-    NapsSetClassifier,
-    PredictionSet,
-    bayes_point_predict,
-    class_conditional_set_predict,
-    naps_predict,
-    plug_in_conditional_predict,
-    standard_set_predict,
-)
+from .prediction_sets import NapsSetClassifier, PredictionSet, bayes_point_predict
 from .rejection import (
     AugmentedRecords,
     CutoffGrid,

@@ -273,20 +273,22 @@ def bayes_factor(model, y: int, x, clip: float = POSTERIOR_CLIP) -> np.ndarray:
 def bayes_factor_with_flags(model, y: int, x, clip: float = POSTERIOR_CLIP):
     if y not in (0, 1):
         raise DomainError("label must be 0 or 1")
-    p1 = np.asarray(model.posterior1(x), dtype=float)
-    p_y = p1 if y == 1 else 1.0 - p1
-    prior_y = model.class1_prior if y == 1 else 1.0 - model.class1_prior
-    return bayes_factor_from_posterior(p_y, prior_y, clip)
+    return label_bayes_factors(model.posterior1(x), model.class1_prior, clip)[y]
 
 
-def bayes_factor_statistic(model, y: int):
-    """Statistic callable lambda(x) for use with the rejection machinery."""
+def label_bayes_factors(p1, class1_prior: float, clip: float = POSTERIOR_CLIP) -> dict:
+    """Both labels' Bayes factors and clip masks from one posterior P(Y=1 | x).
 
-    def stat(x):
-        return bayes_factor(model, y, x)
-
-    stat.statistic_id = f"bayes-factor-{y}"
-    return stat
+    Returns ``{y: (statistic, clipped)}``; label y's statistic is its own
+    posterior odds over its prior odds.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    out = {}
+    for y in (0, 1):
+        p_y = p1 if y == 1 else 1.0 - p1
+        prior_y = class1_prior if y == 1 else 1.0 - class1_prior
+        out[y] = bayes_factor_from_posterior(p_y, prior_y, clip)
+    return out
 
 
 def x_at_bayes_factor(model, y: int, value: float, tol: float = 1e-12) -> float:

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import genmodel, harness
+from .classifier import label_bayes_factors
 from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig, Pipeline
 
@@ -101,7 +102,7 @@ def _parse_gamma_rule(text: str) -> harness.GammaRule:
 
 def _write_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def cmd_simulate(config: ExperimentConfig) -> None:
@@ -128,28 +129,34 @@ def cmd_fit(config: ExperimentConfig) -> None:
 
 
 def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions: bool) -> None:
-    pipeline = Pipeline.load(models) if models else None
+    dump_spec = _first_naps_method(config) if dump_predictions else None
+    pipeline = Pipeline.load(models) if models else harness.fit_pipeline(config)
     report = harness.run_experiment(config, pipeline=pipeline)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     report.to_json(os.path.join(out, "report.json"))
     report.write_long_table(os.path.join(out, "report_long.csv"))
-    if dump_predictions:
-        _dump_predictions(config, pipeline, out)
+    if dump_spec is not None:
+        _dump_predictions(config, pipeline, dump_spec, out)
 
 
-def _dump_predictions(config: ExperimentConfig, pipeline: Pipeline | None, out: str) -> None:
-    from .prediction_sets import NapsSetClassifier
-    from .nuisance import FullSpaceProvider
+def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
+    for spec in config.methods:
+        if spec.kind == "naps":
+            return spec
+    raise ConfigError("--dump-predictions needs a NAPS method in the configuration")
 
-    if pipeline is None:
-        pipeline = harness.fit_pipeline(config)
+
+def _dump_predictions(config: ExperimentConfig, pipeline: Pipeline, spec: harness.MethodSpec, out: str) -> None:
+    """Per-point prediction sets of one NAPS method at the first alpha."""
     evaluation = genmodel.sample_dataset(
         config.generative("target"), config.n_evaluation, config.seed, stream_base=harness.STREAM_EVALUATION
     )
-    provider = FullSpaceProvider(space=config.train_prior.support)
-    clf = NapsSetClassifier(model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider})
-    batch = clf.predict_batch(evaluation.x, alpha=config.alphas[0], gamma=0.0)
+    alpha = config.alphas[0]
+    clf, gamma = harness.naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
+    model = pipeline.model
+    statistics = label_bayes_factors(model.posterior1(evaluation.x), model.class1_prior)
+    batch = clf.decide(evaluation.x, statistics, alpha, gamma)
     batch.save(os.path.join(out, "naps_predictions.csv"))
 
 

@@ -25,23 +25,20 @@ import numpy as np
 from . import genmodel
 from .classifier import (
     AnalyticMarginalClassifier,
-    bayes_factor_from_posterior,
     fit_histogram_classifier,
+    label_bayes_factors,
     load_classifier,
     save_classifier,
 )
-from .cutoffs import (
-    MODE_FPR,
-    SCOPE_CONFIDENCE_SET,
-    CutoffRequest,
-    analytic_oracle_cutoffs,
-    cutoff_for_region,
-)
-from .errors import ConfigError, SaturationError
+from .classifier import bayes_factor_from_posterior  # noqa: F401  (patched by perfbench/tracing.py)
+from .cutoffs import analytic_oracle_cutoffs
+from .cutoffs import cutoff_for_region  # noqa: F401  (patched by perfbench/tracing.py)
+from .errors import ConfigError
 from .genmodel import SCENARIO_ANALYTIC, Dataset, GenerativeConfig, PriorSpec
 from .nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
 from .prediction_sets import (
     ClassConditionalBaseline,
+    NapsSetClassifier,
     PlugInConditionalBaseline,
     StandardSetsBaseline,
     bayes_point_batch,
@@ -295,13 +292,11 @@ def fit_pipeline(config: ExperimentConfig, calibration: Dataset | None = None) -
         calibration = genmodel.sample_dataset(
             config.generative("train"), config.n_calibration, config.seed, stream_base=STREAM_CALIBRATION
         )
-    p1 = np.asarray(model.posterior1(calibration.x), dtype=float)
+    statistics = label_bayes_factors(model.posterior1(calibration.x), model.class1_prior)
     binning = config.binning()
     surfaces = {}
     for y in (0, 1):
-        p_y = p1 if y == 1 else 1.0 - p1
-        prior_y = model.class1_prior if y == 1 else 1.0 - model.class1_prior
-        tau, _ = bayes_factor_from_posterior(p_y, prior_y)
+        tau = statistics[y][0]
         grid = cutoff_grid_from_values(tau, config.cutoff_grid_size)
         surfaces[y] = fit_surface(
             calibration,
@@ -323,36 +318,19 @@ def _provider_for(spec: MethodSpec, config: ExperimentConfig, gamma: float):
 
 def naps_cutoffs_for_alpha(
     pipeline: Pipeline, config: ExperimentConfig, spec: MethodSpec, alpha: float
-) -> tuple[dict[int, float], dict[int, bool], float, dict[int, dict]]:
-    """Per-label statistic cutoffs for one NAPS method at one alpha.
+) -> tuple[NapsSetClassifier, float]:
+    """The NAPS classifier and gamma of one method at one alpha.
 
-    Both shipped providers build regions that do not depend on the
-    observation, so the cutoff is shared by every evaluation point.
-    A saturated label is flagged; its cutoff becomes -inf (always include).
+    Applies the method's gamma rule and provider choice; the classifier
+    resolves the cutoffs. gamma is passed through as the rule gives it,
+    also for the full-space provider, which is valid at any gamma.
     """
     gamma = spec.gamma_rule.gamma_for(alpha)
     provider = _provider_for(spec, config, gamma)
-    cutoffs: dict[int, float] = {}
-    saturated: dict[int, bool] = {}
-    regions: dict[int, dict] = {}
-    for y in (0, 1):
-        request = CutoffRequest(
-            null_label=y,
-            alpha=alpha,
-            gamma=gamma,
-            mode=MODE_FPR,
-            scope=SCOPE_CONFIDENCE_SET,
-            provider=provider,
-        )
-        region = provider.region(None, y)
-        regions[y] = region.to_dict()
-        try:
-            cutoffs[y] = cutoff_for_region(pipeline.surfaces[y], region, request).cutoff
-            saturated[y] = False
-        except SaturationError:
-            cutoffs[y] = -math.inf
-            saturated[y] = True
-    return cutoffs, saturated, gamma, regions
+    clf = NapsSetClassifier(
+        model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider}
+    )
+    return clf, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +428,7 @@ class MetricsReport:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
+            json.dump(self.data, fh, indent=2, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json(path) -> "MetricsReport":
@@ -502,11 +480,7 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
     )
     model = pipeline.model
     p1_eval = np.asarray(model.posterior1(evaluation.x), dtype=float)
-    prior1 = model.class1_prior
-    tau_eval = {
-        0: bayes_factor_from_posterior(1.0 - p1_eval, 1.0 - prior1)[0],
-        1: bayes_factor_from_posterior(p1_eval, prior1)[0],
-    }
+    statistics = label_bayes_factors(p1_eval, model.class1_prior)
 
     needs_calibration = any(m.kind in ("standard", "class-conditional", "plug-in") for m in config.methods)
     calibration = None
@@ -530,15 +504,17 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
         for alpha in config.alphas:
             extra: dict = {}
             if spec.kind == "naps":
-                cuts, saturated, gamma, regions = naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
-                include0 = tau_eval[0] > cuts[0]
-                include1 = tau_eval[1] > cuts[1]
+                clf, gamma = naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
+                batch = clf.decide(evaluation.x, statistics, alpha, gamma)
+                include0, include1 = batch.include0, batch.include1
+                table = clf.cutoff_table(alpha, gamma)
+                # A saturated cutoff is -inf; strict JSON writes it as null.
                 extra = {
                     "gamma": gamma,
-                    "cutoff0": cuts[0],
-                    "cutoff1": cuts[1],
-                    "nuisance_regions": {"0": regions[0], "1": regions[1]},
-                    "saturated_labels": [y for y in (0, 1) if saturated[y]],
+                    "cutoff0": None if table[0].saturated else table[0].cutoff,
+                    "cutoff1": None if table[1].saturated else table[1].cutoff,
+                    "nuisance_regions": {str(y): table[y].region.to_dict() for y in (0, 1)},
+                    "saturated_labels": [y for y in (0, 1) if table[y].saturated],
                 }
             elif spec.kind == "standard":
                 include0, include1 = baselines[spec.name].include_batch(p1_eval, alpha)
@@ -664,8 +640,7 @@ def invariance_check(
         # check on purpose, the perturbed rate leaves the nominal family.
         x[mask] = -np.log1p(u * np.expm1(-nu_eff)) / nu_eff
 
-    p1 = np.asarray(model.posterior1(x), dtype=float)
-    tau0 = bayes_factor_from_posterior(1.0 - p1, 1.0 - model.class1_prior)[0]
+    tau0 = label_bayes_factors(model.posterior1(x), model.class1_prior)[0][0]
     cells = surface.binning.cell_index(target.nu)
     rows = []
     skipped = []
@@ -719,14 +694,12 @@ def run_pit_diagnostics(
     eval_ds = genmodel.sample_dataset(
         config.generative("train"), n, config.seed, stream_base=STREAM_DIAGNOSE
     )
-    p1 = np.asarray(model.posterior1(eval_ds.x), dtype=float)
-    tau0 = bayes_factor_from_posterior(1.0 - p1, 1.0 - model.class1_prior)[0]
+    tau0 = label_bayes_factors(model.posterior1(eval_ds.x), model.class1_prior)[0][0]
 
     calibration = genmodel.sample_dataset(
         config.generative("train"), config.n_calibration, config.seed, stream_base=STREAM_CALIBRATION
     )
-    p1_cal = np.asarray(model.posterior1(calibration.x), dtype=float)
-    tau0_cal = bayes_factor_from_posterior(1.0 - p1_cal, 1.0 - model.class1_prior)[0]
+    tau0_cal = label_bayes_factors(model.posterior1(calibration.x), model.class1_prior)[0][0]
     grid = cutoff_grid_from_values(tau0_cal, config.cutoff_grid_size)
     space = config.train_prior.support
     one_bin = NuBinning.for_space(space, 1)

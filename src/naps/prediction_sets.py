@@ -17,11 +17,12 @@ conservative choice for coverage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import bayes_factor_with_flags
+from .classifier import bayes_factor_with_flags  # noqa: F401  (patched by perfbench/tracing.py)
+from .classifier import label_bayes_factors
 from .cutoffs import (
     MODE_FPR,
     SCOPE_CONFIDENCE_SET,
@@ -30,6 +31,7 @@ from .cutoffs import (
 )
 from .errors import ConfigError, SaturationError
 from .genmodel import Dataset
+from .nuisance import NuisanceRegion
 from .rejection import NuBinning, RejectionSurface
 
 _FLOAT_FMT = "%.17g"
@@ -88,94 +90,124 @@ def lower_quantile(sorted_scores: np.ndarray, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
+class LabelCutoff:
+    """One label's NAPS cutoff at one (alpha, gamma).
+
+    A saturated inversion (the target level exceeds the fitted maximum of
+    W somewhere in the region) gets cutoff -inf, so the label is always
+    included (conservative for coverage); ``saturated`` keeps the audit trail.
+    """
+
+    cutoff: float
+    saturated: bool
+    region: NuisanceRegion
+
+
+@dataclass(frozen=True)
 class NapsSetClassifier:
     """Amortized set-valued classifier.
 
-    Surfaces and providers are fitted once and treated as read-only;
-    predictions for any number of points and any alpha reuse them without
-    refitting. A saturated cutoff inversion includes the affected label
-    (conservative for coverage) and flags the decision.
+    Surfaces and providers are fitted once and treated as read-only.
+    Providers must be x-independent, so each label's cutoff depends only on
+    (alpha, gamma): it is resolved once per pair and reused for every
+    point. ``predict`` and ``predict_batch`` evaluate the posterior once per
+    call; ``decide`` applies the cutoffs to statistics computed elsewhere.
     """
 
     model: object
     surfaces: dict[int, RejectionSurface]
     providers: dict[int, object]
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for y in (0, 1):
+            provider = self.providers.get(y)
+            if not getattr(provider, "x_independent", False):
+                raise ConfigError(
+                    f"the label-{y} nuisance provider {type(provider).__name__} does not declare "
+                    f"x_independent = True; NAPS cutoffs are resolved once per (alpha, gamma)"
+                )
+
+    def cutoff_table(self, alpha: float, gamma: float = 0.0) -> tuple[LabelCutoff, LabelCutoff]:
+        """Per-label cutoffs at (alpha, gamma), inverted once and then looked up."""
+        key = (float(alpha), float(gamma))
+        if key not in self._table:
+            self._table[key] = tuple(self._label_cutoff(y, alpha, gamma) for y in (0, 1))
+        return self._table[key]
+
+    def _label_cutoff(self, y: int, alpha: float, gamma: float) -> LabelCutoff:
+        provider = self.providers[y]
+        request = CutoffRequest(
+            null_label=y,
+            alpha=alpha,
+            gamma=gamma,
+            mode=MODE_FPR,
+            scope=SCOPE_CONFIDENCE_SET,
+            provider=provider,
+        )
+        region = provider.region(None, y)
+        try:
+            return LabelCutoff(cutoff_for_region(self.surfaces[y], region, request).cutoff, False, region)
+        except SaturationError:
+            return LabelCutoff(-math.inf, True, region)
 
     def predict(self, x, alpha: float, gamma: float = 0.0) -> PredictionSet:
         batch = self.predict_batch(np.asarray([x], dtype=float), alpha, gamma)
         return batch.prediction_set(0)
 
     def predict_batch(self, xs, alpha: float, gamma: float = 0.0) -> "BatchPredictions":
-        xs = np.asarray(xs, dtype=float)
-        stats = {}
-        clipped = {}
-        cuts = {}
-        saturated = {}
+        """Prediction sets at observations ``xs``; gamma must match the providers' levels."""
         for y in (0, 1):
-            provider = self.providers[y]
-            pgamma = getattr(provider, "gamma", None)
+            pgamma = getattr(self.providers[y], "gamma", None)
             if pgamma is not None and gamma != pgamma:
                 raise ConfigError(
                     f"gamma={gamma} disagrees with the label-{y} provider's level {pgamma}"
                 )
-            stats[y], clipped[y] = bayes_factor_with_flags(self.model, y, xs)
-            request = CutoffRequest(
-                null_label=y,
-                alpha=alpha,
-                gamma=gamma,
-                mode=MODE_FPR,
-                scope=SCOPE_CONFIDENCE_SET,
-                provider=provider,
-            )
-            cuts[y], saturated[y] = self._cutoffs(xs, request, provider, y)
-        include0 = (stats[0] > cuts[0]) | saturated[0]
-        include1 = (stats[1] > cuts[1]) | saturated[1]
-        return BatchPredictions(
-            x=xs,
-            statistic0=stats[0],
-            statistic1=stats[1],
-            cutoff0=cuts[0],
-            cutoff1=cuts[1],
-            include0=include0,
-            include1=include1,
-            saturated0=saturated[0],
-            saturated1=saturated[1],
-            clipped0=clipped[0],
-            clipped1=clipped[1],
-        )
+        xs = np.asarray(xs, dtype=float)
+        statistics = label_bayes_factors(self.model.posterior1(xs), self.model.class1_prior)
+        return self.decide(xs, statistics, alpha, gamma)
 
-    def _cutoffs(self, xs, request: CutoffRequest, provider, y: int):
-        """Per-point cutoffs; regions repeat across points, so results are
-        cached by region identity."""
-        surface = self.surfaces[y]
-        cache: dict[tuple, tuple[float, bool]] = {}
-        cut = np.empty(len(xs))
-        sat = np.zeros(len(xs), dtype=bool)
-        for i, x in enumerate(xs):
-            region = provider.region(x, y)
-            key = region.cache_key()
-            if key not in cache:
-                try:
-                    cache[key] = (cutoff_for_region(surface, region, request).cutoff, False)
-                except SaturationError:
-                    cache[key] = (np.inf, True)
-            cut[i], sat[i] = cache[key]
-        return cut, sat
+    def decide(self, xs, statistics: dict, alpha: float, gamma: float = 0.0) -> "BatchPredictions":
+        """Prediction sets from precomputed ``{y: (statistic, clipped)}``.
+
+        Includes label y iff its statistic exceeds its cutoff. Unlike
+        ``predict_batch``, gamma is not checked against the providers' levels:
+        the harness applies a method's gamma rule to whatever provider the
+        method names, and the full-space provider is valid at any gamma.
+        """
+        c0, c1 = self.cutoff_table(alpha, gamma)
+        (stat0, clipped0), (stat1, clipped1) = statistics[0], statistics[1]
+        return BatchPredictions(
+            x=np.asarray(xs, dtype=float),
+            statistic0=stat0,
+            statistic1=stat1,
+            cutoff0=c0.cutoff,
+            cutoff1=c1.cutoff,
+            include0=stat0 > c0.cutoff,
+            include1=stat1 > c1.cutoff,
+            saturated0=c0.saturated,
+            saturated1=c1.saturated,
+            clipped0=clipped0,
+            clipped1=clipped1,
+        )
 
 
 @dataclass(frozen=True)
 class BatchPredictions:
-    """Columnar batch output with the full audit trail."""
+    """Columnar batch output with the full audit trail.
+
+    Cutoffs and saturation flags are shared by the whole batch.
+    """
 
     x: np.ndarray
     statistic0: np.ndarray
     statistic1: np.ndarray
-    cutoff0: np.ndarray
-    cutoff1: np.ndarray
+    cutoff0: float
+    cutoff1: float
     include0: np.ndarray
     include1: np.ndarray
-    saturated0: np.ndarray
-    saturated1: np.ndarray
+    saturated0: bool
+    saturated1: bool
     clipped0: np.ndarray
     clipped1: np.ndarray
 
@@ -184,12 +216,12 @@ class BatchPredictions:
 
     def prediction_set(self, i: int) -> PredictionSet:
         d0 = LabelDecision(
-            bool(self.include0[i]), float(self.statistic0[i]), float(self.cutoff0[i]),
-            bool(self.saturated0[i]), bool(self.clipped0[i]),
+            bool(self.include0[i]), float(self.statistic0[i]), self.cutoff0,
+            self.saturated0, bool(self.clipped0[i]),
         )
         d1 = LabelDecision(
-            bool(self.include1[i]), float(self.statistic1[i]), float(self.cutoff1[i]),
-            bool(self.saturated1[i]), bool(self.clipped1[i]),
+            bool(self.include1[i]), float(self.statistic1[i]), self.cutoff1,
+            self.saturated1, bool(self.clipped1[i]),
         )
         return PredictionSet(_members(d0.included, d1.included), (d0, d1))
 
@@ -202,11 +234,12 @@ class BatchPredictions:
     def save(self, path) -> None:
         """Delimited text: x, per-label statistics and cutoffs, membership, flags."""
         members = self.members_column()
+        cutoffs = [_FLOAT_FMT % self.cutoff0, _FLOAT_FMT % self.cutoff1]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,statistic0,statistic1,cutoff0,cutoff1,members,flags\n")
             for i in range(len(self)):
                 flags = []
-                if self.saturated0[i] or self.saturated1[i]:
+                if self.saturated0 or self.saturated1:
                     flags.append("saturated")
                 if self.clipped0[i] or self.clipped1[i]:
                     flags.append("clipped")
@@ -218,27 +251,13 @@ class BatchPredictions:
                             _FLOAT_FMT % self.x[i],
                             _FLOAT_FMT % self.statistic0[i],
                             _FLOAT_FMT % self.statistic1[i],
-                            _FLOAT_FMT % self.cutoff0[i],
-                            _FLOAT_FMT % self.cutoff1[i],
+                            *cutoffs,
                             members[i],
                             "|".join(flags),
                         ]
                     )
                     + "\n"
                 )
-
-
-def naps_predict(
-    x,
-    alpha: float,
-    surfaces: dict[int, RejectionSurface],
-    providers: dict[int, object],
-    model,
-    gamma: float = 0.0,
-) -> PredictionSet:
-    """One-shot nuisance-aware prediction set for a single observation."""
-    clf = NapsSetClassifier(model=model, surfaces=surfaces, providers=providers)
-    return clf.predict(x, alpha, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -352,39 +371,6 @@ class PlugInConditionalBaseline:
              for c in range(self.binning.n_cells)]
         )
         return (1.0 - p1_plug) > c0[cells], p1_plug > c1[cells]
-
-
-def _single_point_set(model, x, include0: bool, include1: bool, c0: float, c1: float) -> PredictionSet:
-    p1 = float(np.asarray(model.posterior1(x), dtype=float))
-    d0 = LabelDecision(bool(include0), 1.0 - p1, c0)
-    d1 = LabelDecision(bool(include1), p1, c1)
-    return PredictionSet(_members(bool(include0), bool(include1)), (d0, d1))
-
-
-def standard_set_predict(x, alpha: float, model, calibration: Dataset) -> PredictionSet:
-    """Standard prediction set at one observation (fits the cutoff inline)."""
-    baseline = StandardSetsBaseline.fit(model, calibration)
-    p1 = np.asarray(model.posterior1(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-    inc0, inc1 = baseline.include_batch(p1, alpha)
-    c = baseline.cutoff(alpha)
-    return _single_point_set(model, x, inc0[0], inc1[0], c, c)
-
-
-def class_conditional_set_predict(x, alpha: float, model, calibration: Dataset) -> PredictionSet:
-    baseline = ClassConditionalBaseline.fit(model, calibration)
-    p1 = np.asarray(model.posterior1(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-    inc0, inc1 = baseline.include_batch(p1, alpha)
-    c0, c1 = baseline.cutoffs(alpha)
-    return _single_point_set(model, x, inc0[0], inc1[0], c0, c1)
-
-
-def plug_in_conditional_predict(
-    x, alpha: float, model, calibration: Dataset, binning: NuBinning
-) -> PredictionSet:
-    baseline = PlugInConditionalBaseline.fit(model, calibration, binning)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    inc0, inc1 = baseline.include_batch(model, xs, alpha)
-    return _single_point_set(model, x, inc0[0], inc1[0], math.nan, math.nan)
 
 
 def bayes_point_predict(x, model, costs: tuple[float, float] = (1.0, 1.0)) -> int:

@@ -190,12 +190,11 @@ class CutoffGrid:
         return len(self.values)
 
 
-def sample_cutoff_grid(calibration: Dataset, statistic, grid_size: int, seed: int | None = None) -> CutoffGrid:
+def sample_cutoff_grid(calibration: Dataset, statistic, grid_size: int) -> CutoffGrid:
     """Cutoff grid from the empirical distribution of the statistic.
 
     Uses the K mid-quantile levels (j - 0.5) / K with linear interpolation,
-    de-duplicated. Deterministic; the seed argument is accepted for
-    interface stability but unused.
+    de-duplicated. Deterministic.
     """
     values = np.asarray(statistic(calibration.x), dtype=float)
     return cutoff_grid_from_values(values, grid_size)
@@ -298,10 +297,6 @@ class RejectionSurface:
         idx = np.atleast_1d(idx)
         vals = np.where(idx < 0, 0.0, self.values[y, cell, np.clip(idx, 0, len(self.grid) - 1)])
         return float(vals[0]) if scalar else vals
-
-    def fitted_max(self, y: int, nu) -> float:
-        cell = int(self.binning.cell_index(nu))
-        return float(self.values[y, cell, -1])
 
     def invert(self, beta: float, y: int, nu) -> float:
         """Generalized inverse: smallest grid cutoff with W >= beta."""
@@ -406,11 +401,13 @@ def fit_surface(
 ) -> RejectionSurface:
     """Fit the surface directly from calibration data.
 
-    Equivalent to ``fit_rejection_surface(augment(...), ...)`` but never
-    materializes the B * K augmented records: within a cell, the per-cutoff
-    mean of the indicators is the cell's empirical CDF of the statistic,
-    which is already nondecreasing, so the isotonic fit resolves to it.
-    Callers that already evaluated the statistic can pass the values.
+    Equivalent to ``fit_rejection_surface(augment(...), ...)``, the
+    paper-literal reference, but never materializes the B * K augmented
+    records: within a cell, the per-cutoff mean of the indicators is the
+    cell's empirical CDF of the statistic, which is already nondecreasing
+    and inside [0, 1], so the isotonic fit is the identity on it and is
+    skipped. Callers that already evaluated the statistic can pass the
+    values.
     """
     if len(calibration) == 0:
         raise ConfigError("calibration dataset is empty")
@@ -431,8 +428,7 @@ def fit_surface(
             sel = np.sort(lam_y[cells_y == cell])
             if len(sel) == 0:
                 raise BinningError(f"no calibration samples in cell (y={y}, bin={cell})")
-            ecdf = np.searchsorted(sel, grid.values, side="right") / len(sel)
-            values[y, cell] = np.clip(pool_adjacent_violators(ecdf, np.full(K, float(len(sel)))), 0.0, 1.0)
+            values[y, cell] = np.searchsorted(sel, grid.values, side="right") / len(sel)
     metadata = {
         "n_calibration": len(calibration),
         "grid_size": K,

@@ -84,6 +84,28 @@ def test_evaluate_dump_predictions(config_path, tmp_path):
     assert len(lines) == 4000 + 1
 
 
+def test_evaluate_dump_fits_once_with_the_method_provider(config_path, tmp_path, monkeypatch):
+    fits = []
+    real_fit = harness.fit_pipeline
+    monkeypatch.setattr(cli.harness, "fit_pipeline", lambda config: fits.append(config) or real_fit(config))
+    out = str(tmp_path / "r")
+    argv = ["evaluate", "--config", config_path, "--out", out, "--dump-predictions", "--method", "naps-oracle"]
+    assert run(argv) == 0
+    assert len(fits) == 1
+    # the dump is the configured method at the first alpha: its cutoffs are the report's
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    table = report["methods"]["naps-oracle"]["alphas"]["0.1"]
+    row = open(os.path.join(out, "naps_predictions.csv")).read().splitlines()[1].split(",")
+    assert (float(row[3]), float(row[4])) == (table["cutoff0"], table["cutoff1"])
+
+
+def test_evaluate_dump_without_naps_method_exits_2(config_path, tmp_path):
+    out = str(tmp_path / "r")
+    argv = ["evaluate", "--config", config_path, "--out", out, "--dump-predictions", "--method", "standard"]
+    assert run(argv) == 2
+    assert not os.path.exists(os.path.join(out, "naps_predictions.csv"))
+
+
 def test_diagnose_outputs(config_path, tmp_path):
     out = str(tmp_path / "d")
     assert run(["diagnose", "--config", config_path, "--out", out]) == 0

@@ -7,7 +7,10 @@ import pytest
 import naps
 from naps import genmodel as gm
 from naps import harness
+from naps import prediction_sets as ps
 from naps.errors import ConfigError
+from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
+from naps.rejection import NuBinning, RejectionSurface
 
 X0_STAR_005 = 0.9175778871209889
 
@@ -119,6 +122,88 @@ def test_naps_report_carries_cutoffs_and_gamma():
     assert table["gamma"] == pytest.approx(0.002)
     assert table["cutoff0"] < table["cutoff1"] or table["cutoff0"] != table["cutoff1"]
     assert table["saturated_labels"] == []
+
+
+def test_classifier_batches_match_report_counts():
+    # the report and a classifier built here, outside the harness, agree on
+    # every NAPS method at every alpha
+    cfg = small_config()
+    pipeline = harness.fit_pipeline(cfg)
+    report = harness.run_experiment(cfg, pipeline=pipeline)
+    evaluation = gm.sample_dataset(
+        cfg.generative("target"), cfg.n_evaluation, cfg.seed, stream_base=harness.STREAM_EVALUATION
+    )
+    y = evaluation.y
+    for name, gamma_of, provider_of in (
+        ("naps", lambda a: 0.0, lambda g: FullSpaceProvider(space=cfg.train_prior.support)),
+        (
+            "naps-oracle",
+            lambda a: 0.01 * a,
+            lambda g: OracleQuantileProvider(gamma=g, distribution=cfg.target_prior),
+        ),
+    ):
+        for alpha in cfg.alphas:
+            gamma = gamma_of(alpha)
+            provider = provider_of(gamma)
+            clf = ps.NapsSetClassifier(
+                model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider}
+            )
+            batch = clf.predict_batch(evaluation.x, alpha, gamma)
+            i0, i1 = batch.include0, batch.include1
+            table = report.method_alpha(name, alpha)
+            assert table["counts"] == {
+                "n": len(y),
+                "empty": int(np.sum(~i0 & ~i1)),
+                "single_0": int(np.sum(i0 & ~i1)),
+                "single_1": int(np.sum(i1 & ~i0)),
+                "both": int(np.sum(i0 & i1)),
+                "single_0_correct": int(np.sum(i0 & ~i1 & (y == 0))),
+                "single_1_correct": int(np.sum(i1 & ~i0 & (y == 1))),
+            }
+            assert (table["cutoff0"], table["cutoff1"]) == (batch.cutoff0, batch.cutoff1)
+
+
+def saturating_pipeline(cfg):
+    """Hand-built surfaces: label 0's fitted maximum (0.02) is below every alpha."""
+    binning = NuBinning.equal_width(1.0, 10.0, 2)
+    grid = np.array([0.5, 1.0, 2.0])
+    values = np.empty((2, binning.n_cells, len(grid)))
+    values[0] = [0.0, 0.01, 0.02]
+    values[1] = [0.0, 0.5, 1.0]
+    surface = RejectionSurface(statistic_id="hand", binning=binning, grid=grid, values=values)
+    model = naps.AnalyticMarginalClassifier(cfg.generative("train"))
+    return harness.Pipeline(model=model, binning=binning, surfaces={0: surface, 1: surface})
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_saturated_label_included_flagged_and_strict_json(tmp_path):
+    cfg = small_config(alphas=(0.1,), methods=(harness.MethodSpec(name="naps", kind="naps"),))
+    pipeline = saturating_pipeline(cfg)
+    provider = FullSpaceProvider(space=cfg.train_prior.support)
+    clf = ps.NapsSetClassifier(
+        model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider}
+    )
+    pred = clf.predict(0.99, alpha=0.1)  # deep in class-1 territory
+    d0, d1 = pred.decisions
+    assert 0 in pred and d0.saturated and d0.cutoff == -math.inf
+    assert not d1.saturated
+
+    report = harness.run_experiment(cfg, pipeline=pipeline)
+    table = report.method_alpha("naps", 0.1)
+    assert table["saturated_labels"] == [0]
+    assert table["cutoff0"] is None and table["cutoff1"] == 1.0
+    assert table["by_class"]["0"]["coverage"] == 1.0  # label 0 is in every set
+    path = tmp_path / "report.json"
+    report.to_json(path)
+    data = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert data["methods"]["naps"]["alphas"]["0.1"]["cutoff0"] is None
+    # a non-finite number can no longer reach the file
+    report.data["methods"]["naps"]["alphas"]["0.1"]["cutoff0"] = -math.inf
+    with pytest.raises(ValueError):
+        report.to_json(tmp_path / "bad.json")
 
 
 def test_histogram_classifier_pipeline():

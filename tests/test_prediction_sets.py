@@ -41,12 +41,74 @@ def test_naps_three_regimes(naps_clf):
     assert naps_clf.predict(0.01, alpha=0.05).members == (0,)
 
 
-def test_naps_predict_function_matches_classifier(naps_clf, fine_pipeline):
+def test_naps_fresh_classifier_matches_shared(naps_clf, fine_pipeline):
+    # a classifier built for one call predicts what the shared one, whose
+    # cutoff table is already filled, predicts
     provider = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
-    single = naps.naps_predict(
-        0.5, 0.05, fine_pipeline.surfaces, {0: provider, 1: provider}, fine_pipeline.model
+    fresh = ps.NapsSetClassifier(
+        model=fine_pipeline.model, surfaces=fine_pipeline.surfaces, providers={0: provider, 1: provider}
     )
+    single = fresh.predict(0.5, alpha=0.05)
     assert single.members == naps_clf.predict(0.5, alpha=0.05).members
+
+
+@dataclass
+class CountingModel:
+    """Delegates to a model and counts posterior1 calls."""
+
+    base: object
+    calls: int = 0
+
+    @property
+    def class1_prior(self):
+        return self.base.class1_prior
+
+    def posterior1(self, x):
+        self.calls += 1
+        return self.base.posterior1(x)
+
+
+def test_naps_one_posterior_pass_per_call(fine_pipeline, monkeypatch):
+    counting = CountingModel(fine_pipeline.model)
+    provider = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
+    clf = ps.NapsSetClassifier(
+        model=counting, surfaces=fine_pipeline.surfaces, providers={0: provider, 1: provider}
+    )
+    inversions = []
+    real = ps.cutoff_for_region
+    monkeypatch.setattr(ps, "cutoff_for_region", lambda *a: inversions.append(a) or real(*a))
+    clf.predict(0.5, alpha=0.05)
+    assert counting.calls == 1
+    clf.predict_batch(np.linspace(0.0, 1.0, 7), alpha=0.05)
+    assert counting.calls == 2
+    for x in (0.1, 0.9):
+        clf.predict(x, alpha=0.05)
+    assert counting.calls == 4
+    # cutoffs are inverted once per label and (alpha, gamma), not per point or call
+    assert len(inversions) == 2
+    clf.predict(0.5, alpha=0.1)
+    assert len(inversions) == 4
+
+
+@dataclass(frozen=True)
+class PerPointProvider:
+    """A provider whose regions may depend on x: the classifier must refuse it."""
+
+    space: object
+    x_independent = False
+
+    def region(self, x, y):
+        return naps.full_space_set(self.space)
+
+
+def test_naps_refuses_x_dependent_provider(fine_pipeline):
+    good = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
+    bad = PerPointProvider(space=gm.ANALYTIC_SPACE)
+    for providers in ({0: bad, 1: good}, {0: good, 1: bad}, {0: good}):
+        with pytest.raises(ConfigError):
+            ps.NapsSetClassifier(
+                model=fine_pipeline.model, surfaces=fine_pipeline.surfaces, providers=providers
+            )
 
 
 def test_naps_empty_set_flagged(naps_clf):
@@ -116,8 +178,8 @@ def test_standard_sets_quantile_limit():
     cutoff = baseline.cutoff(1e-9)
     assert cutoff == baseline.sorted_scores[0]
     # any point whose both-label scores exceed the smallest score gets both labels
-    pred = ps.standard_set_predict(0.5, 1e-9, model, cal)
-    assert pred.members == (0, 1)
+    include0, include1 = baseline.include_batch(model.posterior1(np.array([0.5])), 1e-9)
+    assert (bool(include0[0]), bool(include1[0])) == (True, True)
 
 
 def test_standard_sets_marginal_coverage_no_shift(model, uniform_gen):
@@ -239,11 +301,20 @@ def test_plug_in_requires_analytic_model():
         ps.PlugInConditionalBaseline.fit(model, cal, NuBinning.equal_width(1.0, 10.0, 4))
 
 
-def test_single_point_wrappers(model, uniform_gen):
+def test_baselines_single_point_matches_batch(model, uniform_gen):
+    # baselines are fitted once; one point is a batch of one
     cal = gm.sample_dataset(uniform_gen, 5000, seed=42)
-    std = ps.standard_set_predict(0.5, 0.1, model, cal)
-    cc = ps.class_conditional_set_predict(0.5, 0.1, model, cal)
-    plug = ps.plug_in_conditional_predict(0.5, 0.1, model, cal, NuBinning.equal_width(1.0, 10.0, 5))
-    for pred in (std, cc, plug):
-        assert set(pred.members) <= {0, 1}
-        assert len(pred.decisions) == 2
+    xs = np.array([0.05, 0.5, 0.95])
+    std = ps.StandardSetsBaseline.fit(model, cal)
+    cc = ps.ClassConditionalBaseline.fit(model, cal)
+    plug = ps.PlugInConditionalBaseline.fit(model, cal, NuBinning.equal_width(1.0, 10.0, 5))
+    for include in (
+        lambda x: std.include_batch(model.posterior1(x), 0.1),
+        lambda x: cc.include_batch(model.posterior1(x), 0.1),
+        lambda x: plug.include_batch(model, x, 0.1),
+    ):
+        batch0, batch1 = include(xs)
+        for i, x in enumerate(xs):
+            one0, one1 = include(np.array([x]))
+            assert (one0.shape, one1.shape) == ((1,), (1,))
+            assert (bool(one0[0]), bool(one1[0])) == (bool(batch0[i]), bool(batch1[i]))

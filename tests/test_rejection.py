@@ -86,8 +86,8 @@ def test_cutoff_grid_degenerate_statistic():
 
 def test_sample_cutoff_grid_deterministic(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 500, seed=1)
-    a = rj.sample_cutoff_grid(ds, identity_statistic, 16, seed=0)
-    b = rj.sample_cutoff_grid(ds, identity_statistic, 16, seed=99)
+    a = rj.sample_cutoff_grid(ds, identity_statistic, 16)
+    b = rj.sample_cutoff_grid(ds, identity_statistic, 16)
     assert np.array_equal(a.values, b.values)
 
 
