@@ -19,6 +19,11 @@ import naps
 from naps import harness
 
 
+def _fmt(distance) -> str:
+    """A sup-distance, or n/a when every cell was too sparse to compare."""
+    return "n/a" if distance is None else f"{distance:.4f}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/diagnostics")
@@ -52,8 +57,8 @@ def main() -> int:
     broken = harness.invariance_check(config, perturb_scale=1.5, pipeline=pipeline)
     print("\nInvariance of the rejection probability under the target shift:")
     print(f"  cells compared: {len(clean['cells'])} (skipped {len(clean['skipped'])} sparse cells)")
-    print(f"  max sup-distance: {clean['max_sup_distance']:.4f}")
-    print(f"  with class-0 rate perturbation x1.5: {broken['max_sup_distance']:.4f}")
+    print(f"  max sup-distance: {_fmt(clean['max_sup_distance'])}")
+    print(f"  with class-0 rate perturbation x1.5: {_fmt(broken['max_sup_distance'])}")
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "pit.json"), "w", encoding="utf-8") as fh:

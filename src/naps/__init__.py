@@ -55,7 +55,6 @@ from .rejection import (
     fit_surface,
     pit_diagnostics,
     pool_adjacent_violators,
-    sample_cutoff_grid,
 )
 
 __version__ = "0.1.0"

@@ -291,6 +291,25 @@ def label_bayes_factors(p1, class1_prior: float, clip: float = POSTERIOR_CLIP) -
     return out
 
 
+@dataclass(frozen=True)
+class ScoredDataset:
+    """A dataset with the classifier's statistic on it, computed once.
+
+    ``p1`` is P(Y=1 | x) per sample; ``statistics`` is the
+    ``{y: (statistic, clipped)}`` output of ``label_bayes_factors``.
+    """
+
+    data: Dataset
+    p1: np.ndarray
+    statistics: dict
+
+
+def score_dataset(model, data: Dataset) -> ScoredDataset:
+    """One posterior pass over ``data``, turned into both labels' statistics."""
+    p1 = np.asarray(model.posterior1(data.x), dtype=float)
+    return ScoredDataset(data=data, p1=p1, statistics=label_bayes_factors(p1, model.class1_prior))
+
+
 def x_at_bayes_factor(model, y: int, value: float, tol: float = 1e-12) -> float:
     """Invert the Bayes-factor statistic back to x-space.
 

@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import genmodel, harness
-from .classifier import label_bayes_factors
+from . import harness
+from .classifier import score_dataset
 from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig, Pipeline
 
@@ -108,19 +108,10 @@ def _write_json(payload: dict, path: str) -> None:
 def cmd_simulate(config: ExperimentConfig) -> None:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    calibration = genmodel.sample_dataset(
-        config.generative("train"), config.n_calibration, config.seed, stream_base=harness.STREAM_CALIBRATION
-    )
-    evaluation = genmodel.sample_dataset(
-        config.generative("target"), config.n_evaluation, config.seed, stream_base=harness.STREAM_EVALUATION
-    )
-    calibration.save(os.path.join(out, "calibration.csv"))
-    evaluation.save(os.path.join(out, "evaluation.csv"))
+    config.calibration_set().save(os.path.join(out, "calibration.csv"))
+    config.evaluation_set().save(os.path.join(out, "evaluation.csv"))
     if config.classifier == "histogram":
-        train = genmodel.sample_dataset(
-            config.generative("train"), config.n_train, config.seed, stream_base=harness.STREAM_TRAIN
-        )
-        train.save(os.path.join(out, "train.csv"))
+        config.train_set().save(os.path.join(out, "train.csv"))
 
 
 def cmd_fit(config: ExperimentConfig) -> None:
@@ -130,7 +121,9 @@ def cmd_fit(config: ExperimentConfig) -> None:
 
 def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions: bool) -> None:
     dump_spec = _first_naps_method(config) if dump_predictions else None
-    pipeline = Pipeline.load(models) if models else harness.fit_pipeline(config)
+    pipeline = Pipeline.load(models) if models else None
+    if pipeline is None and dump_spec is not None:
+        pipeline = harness.fit_pipeline(config)
     report = harness.run_experiment(config, pipeline=pipeline)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
@@ -149,14 +142,10 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
 
 def _dump_predictions(config: ExperimentConfig, pipeline: Pipeline, spec: harness.MethodSpec, out: str) -> None:
     """Per-point prediction sets of one NAPS method at the first alpha."""
-    evaluation = genmodel.sample_dataset(
-        config.generative("target"), config.n_evaluation, config.seed, stream_base=harness.STREAM_EVALUATION
-    )
+    evaluation = score_dataset(pipeline.model, config.evaluation_set())
     alpha = config.alphas[0]
     clf, gamma = harness.naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
-    model = pipeline.model
-    statistics = label_bayes_factors(model.posterior1(evaluation.x), model.class1_prior)
-    batch = clf.decide(evaluation.x, statistics, alpha, gamma)
+    batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha, gamma)
     batch.save(os.path.join(out, "naps_predictions.csv"))
 
 

@@ -14,6 +14,7 @@ with stable key order and full float precision.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -25,10 +26,11 @@ import numpy as np
 from . import genmodel
 from .classifier import (
     AnalyticMarginalClassifier,
+    ScoredDataset,
     fit_histogram_classifier,
-    label_bayes_factors,
     load_classifier,
     save_classifier,
+    score_dataset,
 )
 from .classifier import bayes_factor_from_posterior  # noqa: F401  (patched by perfbench/tracing.py)
 from .cutoffs import analytic_oracle_cutoffs
@@ -193,6 +195,19 @@ class ExperimentConfig:
             nuisance_prior_class1=prior,
         )
 
+    def train_set(self) -> Dataset:
+        return genmodel.sample_dataset(self.generative("train"), self.n_train, self.seed, stream_base=STREAM_TRAIN)
+
+    def calibration_set(self) -> Dataset:
+        return genmodel.sample_dataset(
+            self.generative("train"), self.n_calibration, self.seed, stream_base=STREAM_CALIBRATION
+        )
+
+    def evaluation_set(self) -> Dataset:
+        return genmodel.sample_dataset(
+            self.generative("target"), self.n_evaluation, self.seed, stream_base=STREAM_EVALUATION
+        )
+
     def binning(self) -> NuBinning:
         return NuBinning.for_space(
             self.train_prior.support, self.nu_bins, scheme=self.nu_bin_scheme
@@ -279,35 +294,28 @@ class Pipeline:
 def build_model(config: ExperimentConfig):
     if config.classifier == "analytic-marginal":
         return AnalyticMarginalClassifier(config.generative("train"))
-    train = genmodel.sample_dataset(
-        config.generative("train"), config.n_train, config.seed, stream_base=STREAM_TRAIN
-    )
-    return fit_histogram_classifier(train, config.histogram_bins)
+    return fit_histogram_classifier(config.train_set(), config.histogram_bins)
 
 
-def fit_pipeline(config: ExperimentConfig, calibration: Dataset | None = None) -> Pipeline:
+def fit_pipeline(config: ExperimentConfig) -> Pipeline:
     """Fit the classifier and both Bayes-factor rejection surfaces."""
+    return _fit_scored(config)[0]
+
+
+def _fit_scored(config: ExperimentConfig) -> tuple[Pipeline, ScoredDataset]:
+    """The fitted pipeline together with the scored calibration set it was fitted on."""
     model = build_model(config)
-    if calibration is None:
-        calibration = genmodel.sample_dataset(
-            config.generative("train"), config.n_calibration, config.seed, stream_base=STREAM_CALIBRATION
-        )
-    statistics = label_bayes_factors(model.posterior1(calibration.x), model.class1_prior)
+    calibration = score_dataset(model, config.calibration_set())
     binning = config.binning()
-    surfaces = {}
-    for y in (0, 1):
-        tau = statistics[y][0]
-        grid = cutoff_grid_from_values(tau, config.cutoff_grid_size)
-        surfaces[y] = fit_surface(
-            calibration,
-            statistic=None,
-            grid=grid,
-            binning=binning,
-            statistic_id=f"bayes-factor-{y}",
-            seed=config.seed,
-            statistic_values=tau,
-        )
-    return Pipeline(model=model, binning=binning, surfaces=surfaces)
+    surfaces = {y: _label_surface(config, calibration, y, binning) for y in (0, 1)}
+    return Pipeline(model=model, binning=binning, surfaces=surfaces), calibration
+
+
+def _label_surface(config: ExperimentConfig, calibration: ScoredDataset, y: int, binning: NuBinning):
+    """Label y's Bayes-factor rejection surface on a grid from its calibration quantiles."""
+    tau = calibration.statistics[y][0]
+    grid = cutoff_grid_from_values(tau, config.cutoff_grid_size)
+    return fit_surface(calibration.data, tau, grid, binning, f"bayes-factor-{y}", config.seed)
 
 
 def _provider_for(spec: MethodSpec, config: ExperimentConfig, gamma: float):
@@ -345,17 +353,17 @@ def _rate(numer: int, denom: int) -> tuple[float | None, float | None]:
     return float(p), float(math.sqrt(p * (1.0 - p) / denom))
 
 
-def _segment_metrics(y, include0, include1, mask) -> dict:
-    n = int(np.sum(mask))
-    inc_true = np.where(y == 1, include1, include0)[mask]
-    inc_other = np.where(y == 1, include0, include1)[mask]
-    both = (include0 & include1)[mask]
-    empty = (~include0 & ~include1)[mask]
-    coverage, coverage_se = _rate(int(np.sum(inc_true)), n)
-    power, power_se = _rate(int(np.sum(~inc_other)), n)
-    ambiguity, _ = _rate(int(np.sum(both)), n)
-    empty_rate, _ = _rate(int(np.sum(empty)), n)
-    size = float(np.mean(include0[mask].astype(float) + include1[mask].astype(float))) if n else None
+def _segment_metrics(t: np.ndarray) -> dict:
+    """Metrics of one segment from its counts ``t[y, include0, include1]``."""
+    n = int(t.sum())
+    covered = int(t[0, 1, :].sum() + t[1, :, 1].sum())
+    other_included = int(t[0, :, 1].sum() + t[1, 1, :].sum())
+    coverage, coverage_se = _rate(covered, n)
+    power, power_se = _rate(n - other_included, n)
+    ambiguity, _ = _rate(int(t[:, 1, 1].sum()), n)
+    empty_rate, _ = _rate(int(t[:, 0, 0].sum()), n)
+    # (k0 + k1) / n is exactly the mean of the 0/1/2 set sizes.
+    size = int(t[:, 1, :].sum() + t[:, :, 1].sum()) / n if n else None
     return {
         "n": n,
         "coverage": coverage,
@@ -369,46 +377,48 @@ def _segment_metrics(y, include0, include1, mask) -> dict:
 
 
 def compute_metrics(y, nu, include0, include1, report_binning: NuBinning) -> dict:
-    """Coverage/power/precision tables: marginal, per class, per (class, bin)."""
-    y = np.asarray(y)
+    """Coverage/power/precision tables: marginal, per class, per (class, bin).
+
+    One count over the code (cell, y, include0, include1); every table is a
+    sum over that count tensor.
+    """
+    y = np.asarray(y).astype(np.intp)
     include0 = np.asarray(include0, dtype=bool)
     include1 = np.asarray(include1, dtype=bool)
-    n = len(y)
-    all_mask = np.ones(n, dtype=bool)
+    cells = report_binning.cell_index(nu)
+    m = report_binning.n_cells
+    code = ((cells * 2 + y) * 2 + include0) * 2 + include1
+    counts = np.bincount(code, minlength=8 * m).reshape(m, 2, 2, 2)
+    total = counts.sum(axis=0)
+    only = np.eye(2, dtype=counts.dtype)[:, :, None, None]  # only[y] keeps label y's counts
 
-    single0 = include0 & ~include1
-    single1 = include1 & ~include0
-    counts = {
-        "n": n,
-        "empty": int(np.sum(~include0 & ~include1)),
-        "single_0": int(np.sum(single0)),
-        "single_1": int(np.sum(single1)),
-        "both": int(np.sum(include0 & include1)),
-        "single_0_correct": int(np.sum(single0 & (y == 0))),
-        "single_1_correct": int(np.sum(single1 & (y == 1))),
+    single0, single1 = total[:, 1, 0], total[:, 0, 1]
+    table = {
+        "n": int(total.sum()),
+        "empty": int(total[:, 0, 0].sum()),
+        "single_0": int(single0.sum()),
+        "single_1": int(single1.sum()),
+        "both": int(total[:, 1, 1].sum()),
+        "single_0_correct": int(single0[0]),
+        "single_1_correct": int(single1[1]),
     }
-    precision0, precision0_se = _rate(counts["single_0_correct"], counts["single_0"])
-    precision1, precision1_se = _rate(counts["single_1_correct"], counts["single_1"])
+    precision0, precision0_se = _rate(table["single_0_correct"], table["single_0"])
+    precision1, precision1_se = _rate(table["single_1_correct"], table["single_1"])
 
     out = {
-        "marginal": _segment_metrics(y, include0, include1, all_mask),
+        "marginal": _segment_metrics(total),
         "precision": {
-            "0": {"value": precision0, "se": precision0_se, "n": counts["single_0"]},
-            "1": {"value": precision1, "se": precision1_se, "n": counts["single_1"]},
+            "0": {"value": precision0, "se": precision0_se, "n": table["single_0"]},
+            "1": {"value": precision1, "se": precision1_se, "n": table["single_1"]},
         },
-        "by_class": {
-            "0": _segment_metrics(y, include0, include1, y == 0),
-            "1": _segment_metrics(y, include0, include1, y == 1),
-        },
-        "counts": counts,
+        "by_class": {str(label): _segment_metrics(only[label] * total) for label in (0, 1)},
+        "counts": table,
     }
 
-    cells = report_binning.cell_index(nu)
     by_bin: dict[str, list] = {"0": [], "1": []}
     for label in (0, 1):
-        for cell in range(report_binning.n_cells):
-            mask = (y == label) & (cells == cell)
-            seg = _segment_metrics(y, include0, include1, mask)
+        for cell in range(m):
+            seg = _segment_metrics(only[label] * counts[cell])
             if report_binning.is_continuous:
                 lo, hi = report_binning.cell_bounds(cell)
                 seg["nu_bin"] = {"index": cell, "lo": lo, "hi": hi}
@@ -471,31 +481,30 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
 
     Passing a pre-fitted pipeline skips refitting entirely; results are
     bit-identical either way because evaluation data depend only on the
-    seed, not on the fitting stage.
+    seed, not on the fitting stage. Each dataset is drawn and scored once:
+    a fresh fit hands its scored calibration set to the baselines, and with
+    a pre-fitted pipeline the calibration set is drawn only if a baseline
+    needs it.
     """
-    if pipeline is None:
-        pipeline = fit_pipeline(config)
-    evaluation = genmodel.sample_dataset(
-        config.generative("target"), config.n_evaluation, config.seed, stream_base=STREAM_EVALUATION
-    )
-    model = pipeline.model
-    p1_eval = np.asarray(model.posterior1(evaluation.x), dtype=float)
-    statistics = label_bayes_factors(p1_eval, model.class1_prior)
-
-    needs_calibration = any(m.kind in ("standard", "class-conditional", "plug-in") for m in config.methods)
     calibration = None
+    if pipeline is None:
+        pipeline, calibration = _fit_scored(config)
+    model = pipeline.model
+    evaluation = score_dataset(model, config.evaluation_set())
+
     baselines: dict[str, object] = {}
-    if needs_calibration:
-        calibration = genmodel.sample_dataset(
-            config.generative("train"), config.n_calibration, config.seed, stream_base=STREAM_CALIBRATION
-        )
     for spec in config.methods:
+        if spec.kind in ("naps", "bayes-point"):
+            continue
+        if calibration is None:
+            # A prefitted pipeline does not keep its calibration data.
+            calibration = score_dataset(model, config.calibration_set())
         if spec.kind == "standard":
-            baselines[spec.name] = StandardSetsBaseline.fit(model, calibration)
+            baselines[spec.name] = StandardSetsBaseline.fit(calibration)
         elif spec.kind == "class-conditional":
-            baselines[spec.name] = ClassConditionalBaseline.fit(model, calibration)
+            baselines[spec.name] = ClassConditionalBaseline.fit(calibration)
         elif spec.kind == "plug-in":
-            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration, pipeline.binning)
+            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration.data, pipeline.binning)
 
     report_binning = config.report_binning()
     methods_out: dict[str, dict] = {}
@@ -505,7 +514,7 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
             extra: dict = {}
             if spec.kind == "naps":
                 clf, gamma = naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
-                batch = clf.decide(evaluation.x, statistics, alpha, gamma)
+                batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha, gamma)
                 include0, include1 = batch.include0, batch.include1
                 table = clf.cutoff_table(alpha, gamma)
                 # A saturated cutoff is -inf; strict JSON writes it as null.
@@ -516,17 +525,15 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
                     "nuisance_regions": {str(y): table[y].region.to_dict() for y in (0, 1)},
                     "saturated_labels": [y for y in (0, 1) if table[y].saturated],
                 }
-            elif spec.kind == "standard":
-                include0, include1 = baselines[spec.name].include_batch(p1_eval, alpha)
-            elif spec.kind == "class-conditional":
-                include0, include1 = baselines[spec.name].include_batch(p1_eval, alpha)
+            elif spec.kind in ("standard", "class-conditional"):
+                include0, include1 = baselines[spec.name].include_batch(evaluation.p1, alpha)
             elif spec.kind == "plug-in":
-                include0, include1 = baselines[spec.name].include_batch(model, evaluation.x, alpha)
+                include0, include1 = baselines[spec.name].include_batch(model, evaluation.data.x, alpha)
             else:  # bayes-point
-                labels = bayes_point_batch(p1_eval, spec.costs)
+                labels = bayes_point_batch(evaluation.p1, spec.costs)
                 include0 = labels == 0
                 include1 = labels == 1
-            tables = compute_metrics(evaluation.y, evaluation.nu, include0, include1, report_binning)
+            tables = compute_metrics(evaluation.data.y, evaluation.data.nu, include0, include1, report_binning)
             tables.update(extra)
             alphas_out[_alpha_key(alpha)] = tables
         methods_out[spec.name] = {"kind": spec.kind, "alphas": alphas_out}
@@ -537,7 +544,7 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
         data={
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": config_echo,
-            "n_evaluation": len(evaluation),
+            "n_evaluation": len(evaluation.data),
             "methods": methods_out,
         }
     )
@@ -625,11 +632,9 @@ def invariance_check(
     if pipeline is None:
         pipeline = fit_pipeline(config)
     surface = pipeline.surfaces[0]
-    model = pipeline.model
     target = genmodel.sample_dataset(
         config.generative("target"), config.n_calibration, config.seed, stream_base=STREAM_TARGET_CHECK
     )
-    x = np.array(target.x)
     if perturb_scale is not None:
         if config.scenario != SCENARIO_ANALYTIC:
             raise ConfigError("the likelihood perturbation applies to the analytic scenario")
@@ -638,9 +643,11 @@ def invariance_check(
         nu_eff = target.nu[mask] * perturb_scale
         # Inverse-CDF draw from the scaled-rate density; bypasses the domain
         # check on purpose, the perturbed rate leaves the nominal family.
+        x = np.array(target.x)
         x[mask] = -np.log1p(u * np.expm1(-nu_eff)) / nu_eff
+        target = dataclasses.replace(target, x=x)
 
-    tau0 = label_bayes_factors(model.posterior1(x), model.class1_prior)[0][0]
+    tau0 = score_dataset(pipeline.model, target).statistics[0][0]
     cells = surface.binning.cell_index(target.nu)
     rows = []
     skipped = []
@@ -688,41 +695,23 @@ def run_pit_diagnostics(
     per-bin PIT failures demonstrate why marginal calibration is not enough.
     """
     if pipeline is None:
-        pipeline = fit_pipeline(config)
-    model = pipeline.model
+        pipeline, calibration = _fit_scored(config)
+    else:
+        calibration = score_dataset(pipeline.model, config.calibration_set())
     n = n_eval if n_eval is not None else config.n_evaluation
     eval_ds = genmodel.sample_dataset(
         config.generative("train"), n, config.seed, stream_base=STREAM_DIAGNOSE
     )
-    tau0 = label_bayes_factors(model.posterior1(eval_ds.x), model.class1_prior)[0][0]
-
-    calibration = genmodel.sample_dataset(
-        config.generative("train"), config.n_calibration, config.seed, stream_base=STREAM_CALIBRATION
-    )
-    tau0_cal = label_bayes_factors(model.posterior1(calibration.x), model.class1_prior)[0][0]
-    grid = cutoff_grid_from_values(tau0_cal, config.cutoff_grid_size)
+    tau0 = score_dataset(pipeline.model, eval_ds).statistics[0][0]
     space = config.train_prior.support
-    one_bin = NuBinning.for_space(space, 1)
-    flat_surface = fit_surface(
-        calibration,
-        statistic=None,
-        grid=grid,
-        binning=one_bin,
-        statistic_id="bayes-factor-0",
-        seed=config.seed,
-        statistic_values=tau0_cal,
-    )
+    flat_surface = _label_surface(config, calibration, 0, NuBinning.for_space(space, 1))
 
     bins = make_param_bins(space, n_param_bins)
-    aware = _pit_with_values(pipeline.surfaces[0], eval_ds, tau0, bins)
-    flat = _pit_with_values(flat_surface, eval_ds, tau0, bins)
+    aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, bins)
+    flat = pit_diagnostics(flat_surface, eval_ds, tau0, bins)
     return {
         "n_evaluation": int(n),
         "bins": [b.label() for b in bins],
         "nuisance_aware": [r.to_dict() for r in aware],
         "nuisance_ignoring": [r.to_dict() for r in flat],
     }
-
-
-def _pit_with_values(surface, eval_ds, values, bins):
-    return pit_diagnostics(surface, eval_ds, lambda xs: values, bins)

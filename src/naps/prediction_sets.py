@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import bayes_factor_with_flags  # noqa: F401  (patched by perfbench/tracing.py)
-from .classifier import label_bayes_factors
+from .classifier import ScoredDataset, label_bayes_factors
 from .cutoffs import (
     MODE_FPR,
     SCOPE_CONFIDENCE_SET,
@@ -232,11 +232,17 @@ class BatchPredictions:
         return out
 
     def save(self, path) -> None:
-        """Delimited text: x, per-label statistics and cutoffs, membership, flags."""
+        """Delimited text: x, per-label statistics and cutoffs, membership, flags.
+
+        Vector observations (discrete-toy counts) take one column each,
+        ``x1..xd``, as in ``Dataset.save``.
+        """
         members = self.members_column()
         cutoffs = [_FLOAT_FMT % self.cutoff0, _FLOAT_FMT % self.cutoff1]
+        x = self.x.reshape(len(self), -1)
+        x_header = "x" if self.x.ndim == 1 else ",".join(f"x{j + 1}" for j in range(x.shape[1]))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,statistic0,statistic1,cutoff0,cutoff1,members,flags\n")
+            fh.write(f"{x_header},statistic0,statistic1,cutoff0,cutoff1,members,flags\n")
             for i in range(len(self)):
                 flags = []
                 if self.saturated0 or self.saturated1:
@@ -248,7 +254,7 @@ class BatchPredictions:
                 fh.write(
                     ",".join(
                         [
-                            _FLOAT_FMT % self.x[i],
+                            *(_FLOAT_FMT % v for v in x[i]),
                             _FLOAT_FMT % self.statistic0[i],
                             _FLOAT_FMT % self.statistic1[i],
                             *cutoffs,
@@ -272,11 +278,11 @@ class StandardSetsBaseline:
     sorted_scores: np.ndarray
 
     @classmethod
-    def fit(cls, model, calibration: Dataset) -> "StandardSetsBaseline":
-        if len(calibration) == 0:
+    def fit(cls, calibration: ScoredDataset) -> "StandardSetsBaseline":
+        if len(calibration.data) == 0:
             raise ConfigError("standard sets need a nonempty calibration set")
-        p1 = np.asarray(model.posterior1(calibration.x), dtype=float)
-        scores = np.where(calibration.y == 1, p1, 1.0 - p1)
+        p1 = calibration.p1
+        scores = np.where(calibration.data.y == 1, p1, 1.0 - p1)
         return cls(sorted_scores=np.sort(scores))
 
     def cutoff(self, alpha: float) -> float:
@@ -295,10 +301,10 @@ class ClassConditionalBaseline:
     sorted_scores1: np.ndarray
 
     @classmethod
-    def fit(cls, model, calibration: Dataset) -> "ClassConditionalBaseline":
-        p1 = np.asarray(model.posterior1(calibration.x), dtype=float)
-        m0 = calibration.y == 0
-        m1 = calibration.y == 1
+    def fit(cls, calibration: ScoredDataset) -> "ClassConditionalBaseline":
+        p1 = calibration.p1
+        m0 = calibration.data.y == 0
+        m1 = calibration.data.y == 1
         if not np.any(m0) or not np.any(m1):
             raise ConfigError("class-conditional sets need calibration samples of both classes")
         return cls(

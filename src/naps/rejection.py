@@ -190,17 +190,12 @@ class CutoffGrid:
         return len(self.values)
 
 
-def sample_cutoff_grid(calibration: Dataset, statistic, grid_size: int) -> CutoffGrid:
-    """Cutoff grid from the empirical distribution of the statistic.
+def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
+    """Cutoff grid from the empirical distribution of the statistic's values.
 
     Uses the K mid-quantile levels (j - 0.5) / K with linear interpolation,
     de-duplicated. Deterministic.
     """
-    values = np.asarray(statistic(calibration.x), dtype=float)
-    return cutoff_grid_from_values(values, grid_size)
-
-
-def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
     if grid_size < 2:
         raise ConfigError("grid_size must be >= 2")
     values = np.asarray(values, dtype=float)
@@ -211,6 +206,19 @@ def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
     if len(grid) < 2:
         raise ConfigError("statistic is too discrete: fewer than 2 distinct grid cutoffs")
     return CutoffGrid(values=grid)
+
+
+def _calibration_values(calibration: Dataset, values) -> np.ndarray:
+    """The statistic on a calibration set: one finite value per sample."""
+    if len(calibration) == 0:
+        raise ConfigError("calibration dataset is empty")
+    lam = np.asarray(values, dtype=float)
+    if lam.shape != (len(calibration),):
+        raise ConfigError("statistic must return one value per calibration sample")
+    if np.any(~np.isfinite(lam)):
+        bad = int(np.nonzero(~np.isfinite(lam))[0][0])
+        raise ConfigError(f"statistic evaluation failed at calibration sample {bad}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -232,14 +240,7 @@ def augment(calibration: Dataset, statistic, grid: CutoffGrid) -> AugmentedRecor
     Produces exactly B * K records; record (i, j) carries
     Z = 1{lambda(x_i) <= C_j}.
     """
-    if len(calibration) == 0:
-        raise ConfigError("calibration dataset is empty")
-    lam = np.asarray(statistic(calibration.x), dtype=float)
-    if lam.shape != (len(calibration),):
-        raise ConfigError("statistic must return one value per calibration sample")
-    if np.any(~np.isfinite(lam)):
-        bad = int(np.nonzero(~np.isfinite(lam))[0][0])
-        raise ConfigError(f"statistic evaluation failed at calibration sample {bad}")
+    lam = _calibration_values(calibration, statistic(calibration.x))
     K = len(grid)
     z = (lam[:, None] <= grid.values[None, :]).astype(np.int8).ravel()
     return AugmentedRecords(
@@ -392,32 +393,25 @@ def fit_rejection_surface(
 
 def fit_surface(
     calibration: Dataset,
-    statistic,
+    values,
     grid: CutoffGrid,
     binning: NuBinning,
     statistic_id: str = "statistic",
     seed: int | None = None,
-    statistic_values: np.ndarray | None = None,
 ) -> RejectionSurface:
-    """Fit the surface directly from calibration data.
+    """Fit the surface from the statistic's ``values`` on calibration data.
 
     Equivalent to ``fit_rejection_surface(augment(...), ...)``, the
     paper-literal reference, but never materializes the B * K augmented
     records: within a cell, the per-cutoff mean of the indicators is the
     cell's empirical CDF of the statistic, which is already nondecreasing
     and inside [0, 1], so the isotonic fit is the identity on it and is
-    skipped. Callers that already evaluated the statistic can pass the
-    values.
+    skipped. ``values`` are checked as ``augment`` checks its statistic.
     """
-    if len(calibration) == 0:
-        raise ConfigError("calibration dataset is empty")
-    if statistic_values is not None:
-        lam = np.asarray(statistic_values, dtype=float)
-    else:
-        lam = np.asarray(statistic(calibration.x), dtype=float)
+    lam = _calibration_values(calibration, values)
     cells = binning.cell_index(calibration.nu)
     K = len(grid)
-    values = np.zeros((2, binning.n_cells, K))
+    fitted = np.zeros((2, binning.n_cells, K))
     for y in (0, 1):
         mask = calibration.y == y
         if not np.any(mask):
@@ -428,14 +422,14 @@ def fit_surface(
             sel = np.sort(lam_y[cells_y == cell])
             if len(sel) == 0:
                 raise BinningError(f"no calibration samples in cell (y={y}, bin={cell})")
-            values[y, cell] = np.searchsorted(sel, grid.values, side="right") / len(sel)
+            fitted[y, cell] = np.searchsorted(sel, grid.values, side="right") / len(sel)
     metadata = {
         "n_calibration": len(calibration),
         "grid_size": K,
         "seed": seed,
     }
     return RejectionSurface(
-        statistic_id=statistic_id, binning=binning, grid=grid.values.copy(), values=values, metadata=metadata
+        statistic_id=statistic_id, binning=binning, grid=grid.values.copy(), values=fitted, metadata=metadata
     )
 
 
@@ -520,16 +514,17 @@ class PitBinResult:
 def pit_diagnostics(
     surface: RejectionSurface,
     eval_dataset: Dataset,
-    statistic,
+    values,
     param_bins: list[ParamBin],
     pp_grid_size: int = 100,
 ) -> list[PitBinResult]:
-    """Per-bin PIT table with KS distances against Uniform(0, 1).
+    """Per-bin PIT table of the statistic's ``values`` on ``eval_dataset``.
 
-    Empty bins are flagged and skipped rather than raising; the 95% KS band
-    1.36 / sqrt(n) is reported per bin but never enforced here.
+    KS distances are taken against Uniform(0, 1). Empty bins are flagged
+    and skipped rather than raising; the 95% KS band 1.36 / sqrt(n) is
+    reported per bin but never enforced here.
     """
-    lam = np.asarray(statistic(eval_dataset.x), dtype=float)
+    lam = np.asarray(values, dtype=float)
     pit = surface.rejection_probability_batch(lam, eval_dataset.y, eval_dataset.nu)
     levels = np.linspace(0.0, 1.0, pp_grid_size)
     results = []

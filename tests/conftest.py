@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import naps
-from naps import genmodel, harness
+from naps import harness
 
 
 SEED = 101
@@ -38,12 +38,7 @@ def pipeline(base_config):
 
 @pytest.fixture(scope="session")
 def calibration(base_config):
-    return genmodel.sample_dataset(
-        base_config.generative("train"),
-        base_config.n_calibration,
-        base_config.seed,
-        stream_base=harness.STREAM_CALIBRATION,
-    )
+    return base_config.calibration_set()
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import pytest
 
 import naps
 from naps import cli, genmodel as gm, harness
-from naps.classifier import bayes_factor_from_posterior, x_at_bayes_factor
+from naps.classifier import bayes_factor_from_posterior, score_dataset, x_at_bayes_factor
 from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region, uniform_cutoff
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
 from naps.rejection import NuBinning, augment, cutoff_grid_from_values, fit_rejection_surface, pool_adjacent_violators
@@ -295,11 +295,11 @@ def test_criterion_8_baseline_failure_reproduction():
     pipeline = harness.fit_pipeline(cfg)
     model = pipeline.model
     gen = cfg.generative("train")
-    cal = gm.sample_dataset(gen, cfg.n_calibration, cfg.seed, stream_base=harness.STREAM_CALIBRATION)
+    cal = cfg.calibration_set()
     ev = gm.sample_dataset(gen, cfg.n_evaluation, cfg.seed, stream_base=harness.STREAM_EVALUATION)
 
     alpha = 0.1
-    cc = ClassConditionalBaseline.fit(model, cal)
+    cc = ClassConditionalBaseline.fit(score_dataset(model, cal))
     p1_ev = model.posterior1(ev.x)
     i0, i1 = cc.include_batch(p1_ev, alpha)
     cov0 = float(np.mean(i0[ev.y == 0]))

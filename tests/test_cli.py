@@ -84,6 +84,30 @@ def test_evaluate_dump_predictions(config_path, tmp_path):
     assert len(lines) == 4000 + 1
 
 
+def test_evaluate_dump_predictions_discrete_toy(tmp_path):
+    # vector observations: one column per count
+    protocols = {"kind": "discrete-set", "categories": [0, 1, 2, 3]}
+    cfg = {
+        "scenario": "discrete-toy",
+        "class1_probability": 0.5,
+        "train_prior": {"kind": "discrete-weights", "weights": [0.25] * 4, "support": protocols},
+        "target_prior": {"kind": "discrete-weights", "weights": [0.05, 0.05, 0.1, 0.8], "support": protocols},
+        "n_calibration": 8_000,
+        "n_evaluation": 1_000,
+        "alphas": [0.1],
+        "methods": [{"name": "naps", "kind": "naps"}],
+        "seed": 3,
+    }
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "r")
+    assert run(["evaluate", "--config", str(path), "--out", out, "--dump-predictions"]) == 0
+    lines = open(os.path.join(out, "naps_predictions.csv")).read().splitlines()
+    assert lines[0].startswith("x1,x2,x3,x4,x5,x6,x7,x8,statistic0,statistic1")
+    assert len(lines) == cfg["n_evaluation"] + 1
+    assert all(len(line.split(",")) == 8 + 6 for line in lines)
+
+
 def test_evaluate_dump_fits_once_with_the_method_provider(config_path, tmp_path, monkeypatch):
     fits = []
     real_fit = harness.fit_pipeline

@@ -89,7 +89,7 @@ def test_uniform_cutoff_single_bin_equals_fixed(base_config, calibration, model)
     tau0 = bayes_factor_from_posterior(1.0 - p1, 0.5)[0]
     grid = cutoff_grid_from_values(tau0, 100)
     binning = NuBinning.equal_width(1.0, 10.0, 1)
-    surface = fit_surface(calibration, None, grid, binning, statistic_values=tau0)
+    surface = fit_surface(calibration, tau0, grid, binning)
     uniform = co.uniform_cutoff(surface, full_request(0.1))
     fixed = co.fixed_nu_cutoff(surface, co.CutoffRequest(null_label=0, alpha=0.1, scope="fixed", nu0=7.0))
     assert uniform.cutoff == fixed.cutoff

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +79,104 @@ def test_amortization_refit_vs_loaded(tmp_path):
     loaded = harness.Pipeline.load(str(tmp_path))
     reloaded = harness.run_experiment(cfg, pipeline=loaded)
     assert json.dumps(fresh.data, sort_keys=True) == json.dumps(reloaded.data, sort_keys=True)
+
+
+class PassCounter:
+    """Points scored by the analytic posterior and datasets drawn, per sampling stream."""
+
+    def __init__(self, monkeypatch):
+        self.scored, self.draws, self._drawn = Counter(), Counter(), {}
+        sample, posterior1 = gm.sample_dataset, naps.AnalyticMarginalClassifier.posterior1
+
+        def counting_sample(*args, stream_base=0):
+            ds = sample(*args, stream_base=stream_base)
+            self.draws[stream_base] += 1
+            self._drawn[id(ds.x)] = (stream_base, ds)  # holding ds keeps the id unique
+            return ds
+
+        def counting_posterior1(model, x):
+            self.scored[self._drawn.get(id(x), (None,))[0]] += int(np.size(x))
+            return posterior1(model, x)
+
+        monkeypatch.setattr(gm, "sample_dataset", counting_sample)
+        monkeypatch.setattr(naps.AnalyticMarginalClassifier, "posterior1", counting_posterior1)
+
+    def clear(self):
+        self.scored.clear()
+        self.draws.clear()
+        self._drawn.clear()
+
+
+def test_each_dataset_drawn_and_scored_once(monkeypatch):
+    cfg = small_config()
+    naps_only = dataclasses.replace(cfg, methods=cfg.methods[:2])
+    pipeline = harness.fit_pipeline(cfg)
+    cal, ev, diag = harness.STREAM_CALIBRATION, harness.STREAM_EVALUATION, harness.STREAM_DIAGNOSE
+    n_cal, n_ev = cfg.n_calibration, cfg.n_evaluation
+    counter = PassCounter(monkeypatch)
+    for run, scored, cal_draws in (
+        (lambda: harness.run_experiment(cfg), {cal: n_cal, ev: n_ev}, 1),
+        (lambda: harness.run_experiment(cfg, pipeline=pipeline), {cal: n_cal, ev: n_ev}, 1),
+        (lambda: harness.run_experiment(naps_only, pipeline=pipeline), {ev: n_ev}, 0),
+        (lambda: harness.run_pit_diagnostics(cfg), {cal: n_cal, diag: n_ev}, 1),
+    ):
+        counter.clear()
+        run()
+        assert counter.scored == Counter(scored)
+        assert counter.draws[cal] == cal_draws
+
+
+def masked_segment(y, include0, include1, mask):
+    """Reference for one metrics segment: masked passes over the points."""
+    n = int(np.sum(mask))
+
+    def rate(k):
+        return None if n == 0 else k / n
+
+    def se(k):
+        return None if n == 0 else math.sqrt(k / n * (1 - k / n) / n)
+
+    covered = int(np.sum(np.where(y == 1, include1, include0)[mask]))
+    not_other = int(np.sum(~np.where(y == 1, include0, include1)[mask]))
+    size = float(np.mean(include0[mask].astype(float) + include1[mask].astype(float))) if n else None
+    return {
+        "n": n,
+        "coverage": rate(covered),
+        "coverage_se": se(covered),
+        "power": rate(not_other),
+        "power_se": se(not_other),
+        "ambiguity_rate": rate(int(np.sum((include0 & include1)[mask]))),
+        "empty_rate": rate(int(np.sum((~include0 & ~include1)[mask]))),
+        "mean_set_size": size,
+    }
+
+
+def test_compute_metrics_matches_masked_reference():
+    rng = np.random.default_rng(5)
+    n = 3000
+    y = (rng.random(n) < 0.4).astype(np.int8)
+    nu = rng.uniform(1.0, 7.0, n)  # the top report bins stay empty
+    include0, include1 = rng.random(n) < 0.7, rng.random(n) < 0.5
+    binning = NuBinning.equal_width(1.0, 10.0, 6)
+    got = harness.compute_metrics(y, nu, include0, include1, binning)
+    assert got["marginal"] == masked_segment(y, include0, include1, np.ones(n, dtype=bool))
+    cells = binning.cell_index(nu)
+    for label in (0, 1):
+        assert got["by_class"][str(label)] == masked_segment(y, include0, include1, y == label)
+        for cell, seg in enumerate(got["by_class_nu_bin"][str(label)]):
+            seg = {k: v for k, v in seg.items() if k != "nu_bin"}
+            assert seg == masked_segment(y, include0, include1, (y == label) & (cells == cell))
+    single0, single1 = include0 & ~include1, include1 & ~include0
+    assert got["counts"] == {
+        "n": n,
+        "empty": int(np.sum(~include0 & ~include1)),
+        "single_0": int(np.sum(single0)),
+        "single_1": int(np.sum(single1)),
+        "both": int(np.sum(include0 & include1)),
+        "single_0_correct": int(np.sum(single0 & (y == 0))),
+        "single_1_correct": int(np.sum(single1 & (y == 1))),
+    }
+    assert got["by_class_nu_bin"]["0"][5]["n"] == 0
 
 
 def test_report_counts_reconcile():

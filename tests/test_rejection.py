@@ -84,10 +84,10 @@ def test_cutoff_grid_degenerate_statistic():
         rj.cutoff_grid_from_values(np.full(10, 3.0), 4)
 
 
-def test_sample_cutoff_grid_deterministic(uniform_gen):
+def test_cutoff_grid_from_values_deterministic(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 500, seed=1)
-    a = rj.sample_cutoff_grid(ds, identity_statistic, 16)
-    b = rj.sample_cutoff_grid(ds, identity_statistic, 16)
+    a = rj.cutoff_grid_from_values(ds.x, 16)
+    b = rj.cutoff_grid_from_values(ds.x, 16)
     assert np.array_equal(a.values, b.values)
 
 
@@ -163,10 +163,24 @@ def test_fit_surface_equals_records_path(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 3000, seed=4)
     grid = rj.cutoff_grid_from_values(ds.x, 32)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 5)
-    fused = rj.fit_surface(ds, identity_statistic, grid, binning)
+    fused = rj.fit_surface(ds, ds.x, grid, binning)
     from_records = rj.fit_rejection_surface(rj.augment(ds, identity_statistic, grid), binning)
     assert np.array_equal(fused.values, from_records.values)
     assert np.array_equal(fused.grid, from_records.grid)
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda x: np.where(x > 0.5, np.nan, x), lambda x: np.where(x > 0.5, np.inf, x), lambda x: x[:-1]],
+    ids=["nan", "inf", "short"],
+)
+def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
+    ds = gm.sample_dataset(uniform_gen, 200, seed=13)
+    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
+    with pytest.raises(ConfigError):
+        rj.fit_surface(ds, bad(ds.x), grid, binning)
+    with pytest.raises(ConfigError):
+        rj.augment(ds, bad, grid)
 
 
 def sup_distance_to_ecdf(surface, y, cell, lams):
@@ -180,7 +194,7 @@ def test_single_bin_fit_reproduces_ecdf(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=5)
     grid = rj.cutoff_grid_from_values(ds.x, 200)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
-    surface = rj.fit_surface(ds, identity_statistic, grid, binning)
+    surface = rj.fit_surface(ds, ds.x, grid, binning)
     for y in (0, 1):
         lams = ds.x[ds.y == y]
         assert sup_distance_to_ecdf(surface, y, 0, lams) <= 0.01
@@ -229,7 +243,7 @@ def test_w_matches_closed_form_cdf(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2_000_000, seed=6)
     grid = rj.cutoff_grid_from_values(ds.x, 200)
     binning = rj.NuBinning(edges=np.array([1.0, 1.95, 2.05, 10.0]))
-    surface = rj.fit_surface(ds, identity_statistic, grid, binning)
+    surface = rj.fit_surface(ds, ds.x, grid, binning)
     for x0 in np.linspace(0.05, 0.95, 10):
         expected = 1.0 - gm.survival_class0(x0, 2.0)
         got = surface.rejection_probability(x0, 0, 2.0)
@@ -240,7 +254,7 @@ def test_invert_recovers_upper_quantile(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 1_000_000, seed=7)
     grid = rj.cutoff_grid_from_values(ds.x, 400)
     binning = rj.NuBinning(edges=np.array([1.0, 1.1, 10.0]))
-    surface = rj.fit_surface(ds, identity_statistic, grid, binning)
+    surface = rj.fit_surface(ds, ds.x, grid, binning)
     # beta = 0.95 on the CDF scale is the alpha = 0.05 upper tail in x
     cut = surface.invert(0.95, 0, 1.02)
     assert abs(cut - UQ0_005_NU1) <= 0.02
@@ -321,7 +335,7 @@ def test_pit_exact_w_is_uniform(uniform_gen):
     surface = exact_surface()
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=8)
     bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 2)
-    results = rj.pit_diagnostics(surface, ds, identity_statistic, bins)
+    results = rj.pit_diagnostics(surface, ds, ds.x, bins)
     assert len(results) == 4
     for r in results:
         assert r.ks_distance <= 0.02
@@ -336,7 +350,7 @@ def test_pit_constant_half_degenerates(uniform_gen):
         values=np.full((2, 1, 2), 0.5),
     )
     ds = gm.sample_dataset(uniform_gen, 5000, seed=9)
-    results = rj.pit_diagnostics(surface, ds, identity_statistic, rj.make_param_bins(gm.ANALYTIC_SPACE, 1))
+    results = rj.pit_diagnostics(surface, ds, ds.x, rj.make_param_bins(gm.ANALYTIC_SPACE, 1))
     for r in results:
         assert r.ks_distance >= 0.45
 
@@ -345,7 +359,7 @@ def test_pit_partition_counts(uniform_gen):
     surface = exact_surface(20, 200)
     ds = gm.sample_dataset(uniform_gen, 20_000, seed=10)
     bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 4)
-    results = rj.pit_diagnostics(surface, ds, identity_statistic, bins)
+    results = rj.pit_diagnostics(surface, ds, ds.x, bins)
     assert sum(r.n for r in results) == len(ds)
 
 
@@ -354,7 +368,7 @@ def test_pit_empty_bin_skipped(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2000, seed=11)
     only_class0 = ds.subset(ds.y == 0)
     bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 1)
-    results = rj.pit_diagnostics(surface, only_class0, identity_statistic, bins)
+    results = rj.pit_diagnostics(surface, only_class0, only_class0.x, bins)
     skipped = [r for r in results if r.skipped]
     assert len(skipped) == 1 and skipped[0].bin_label.startswith("y=1")
 
@@ -364,7 +378,7 @@ def test_pit_non_partition_raises(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2000, seed=12)
     bins = [rj.ParamBin(y=0, nu_lo=1.0, nu_hi=5.0)]  # misses most of the space
     with pytest.raises(ConfigError):
-        rj.pit_diagnostics(surface, ds, identity_statistic, bins)
+        rj.pit_diagnostics(surface, ds, ds.x, bins)
 
 
 def test_ks_distance_uniform():
