@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad_vec
 from scipy.optimize import brentq
 
@@ -43,6 +44,13 @@ def _marginal_density_class0(x: np.ndarray, prior: PriorSpec, tol: float) -> np.
     return result
 
 
+def _toy_log_numerator(x, y: int, weights, protocols) -> np.ndarray:
+    """log sum_k weights[k] p(x | y, protocols[k]), mixed in log space so extreme counts cannot underflow."""
+    with np.errstate(divide="ignore"):  # a zero weight is a -inf term
+        log_w = np.log(np.asarray(weights, dtype=float))
+    return special.logsumexp([lw + genmodel.toy_log_pmf(x, y, k) for lw, k in zip(log_w, protocols)], axis=0)
+
+
 @dataclass(frozen=True)
 class AnalyticMarginalClassifier:
     """Exact P(Y=1 | x) under a known generative configuration.
@@ -64,24 +72,10 @@ class AnalyticMarginalClassifier:
         return self.config.class1_probability
 
     def _joint_components(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic scenario: p(Y=1) f1(x) and p(Y=0) times the prior-marginal class-0 density."""
         p1 = self.config.class1_probability
-        if self.config.scenario == SCENARIO_ANALYTIC:
-            num1 = p1 * genmodel.density_class1(x)
-            num0 = (1.0 - p1) * _marginal_density_class0(x, self.config.nuisance_prior_class0, self.quad_tol)
-            return num1, num0
-        # Discrete toy: finite mixture over protocols.
-        prior0 = self.config.nuisance_prior_class0
-        prior1 = self.config.nuisance_prior_class1
-        x2d = np.asarray(x)
-        if x2d.ndim == 1:
-            x2d = x2d[None, :]
-        num1 = np.zeros(len(x2d))
-        num0 = np.zeros(len(x2d))
-        for j, cat in enumerate(prior0.support.categories):
-            w0 = prior0.pdf(np.asarray(float(cat)))
-            w1 = prior1.pdf(np.asarray(float(cat)))
-            num0 += (1.0 - p1) * float(w0) * np.exp(genmodel.toy_log_pmf(x2d, 0, cat))
-            num1 += p1 * float(w1) * np.exp(genmodel.toy_log_pmf(x2d, 1, cat))
+        num1 = p1 * genmodel.density_class1(x)
+        num0 = (1.0 - p1) * _marginal_density_class0(x, self.config.nuisance_prior_class0, self.quad_tol)
         return num1, num0
 
     def posterior1(self, x) -> np.ndarray:
@@ -96,9 +90,14 @@ class AnalyticMarginalClassifier:
                 num1, num0 = self._joint_components(chunk)
                 out[start : start + _CHUNK] = num1 / (num1 + num0)
             return float(out[0]) if scalar else out
-        num1, num0 = self._joint_components(x)
-        out = num1 / (num1 + num0)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        # Discrete toy: finite mixture over protocols.
+        protocols = self.config.nuisance_space.categories
+        p1 = self.config.class1_probability
+        weights1 = p1 * self.config.nuisance_prior_class1.pdf(protocols)
+        weights0 = (1.0 - p1) * self.config.nuisance_prior_class0.pdf(protocols)
+        log_odds = _toy_log_numerator(x, 1, weights1, protocols) - _toy_log_numerator(x, 0, weights0, protocols)
+        out = special.expit(log_odds)
+        return float(out[0]) if x.ndim == 1 else out
 
     def posterior1_given_nu(self, x, nu) -> np.ndarray:
         """P(Y=1 | x, nu) at a fixed nuisance value."""
@@ -107,14 +106,9 @@ class AnalyticMarginalClassifier:
             num1 = p1 * genmodel.density_class1(x)
             num0 = (1.0 - p1) * genmodel.density_class0(x, nu)
             return num1 / (num1 + num0)
-        x2d = np.asarray(x)
-        one = x2d.ndim == 1
-        if one:
-            x2d = x2d[None, :]
-        num1 = p1 * np.exp(genmodel.toy_log_pmf(x2d, 1, int(nu)))
-        num0 = (1.0 - p1) * np.exp(genmodel.toy_log_pmf(x2d, 0, int(nu)))
-        out = num1 / (num1 + num0)
-        return float(out[0]) if one else out
+        log_odds = _toy_log_numerator(x, 1, [p1], [int(nu)]) - _toy_log_numerator(x, 0, [1.0 - p1], [int(nu)])
+        out = special.expit(log_odds)
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def posterior_mean_nu(self, x) -> np.ndarray:
         """Posterior mean of the nuisance parameter given x, mixing over classes.

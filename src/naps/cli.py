@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .classifier import score_dataset
+from .classifier import ScoredDataset
 from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig, Pipeline
 
@@ -122,15 +122,13 @@ def cmd_fit(config: ExperimentConfig) -> None:
 def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions: bool) -> None:
     dump_spec = _first_naps_method(config) if dump_predictions else None
     pipeline = Pipeline.load(models) if models else None
-    if pipeline is None and dump_spec is not None:
-        pipeline = harness.fit_pipeline(config)
-    report = harness.run_experiment(config, pipeline=pipeline)
+    report, pipeline, evaluation = harness._run_scored(config, pipeline)
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     report.to_json(os.path.join(out, "report.json"))
     report.write_long_table(os.path.join(out, "report_long.csv"))
     if dump_spec is not None:
-        _dump_predictions(config, pipeline, dump_spec, out)
+        _dump_predictions(config, pipeline, evaluation, dump_spec, out)
 
 
 def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
@@ -140,9 +138,10 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
     raise ConfigError("--dump-predictions needs a NAPS method in the configuration")
 
 
-def _dump_predictions(config: ExperimentConfig, pipeline: Pipeline, spec: harness.MethodSpec, out: str) -> None:
-    """Per-point prediction sets of one NAPS method at the first alpha."""
-    evaluation = score_dataset(pipeline.model, config.evaluation_set())
+def _dump_predictions(
+    config: ExperimentConfig, pipeline: Pipeline, evaluation: ScoredDataset, spec: harness.MethodSpec, out: str
+) -> None:
+    """Per-point prediction sets of one NAPS method at the first alpha, on the report's evaluation set."""
     alpha = config.alphas[0]
     clf, gamma = harness.naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
     batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha, gamma)

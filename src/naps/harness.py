@@ -484,27 +484,39 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
     seed, not on the fitting stage. Each dataset is drawn and scored once:
     a fresh fit hands its scored calibration set to the baselines, and with
     a pre-fitted pipeline the calibration set is drawn only if a baseline
-    needs it.
+    needs it, and scored only if a marginal baseline reads its statistics.
     """
+    return _run_scored(config, pipeline)[0]
+
+
+def _run_scored(
+    config: ExperimentConfig, pipeline: Pipeline | None = None
+) -> tuple[MetricsReport, Pipeline, ScoredDataset]:
+    """The report together with the pipeline and the scored evaluation set it used."""
     calibration = None
     if pipeline is None:
         pipeline, calibration = _fit_scored(config)
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
+    calibration_data = None if calibration is None else calibration.data
     baselines: dict[str, object] = {}
     for spec in config.methods:
         if spec.kind in ("naps", "bayes-point"):
             continue
-        if calibration is None:
+        if calibration_data is None:
             # A prefitted pipeline does not keep its calibration data.
-            calibration = score_dataset(model, config.calibration_set())
+            calibration_data = config.calibration_set()
+        if spec.kind == "plug-in":
+            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration_data, pipeline.binning)
+            continue
+        if calibration is None:
+            # Only the marginal baselines read the calibration statistics.
+            calibration = score_dataset(model, calibration_data)
         if spec.kind == "standard":
             baselines[spec.name] = StandardSetsBaseline.fit(calibration)
-        elif spec.kind == "class-conditional":
+        else:
             baselines[spec.name] = ClassConditionalBaseline.fit(calibration)
-        elif spec.kind == "plug-in":
-            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration.data, pipeline.binning)
 
     report_binning = config.report_binning()
     methods_out: dict[str, dict] = {}
@@ -540,7 +552,7 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
 
     config_echo = config.to_dict()
     config_echo.pop("output_dir")  # report content must not depend on its destination
-    return MetricsReport(
+    report = MetricsReport(
         data={
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": config_echo,
@@ -548,6 +560,7 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
             "methods": methods_out,
         }
     )
+    return report, pipeline, evaluation
 
 
 # ---------------------------------------------------------------------------

@@ -129,13 +129,13 @@ class NuBinning:
                 raise DomainError("nuisance value outside the binning support")
             idx = np.searchsorted(self.edges, nu, side="right") - 1
             return np.minimum(idx, self.n_cells - 1)
-        lookup = {c: i for i, c in enumerate(self.categories)}
-        flat = np.atleast_1d(nu)
-        try:
-            idx = np.array([lookup[int(v)] for v in flat], dtype=int)
-        except KeyError as exc:
-            raise DomainError(f"unknown nuisance category {exc.args[0]}") from None
-        return idx if nu.ndim else idx[0]
+        order = np.argsort(self.categories)
+        ranked = np.asarray(self.categories)[order]
+        pos = np.minimum(np.searchsorted(ranked, nu), len(ranked) - 1)
+        unknown = ranked[pos] != nu
+        if np.any(unknown):
+            raise DomainError(f"unknown nuisance category {nu[unknown][0]}")
+        return order[pos]
 
     def representatives(self) -> np.ndarray:
         """One representative nuisance value per cell (interval midpoints)."""

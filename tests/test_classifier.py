@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.stats import spearmanr
+from scipy.special import expit, logsumexp
+from scipy.stats import poisson, spearmanr
 
 import naps
 from naps import classifier as clf
@@ -216,3 +217,48 @@ def test_discrete_toy_posterior():
     row = ds.x[0]
     per_protocol = np.array([m.posterior1_given_nu(row, p) for p in range(4)])
     assert min(per_protocol) - 1e-12 <= p1[0] <= max(per_protocol) + 1e-12
+
+
+def toy_model(weights0, weights1, class1_probability=0.5):
+    return naps.AnalyticMarginalClassifier(
+        naps.GenerativeConfig(
+            scenario=gm.SCENARIO_DISCRETE,
+            class1_probability=class1_probability,
+            nuisance_prior_class0=gm.discrete_prior(weights0),
+            nuisance_prior_class1=gm.discrete_prior(weights1),
+        )
+    )
+
+
+def toy_log_joint(x, y, weight, protocol):
+    """log(weight) + log p(x | y, protocol), from scipy's Poisson log-pmf."""
+    return math.log(weight) + poisson.logpmf(x, gm.toy_rates(y, protocol)).sum(axis=-1)
+
+
+def test_discrete_toy_posterior_extreme_counts_finite():
+    w0, w1 = (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)
+    m = toy_model(w0, w1, 0.3)
+    x = np.full(8, 100)
+    log1 = logsumexp([toy_log_joint(x, 1, 0.3 * w, k) for k, w in enumerate(w1)])
+    log0 = logsumexp([toy_log_joint(x, 0, 0.7 * w, k) for k, w in enumerate(w0)])
+    with np.errstate(divide="raise", invalid="raise"):
+        p = m.posterior1(x)
+        p_nu = m.posterior1_given_nu(np.full(8, 400), 2)
+    assert np.isfinite(p) and p == pytest.approx(expit(log1 - log0), rel=1e-9)
+    ref_nu = expit(toy_log_joint(np.full(8, 400), 1, 0.3, 2) - toy_log_joint(np.full(8, 400), 0, 0.7, 2))
+    assert np.isfinite(p_nu) and p_nu == pytest.approx(ref_nu, rel=1e-9)
+
+
+def test_discrete_toy_posterior_matches_direct_mixture():
+    # ordinary counts: the log-space mixture equals the direct sum of densities
+    w0, w1 = (0.05, 0.05, 0.1, 0.8), (0.0, 0.5, 0.5, 0.0)
+    m = toy_model(w0, w1, 0.4)
+    x = naps.sample_discrete_toy(m.config, 3000, seed=8).x
+    num1 = sum(0.4 * w * np.exp(gm.toy_log_pmf(x, 1, k)) for k, w in enumerate(w1))
+    num0 = sum(0.6 * w * np.exp(gm.toy_log_pmf(x, 0, k)) for k, w in enumerate(w0))
+    np.testing.assert_allclose(m.posterior1(x), num1 / (num1 + num0), rtol=0, atol=1e-12)
+    for k in range(4):
+        num1 = 0.4 * np.exp(gm.toy_log_pmf(x, 1, k))
+        num0 = 0.6 * np.exp(gm.toy_log_pmf(x, 0, k))
+        np.testing.assert_allclose(m.posterior1_given_nu(x, k), num1 / (num1 + num0), rtol=0, atol=1e-12)
+    assert isinstance(m.posterior1(x[0]), float) and m.posterior1(x[0]) == m.posterior1(x[:1])[0]

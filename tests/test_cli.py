@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,8 +112,8 @@ def test_evaluate_dump_predictions_discrete_toy(tmp_path):
 
 def test_evaluate_dump_fits_once_with_the_method_provider(config_path, tmp_path, monkeypatch):
     fits = []
-    real_fit = harness.fit_pipeline
-    monkeypatch.setattr(cli.harness, "fit_pipeline", lambda config: fits.append(config) or real_fit(config))
+    real_fit = harness._fit_scored
+    monkeypatch.setattr(cli.harness, "_fit_scored", lambda config: fits.append(config) or real_fit(config))
     out = str(tmp_path / "r")
     argv = ["evaluate", "--config", config_path, "--out", out, "--dump-predictions", "--method", "naps-oracle"]
     assert run(argv) == 0
@@ -199,7 +201,7 @@ def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):
     def boom(config, pipeline=None):
         raise NumericError("synthetic numeric failure")
 
-    monkeypatch.setattr(cli.harness, "run_experiment", boom)
+    monkeypatch.setattr(cli.harness, "_run_scored", boom)
     code = run(["evaluate", "--config", config_path, "--out", str(tmp_path / "x")])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
@@ -210,3 +212,28 @@ def test_seed_override_changes_outputs(config_path, tmp_path):
     assert run(["simulate", "--config", config_path, "--out", out1, "--seed", "1"]) == 0
     assert run(["simulate", "--config", config_path, "--out", out2, "--seed", "2"]) == 0
     assert read_all(out1) != read_all(out2)
+
+
+def test_cli_runs_without_scipy_stats(tmp_path):
+    # scipy.stats costs about half a second of every command's start-up
+    cfg = harness.ExperimentConfig(
+        train_prior=naps.truncated_gaussian_prior(5.0, 2.0),
+        target_prior=naps.truncated_gaussian_prior(4.0, 0.1),
+        n_calibration=200,
+        n_evaluation=100,
+        seed=3,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "sim"
+    code = (
+        "import sys\n"
+        "import naps.cli\n"
+        f"assert naps.cli.main(['simulate', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(out)) == ["calibration.csv", "evaluation.csv"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import truncnorm
 
 import naps
 from naps import genmodel as gm
@@ -174,6 +175,30 @@ def test_truncated_gaussian_prior_stays_in_support():
     vals = prior.ppf(u)
     assert np.all((vals >= 1.0) & (vals <= 10.0))
     assert prior.mean_value() == pytest.approx(4.0, abs=1e-9)
+
+
+# Central, left-tail and right-tail mass cases of the [1, 10] truncation.
+TRUNCATED_GAUSSIANS = [
+    (4.0, 0.1), (1.0, 0.01), (10.0, 0.001), (5.0, 3.0), (5.5, 100.0), (-3.0, 1.0), (20.0, 2.0), (0.5, 0.3)
+]
+
+
+@pytest.mark.parametrize("mean,sd", TRUNCATED_GAUSSIANS)
+def test_truncated_gaussian_bit_identical_to_scipy(mean, sd):
+    # scipy.stats stays the reference; the prior itself is computed on scipy.special.
+    prior = naps.truncated_gaussian_prior(mean, sd)
+    a, b = (1.0 - mean) / sd, (10.0 - mean) / sd
+    rng = np.random.default_rng(11)
+    edges = [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.nan, -0.1, 1.1]
+    u = np.concatenate([rng.random(200_000), edges])
+    with np.errstate(invalid="ignore"):
+        reference = truncnorm.ppf(u, a, b, loc=mean, scale=sd)
+    assert np.array_equal(prior.ppf(u), reference, equal_nan=True)
+    for q in edges:
+        assert np.array_equal(prior.quantile(q), float(truncnorm.ppf(q, a, b, loc=mean, scale=sd)), equal_nan=True)
+    nu = np.concatenate([rng.uniform(0.0, 11.0, 100_000), [1.0, 10.0, np.nextafter(1.0, 0.0), np.nan, -0.1, 1.1]])
+    assert np.array_equal(prior.pdf(nu), truncnorm.pdf(nu, a, b, loc=mean, scale=sd), equal_nan=True)
+    assert np.array_equal(prior.mean_value(), truncnorm.mean(a, b, loc=mean, scale=sd))
 
 
 def test_point_mass_prior():

@@ -8,7 +8,7 @@ import pytest
 
 import naps
 from naps import genmodel as gm
-from naps import harness
+from naps import cli, harness
 from naps import prediction_sets as ps
 from naps.errors import ConfigError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
@@ -110,6 +110,7 @@ class PassCounter:
 def test_each_dataset_drawn_and_scored_once(monkeypatch):
     cfg = small_config()
     naps_only = dataclasses.replace(cfg, methods=cfg.methods[:2])
+    plug_in_only = dataclasses.replace(cfg, methods=(harness.MethodSpec(name="plug-in", kind="plug-in"),))
     pipeline = harness.fit_pipeline(cfg)
     cal, ev, diag = harness.STREAM_CALIBRATION, harness.STREAM_EVALUATION, harness.STREAM_DIAGNOSE
     n_cal, n_ev = cfg.n_calibration, cfg.n_evaluation
@@ -118,12 +119,31 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch):
         (lambda: harness.run_experiment(cfg), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_experiment(cfg, pipeline=pipeline), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_experiment(naps_only, pipeline=pipeline), {ev: n_ev}, 0),
+        # the plug-in baseline reads the calibration data, not its statistics
+        (lambda: harness.run_experiment(plug_in_only, pipeline=pipeline), {ev: n_ev}, 1),
         (lambda: harness.run_pit_diagnostics(cfg), {cal: n_cal, diag: n_ev}, 1),
     ):
         counter.clear()
         run()
         assert counter.scored == Counter(scored)
         assert counter.draws[cal] == cal_draws
+
+
+@pytest.mark.parametrize("prefitted", [False, True])
+def test_evaluate_dump_draws_and_scores_each_dataset_once(tmp_path, monkeypatch, prefitted):
+    cfg = small_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    argv = ["evaluate", "--config", str(path), "--out", str(tmp_path / "r"), "--dump-predictions"]
+    if prefitted:
+        assert cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "m")]) == 0
+        argv += ["--models", str(tmp_path / "m")]
+    counter = PassCounter(monkeypatch)
+    assert cli.main(argv) == 0
+    cal, ev = harness.STREAM_CALIBRATION, harness.STREAM_EVALUATION
+    assert counter.scored == Counter({cal: cfg.n_calibration, ev: cfg.n_evaluation})
+    assert counter.draws == Counter({cal: 1, ev: 1})
+    assert len(open(tmp_path / "r" / "naps_predictions.csv").read().splitlines()) == cfg.n_evaluation + 1
 
 
 def masked_segment(y, include0, include1, mask):

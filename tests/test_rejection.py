@@ -297,6 +297,21 @@ def test_binning_cells():
         disc.cell_index(np.array([5]))
 
 
+def test_discrete_cell_index_matches_lookup():
+    categories = (7, 2, 11, 0, 5)
+    binning = rj.NuBinning.discrete(categories)
+    lookup = {c: i for i, c in enumerate(categories)}
+    rng = np.random.default_rng(4)
+    for n in (1, 10, 5000):
+        nu = rng.choice(categories, size=n)
+        assert binning.cell_index(nu).tolist() == [lookup[v] for v in nu.tolist()]
+    scalar = binning.cell_index(np.int64(11))
+    assert np.ndim(scalar) == 0 and scalar == 2
+    for unknown in (np.array([2, 3]), 12, -1, np.array([[0, 5], [7, 4]])):
+        with pytest.raises(DomainError, match="unknown nuisance category"):
+            binning.cell_index(unknown)
+
+
 def test_binning_region_intersection():
     from naps.nuisance import NuisanceRegion
 
