@@ -9,14 +9,7 @@ from .classifier import (
     bayes_factor_from_posterior,
     fit_histogram_classifier,
 )
-from .cutoffs import (
-    CutoffRequest,
-    CutoffResult,
-    analytic_oracle_cutoffs,
-    data_dependent_cutoff,
-    fixed_nu_cutoff,
-    uniform_cutoff,
-)
+from .cutoffs import CutoffRequest, CutoffResult, analytic_oracle_cutoffs, cutoff_for_region
 from .errors import (
     BinningError,
     ConfigError,
@@ -42,9 +35,8 @@ from .nuisance import (
     NuisanceRegion,
     OracleQuantileProvider,
     full_space_set,
-    oracle_quantile_set,
 )
-from .prediction_sets import NapsSetClassifier, PredictionSet, bayes_point_predict
+from .prediction_sets import NapsSetClassifier, PredictionSet
 from .rejection import (
     AugmentedRecords,
     CutoffGrid,

@@ -44,11 +44,27 @@ def _marginal_density_class0(x: np.ndarray, prior: PriorSpec, tol: float) -> np.
     return result
 
 
+# The toy's log-rate shifts in hundredths: their dot products with counts are exact integer sums.
+_TOY_CLASS_CENTS = np.rint(100.0 * genmodel.TOY_CLASS_SHIFT)
+_TOY_PROTOCOL_CENTS = np.rint(100.0 * genmodel.TOY_PROTOCOL_SHIFT)
+
+
 def _toy_log_numerator(x, y: int, weights, protocols) -> np.ndarray:
-    """log sum_k weights[k] p(x | y, protocols[k]), mixed in log space so extreme counts cannot underflow."""
+    """log sum_k weights[k] p(x | y, protocols[k]), less x . TOY_LOG_BASE and the log-factorials.
+
+    Those terms are shared by every (y, k) and cancel in the log-odds. The
+    rest reads x only through exact integer sums, so tied count vectors get
+    equal floats; the mixture is taken in log space, so counts cannot underflow.
+    """
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):  # a zero weight is a -inf term
         log_w = np.log(np.asarray(weights, dtype=float))
-    return special.logsumexp([lw + genmodel.toy_log_pmf(x, y, k) for lw, k in zip(log_w, protocols)], axis=0)
+    class_term = y * (x @ _TOY_CLASS_CENTS) / 100.0
+    terms = [
+        lw + class_term + (x @ _TOY_PROTOCOL_CENTS[k]) / 100.0 - np.sum(genmodel.toy_rates(y, k))
+        for lw, k in zip(log_w, protocols)
+    ]
+    return special.logsumexp(terms, axis=0)
 
 
 @dataclass(frozen=True)
@@ -71,33 +87,27 @@ class AnalyticMarginalClassifier:
     def class1_prior(self) -> float:
         return self.config.class1_probability
 
-    def _joint_components(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Analytic scenario: p(Y=1) f1(x) and p(Y=0) times the prior-marginal class-0 density."""
-        p1 = self.config.class1_probability
-        num1 = p1 * genmodel.density_class1(x)
-        num0 = (1.0 - p1) * _marginal_density_class0(x, self.config.nuisance_prior_class0, self.quad_tol)
-        return num1, num0
-
     def posterior1(self, x) -> np.ndarray:
         """P(Y=1 | x), vectorized; chunked to bound quadrature memory."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
+        p1 = self.config.class1_probability
         if self.config.scenario == SCENARIO_ANALYTIC:
+            prior0 = self.config.nuisance_prior_class0
             flat = np.atleast_1d(x)
             out = np.empty_like(flat)
             for start in range(0, len(flat), _CHUNK):
                 chunk = flat[start : start + _CHUNK]
-                num1, num0 = self._joint_components(chunk)
+                num1 = p1 * genmodel.density_class1(chunk)
+                num0 = (1.0 - p1) * _marginal_density_class0(chunk, prior0, self.quad_tol)
                 out[start : start + _CHUNK] = num1 / (num1 + num0)
-            return float(out[0]) if scalar else out
+            return float(out[0]) if x.ndim == 0 else out
         # Discrete toy: finite mixture over protocols.
         protocols = self.config.nuisance_space.categories
-        p1 = self.config.class1_probability
         weights1 = p1 * self.config.nuisance_prior_class1.pdf(protocols)
         weights0 = (1.0 - p1) * self.config.nuisance_prior_class0.pdf(protocols)
         log_odds = _toy_log_numerator(x, 1, weights1, protocols) - _toy_log_numerator(x, 0, weights0, protocols)
         out = special.expit(log_odds)
-        return float(out[0]) if x.ndim == 1 else out
+        return float(out) if x.ndim == 1 else out
 
     def posterior1_given_nu(self, x, nu) -> np.ndarray:
         """P(Y=1 | x, nu) at a fixed nuisance value."""
@@ -108,7 +118,7 @@ class AnalyticMarginalClassifier:
             return num1 / (num1 + num0)
         log_odds = _toy_log_numerator(x, 1, [p1], [int(nu)]) - _toy_log_numerator(x, 0, [1.0 - p1], [int(nu)])
         out = special.expit(log_odds)
-        return float(out[0]) if np.ndim(x) == 1 else out
+        return float(out) if np.ndim(x) == 1 else out
 
     def posterior_mean_nu(self, x) -> np.ndarray:
         """Posterior mean of the nuisance parameter given x, mixing over classes.
@@ -183,10 +193,6 @@ class HistogramClassifier:
             "class1_prior": self.class1_prior,
         }
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
     @staticmethod
     def from_dict(d: dict) -> "HistogramClassifier":
         return HistogramClassifier(
@@ -194,11 +200,6 @@ class HistogramClassifier:
             bin_posterior=np.asarray(d["bin_posterior"], dtype=float),
             class1_prior=float(d["class1_prior"]),
         )
-
-    @staticmethod
-    def load(path) -> "HistogramClassifier":
-        with open(path, "r", encoding="utf-8") as fh:
-            return HistogramClassifier.from_dict(json.load(fh))
 
 
 def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifier:

@@ -1,11 +1,17 @@
-"""Rejection cutoffs: fixed-nuisance, uniform, and data-dependent.
+"""Rejection cutoffs: one path from (surface, region, alpha, gamma) to a cutoff.
 
-All cutoffs are read off a fitted rejection surface by generalized
-inversion. FPR control at level alpha with a (1 - gamma) nuisance
-confidence set inverts at beta = alpha - gamma and takes the infimum of the
-per-cell inverses over cells intersecting the set; TPR control inverts the
-opposite label's slice at beta = alpha + gamma and takes the supremum.
-gamma = 0 with the full space reproduces the uniform cutoff exactly.
+``cutoff_for_region`` reads every cutoff off a fitted rejection surface by
+generalized inversion. FPR control at level alpha with a (1 - gamma)
+nuisance confidence set inverts at beta = alpha - gamma and takes the
+infimum of the per-cell inverses over the cells intersecting the set; TPR
+control inverts the opposite label's slice at beta = alpha + gamma and
+takes the supremum. The region decides which cutoff comes out:
+
+* the full space, ``full_space_set(space)``: the uniform cutoff (gamma = 0);
+* a one-point region ``NuisanceRegion(intervals=((nu0, nu0),))``: the cutoff
+  at a pinned nuisance value;
+* a provider's confidence set, ``provider.region(y)``: the data-dependent
+  cutoff.
 
 For the analytic scenario the same quantities exist in closed form in
 x-space; ``analytic_oracle_cutoffs`` computes them by a dense grid sweep
@@ -22,28 +28,21 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, SaturationError
 from .genmodel import E_MINUS_1, upper_quantile_class0
-from .nuisance import NuisanceRegion, full_space_set
+from .nuisance import NuisanceRegion
 from .rejection import RejectionSurface
 
 MODE_FPR = "fpr"
 MODE_TPR = "tpr"
 
-SCOPE_FIXED = "fixed"
-SCOPE_UNIFORM = "uniform"
-SCOPE_CONFIDENCE_SET = "confidence-set"
-
 
 @dataclass(frozen=True)
 class CutoffRequest:
-    """What to control (FPR or TPR), at which level, over which nuisance scope."""
+    """What to control (FPR or TPR) for which label, at which level."""
 
     null_label: int
     alpha: float
     gamma: float = 0.0
     mode: str = MODE_FPR
-    scope: str = SCOPE_UNIFORM
-    nu0: float | None = None
-    provider: object | None = None
 
     def __post_init__(self):
         if self.null_label not in (0, 1):
@@ -52,15 +51,6 @@ class CutoffRequest:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.mode not in (MODE_FPR, MODE_TPR):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.scope not in (SCOPE_FIXED, SCOPE_UNIFORM, SCOPE_CONFIDENCE_SET):
-            raise ConfigError(f"unknown scope {self.scope!r}")
-        if self.scope == SCOPE_FIXED:
-            if self.nu0 is None:
-                raise ConfigError("fixed scope needs nu0")
-            if self.gamma != 0.0:
-                raise ConfigError("fixed scope requires gamma = 0")
-        if self.scope == SCOPE_CONFIDENCE_SET and self.provider is None:
-            raise ConfigError("confidence-set scope needs a provider")
         if not 0.0 <= self.gamma:
             raise ConfigError("gamma must be nonnegative")
         beta = self.beta
@@ -82,96 +72,45 @@ class CutoffRequest:
 
 @dataclass(frozen=True)
 class CutoffResult:
+    """The cutoff and the cells that attain it, in increasing cell order."""
+
     cutoff: float
-    beta: float
-    arg_nu: tuple[float, ...]
-    scope: str
-    mode: str
-    cells: tuple[int, ...] = ()
-    saturated: bool = False
-
-
-def fixed_nu_cutoff(surface: RejectionSurface, request: CutoffRequest) -> CutoffResult:
-    """Cutoff controlling FPR (or TPR) at one pinned nuisance value."""
-    if request.scope != SCOPE_FIXED:
-        raise ConfigError("fixed_nu_cutoff needs a fixed-scope request")
-    y = request.slice_label
-    cell = int(surface.binning.cell_index(request.nu0))
-    cut = surface.invert_cell(request.beta, y, cell)
-    return CutoffResult(
-        cutoff=cut,
-        beta=request.beta,
-        arg_nu=(float(request.nu0),),
-        scope=request.scope,
-        mode=request.mode,
-        cells=(cell,),
-    )
-
-
-def _optimize_over_cells(
-    surface: RejectionSurface, request: CutoffRequest, cells: np.ndarray
-) -> CutoffResult:
-    """Exhaustive optimum of the per-cell generalized inverses.
-
-    The surface is piecewise constant across nuisance bins, so evaluating
-    every candidate cell is exact on the representable class; ties report
-    every attaining representative, smallest first.
-    """
-    y = request.slice_label
-    reps = surface.binning.representatives()
-    saturated_cells = []
-    cand = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            cand[i] = surface.invert_cell(request.beta, y, int(cell))
-        except SaturationError:
-            saturated_cells.append(int(cell))
-            cand[i] = np.nan
-    if saturated_cells:
-        raise SaturationError(
-            f"inversion at beta={request.beta} saturated in cells {saturated_cells} "
-            f"(y={y})",
-            attainable_max=float(np.min(surface.values[y, saturated_cells, -1])),
-        )
-    optimum = float(np.min(cand) if request.mode == MODE_FPR else np.max(cand))
-    hit = cells[np.nonzero(cand == optimum)[0]]
-    arg = tuple(sorted(float(reps[c]) for c in hit))
-    return CutoffResult(
-        cutoff=optimum,
-        beta=request.beta,
-        arg_nu=arg,
-        scope=request.scope,
-        mode=request.mode,
-        cells=tuple(int(c) for c in hit),
-    )
-
-
-def uniform_cutoff(surface: RejectionSurface, request: CutoffRequest) -> CutoffResult:
-    """Cutoff controlling the target rate uniformly over the nuisance space."""
-    if request.scope not in (SCOPE_UNIFORM,):
-        raise ConfigError("uniform_cutoff needs a uniform-scope request")
-    cells = np.arange(surface.binning.n_cells)
-    return _optimize_over_cells(surface, request, cells)
-
-
-def data_dependent_cutoff(surface: RejectionSurface, x, request: CutoffRequest) -> CutoffResult:
-    """Cutoff optimized over a (1 - gamma) nuisance confidence set at x."""
-    if request.scope != SCOPE_CONFIDENCE_SET:
-        raise ConfigError("data_dependent_cutoff needs a confidence-set request")
-    region_label = request.null_label if request.mode == MODE_FPR else 1 - request.null_label
-    region = request.provider.region(x, region_label)
-    return cutoff_for_region(surface, region, request)
+    cells: tuple[int, ...]
 
 
 def cutoff_for_region(
     surface: RejectionSurface, region: NuisanceRegion, request: CutoffRequest
 ) -> CutoffResult:
+    """Optimum of the per-cell generalized inverses over the cells meeting ``region``.
+
+    The surface is piecewise constant across nuisance bins, so evaluating
+    every intersecting cell is exact on the representable class. A region
+    endpoint on an interior cell edge meets both neighbouring cells, which
+    can only widen the search (conservative): a one-point region inside a
+    cell gives that cell's ``invert_cell``, one on an edge the optimum of
+    both. Any saturated cell raises ``SaturationError`` carrying the
+    smallest fitted maximum among the saturated cells.
+    """
     if region.is_empty:
         raise NumericError("nuisance confidence set is empty; no cutoff is defined")
     cells = surface.binning.cells_intersecting(region)
     if len(cells) == 0:
         raise NumericError("nuisance confidence set does not intersect the fitted binning")
-    return _optimize_over_cells(surface, request, cells)
+    y = request.slice_label
+    saturated = []
+    cand = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            cand[i] = surface.invert_cell(request.beta, y, int(cell))
+        except SaturationError:
+            saturated.append(int(cell))
+    if saturated:
+        raise SaturationError(
+            f"inversion at beta={request.beta} saturated in cells {saturated} (y={y})",
+            attainable_max=float(np.min(surface.values[y, saturated, -1])),
+        )
+    optimum = float(np.min(cand) if request.mode == MODE_FPR else np.max(cand))
+    return CutoffResult(cutoff=optimum, cells=tuple(int(c) for c in cells[cand == optimum]))
 
 
 # ---------------------------------------------------------------------------

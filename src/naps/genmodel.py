@@ -274,10 +274,6 @@ def truncated_gaussian_prior(mean: float, sd: float, space: NuisanceSpace = ANAL
     return PriorSpec(kind="truncated-gaussian", support=space, mean=mean, sd=sd)
 
 
-def point_mass_prior(value: float, space: NuisanceSpace = ANALYTIC_SPACE) -> PriorSpec:
-    return PriorSpec(kind="point-mass", support=space, value=value)
-
-
 def discrete_prior(weights, space: NuisanceSpace = DISCRETE_SPACE) -> PriorSpec:
     return PriorSpec(kind="discrete-weights", support=space, weights=tuple(weights))
 
@@ -307,9 +303,6 @@ class GenerativeConfig:
     @property
     def nuisance_space(self) -> NuisanceSpace:
         return self.nuisance_prior_class0.support
-
-    def prior_for(self, y: int) -> PriorSpec:
-        return self.nuisance_prior_class1 if y == 1 else self.nuisance_prior_class0
 
     def to_dict(self) -> dict:
         return {
@@ -569,17 +562,3 @@ def sample_conditional(
     rates = toy_rates(y, int(nu))
     return rng.poisson(lam=np.broadcast_to(rates, (n, TOY_N_DIMS))).astype(np.int64)
 
-
-def sample_conditional_vector(
-    config: GenerativeConfig, y: int, nus: np.ndarray, seed: int, stream_base: int = 0
-) -> np.ndarray:
-    """Draw x_i ~ p(x | y, nu_i) for a vector of nuisance values."""
-    nus = np.asarray(nus)
-    rng = stream_rng(seed, stream_base + _STREAM_OBSERVATION)
-    if config.scenario == SCENARIO_ANALYTIC:
-        u = rng.random(len(nus))
-        if y == 1:
-            return quantile_class1(u)
-        return quantile_class0(u, nus.astype(float))
-    rates = toy_rates(y, nus.astype(int))
-    return rng.poisson(lam=rates).astype(np.int64)

@@ -37,7 +37,7 @@ from .cutoffs import analytic_oracle_cutoffs
 from .cutoffs import cutoff_for_region  # noqa: F401  (patched by perfbench/tracing.py)
 from .errors import ConfigError
 from .genmodel import SCENARIO_ANALYTIC, Dataset, GenerativeConfig, PriorSpec
-from .nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
+from .nuisance import FullSpaceProvider, OracleQuantileProvider
 from .prediction_sets import (
     ClassConditionalBaseline,
     NapsSetClassifier,
@@ -281,13 +281,17 @@ class Pipeline:
 
     @staticmethod
     def load(model_dir: str) -> "Pipeline":
-        for name in ("classifier.json", "surface_bf0.json", "surface_bf1.json"):
-            if not os.path.exists(os.path.join(model_dir, name)):
+        def read(loader, name):
+            path = os.path.join(model_dir, name)
+            if not os.path.exists(path):
                 raise ConfigError(f"missing fitted artifact {name} in {model_dir}")
-        model = load_classifier(os.path.join(model_dir, "classifier.json"))
-        surfaces = {
-            y: RejectionSurface.load(os.path.join(model_dir, f"surface_bf{y}.json")) for y in (0, 1)
-        }
+            try:
+                return loader(path)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"malformed fitted artifact {path}: {exc!r}") from exc
+
+        model = read(load_classifier, "classifier.json")
+        surfaces = {y: read(RejectionSurface.load, f"surface_bf{y}.json") for y in (0, 1)}
         return Pipeline(model=model, binning=surfaces[0].binning, surfaces=surfaces)
 
 
@@ -581,18 +585,14 @@ def gamma_sweep(config: ExperimentConfig, alpha: float, gamma_grid) -> dict:
     )
     x1_class = evaluation.x[evaluation.y == 1]
     x0_class = evaluation.x[evaluation.y == 0]
-    space = config.target_prior.support
     rows = []
     for gamma in np.asarray(gamma_grid, dtype=float):
         if gamma >= alpha:
             warnings.warn(f"gamma={gamma:g} >= alpha={alpha:g}; sweep entry skipped")
             rows.append({"gamma": float(gamma), "skipped": True, "reason": "gamma >= alpha"})
             continue
-        if gamma == 0.0:
-            region = full_space_set(space)
-        else:
-            provider = OracleQuantileProvider(gamma=float(gamma), distribution=config.target_prior)
-            region = provider.region(None, 0)
+        # gamma = 0 gives the full space
+        region = OracleQuantileProvider(gamma=float(gamma), distribution=config.target_prior).region(0)
         oracle = analytic_oracle_cutoffs(alpha, float(gamma), region)
         power1 = float(np.mean(x1_class >= oracle.x0_star)) if len(x1_class) else None
         power0 = float(np.mean(x0_class <= oracle.x1_star)) if len(x0_class) else None
@@ -700,7 +700,6 @@ def run_pit_diagnostics(
     config: ExperimentConfig,
     n_param_bins: int = 2,
     pipeline: Pipeline | None = None,
-    n_eval: int | None = None,
 ) -> dict:
     """PIT tables for the nuisance-aware surface and a one-bin control.
 
@@ -711,9 +710,8 @@ def run_pit_diagnostics(
         pipeline, calibration = _fit_scored(config)
     else:
         calibration = score_dataset(pipeline.model, config.calibration_set())
-    n = n_eval if n_eval is not None else config.n_evaluation
     eval_ds = genmodel.sample_dataset(
-        config.generative("train"), n, config.seed, stream_base=STREAM_DIAGNOSE
+        config.generative("train"), config.n_evaluation, config.seed, stream_base=STREAM_DIAGNOSE
     )
     tau0 = score_dataset(pipeline.model, eval_ds).statistics[0][0]
     space = config.train_prior.support
@@ -723,7 +721,7 @@ def run_pit_diagnostics(
     aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, bins)
     flat = pit_diagnostics(flat_surface, eval_ds, tau0, bins)
     return {
-        "n_evaluation": int(n),
+        "n_evaluation": int(config.n_evaluation),
         "bins": [b.label() for b in bins],
         "nuisance_aware": [r.to_dict() for r in aware],
         "nuisance_ignoring": [r.to_dict() for r in flat],

@@ -1,15 +1,19 @@
 """Confidence sets for the nuisance parameter.
 
-Two providers ship:
+A provider maps a label y to its nuisance region, ``region(y)``; the region
+does not depend on the observation, so each label's cutoff is resolved once
+per (alpha, gamma) by ``cutoffs.cutoff_for_region``. Besides a provider's
+set, that path takes the full space (``full_space_set``) or a one-point
+region ``NuisanceRegion(intervals=((nu0, nu0),))``. Two providers ship:
 
 * ``FullSpaceProvider`` -- always returns the whole nuisance space. Trivially
   valid at level 1 (gamma = 0) for every nuisance value.
 
 * ``OracleQuantileProvider`` -- the central (gamma/2, 1 - gamma/2) quantile
-  interval of a known nuisance distribution, independent of the observation.
-  This is valid when the true nuisance values are drawn from that
-  distribution, but NOT pointwise: a fixed nuisance value outside the
-  interval is never covered. ``coverage_by_nu`` makes that failure visible.
+  interval of a known nuisance distribution. This is valid when the true
+  nuisance values are drawn from that distribution, but NOT pointwise: a
+  fixed nuisance value outside the interval is never covered
+  (``region(0).contains(nu)`` is False there).
 
 Class-1 events in the analytic scenario carry no nuisance information
 (their density is nuisance-free), so providers return the full space for
@@ -22,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import genmodel
 from .errors import ConfigError, NumericError
-from .genmodel import GenerativeConfig, NuisanceSpace, PriorSpec
+from .genmodel import NuisanceSpace, PriorSpec
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,11 @@ def full_space_set(space: NuisanceSpace) -> NuisanceRegion:
 class FullSpaceProvider:
     space: NuisanceSpace
 
-    # Regions do not depend on the observation; checkers exploit this.
-    x_independent = True
-
     @property
     def gamma(self) -> float:
         return 0.0
 
-    def region(self, x, y: int) -> NuisanceRegion:
+    def region(self, y: int) -> NuisanceRegion:
         return full_space_set(self.space)
 
 
@@ -106,8 +106,6 @@ class OracleQuantileProvider:
     gamma: float
     distribution: PriorSpec
 
-    x_independent = True
-
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
@@ -118,90 +116,19 @@ class OracleQuantileProvider:
     def space(self) -> NuisanceSpace:
         return self.distribution.support
 
-    def region(self, x, y: int) -> NuisanceRegion:
-        return oracle_quantile_set(self, x, y)
+    def region(self, y: int) -> NuisanceRegion:
+        """Central (gamma/2, 1 - gamma/2) interval, intersected with the space.
 
-
-def oracle_quantile_set(provider: OracleQuantileProvider, x, y: int) -> NuisanceRegion:
-    """Central (gamma/2, 1 - gamma/2) interval, intersected with the space.
-
-    Independent of x by construction. Label 1 gets the full space: its
-    class-conditional density carries no nuisance dependence, so no
-    constraint is available or needed.
-    """
-    space = provider.space
-    if y == 1:
-        return full_space_set(space)
-    g = provider.gamma
-    if g == 0.0:
-        return full_space_set(space)
-    lo = provider.distribution.quantile(g / 2.0)
-    hi = provider.distribution.quantile(1.0 - g / 2.0)
-    slo, shi = space.bounds
-    lo, hi = max(lo, slo), min(hi, shi)
-    if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= 0.0:
-        raise NumericError(f"quantile interval degenerated at gamma={g}: [{lo}, {hi}]")
-    return NuisanceRegion(intervals=((float(lo), float(hi)),))
-
-
-def coverage_by_nu(
-    provider,
-    config: GenerativeConfig,
-    nu_grid,
-    n_per_point: int,
-    seed: int,
-    y: int = 0,
-) -> list[dict]:
-    """Empirical pointwise coverage of the provider over a nuisance grid.
-
-    For each grid value, draws observations from p(x | y, nu) and reports the
-    fraction whose region contains nu. Points more than three binomial
-    standard errors below 1 - gamma are flagged.
-    """
-    if n_per_point < 100:
-        raise ConfigError("n_per_point must be >= 100")
-    gamma = provider.gamma
-    target = 1.0 - gamma
-    se = np.sqrt(max(gamma * target, 1e-12) / n_per_point)
-    rows = []
-    for k, nu in enumerate(np.atleast_1d(np.asarray(nu_grid, dtype=float))):
-        xs = genmodel.sample_conditional(config, y, nu, n_per_point, seed, stream_base=16 * (k + 1))
-        if getattr(provider, "x_independent", False):
-            covered = np.full(n_per_point, bool(provider.region(xs[0], y).contains(nu)))
-        else:
-            covered = np.fromiter(
-                (bool(provider.region(x, y).contains(nu)) for x in xs), dtype=bool, count=n_per_point
-            )
-        rate = float(np.mean(covered))
-        rows.append(
-            {
-                "nu": float(nu),
-                "coverage": rate,
-                "target": target,
-                "flagged": bool(rate < target - 3.0 * se),
-            }
-        )
-    return rows
-
-
-def marginal_coverage(
-    provider,
-    config: GenerativeConfig,
-    n: int,
-    seed: int,
-    y: int = 0,
-) -> float:
-    """Empirical coverage when nu is drawn from the class-y nuisance prior."""
-    if n < 100:
-        raise ConfigError("n must be >= 100")
-    prior = config.prior_for(y)
-    u = genmodel.stream_rng(seed, 7).random(n)
-    nus = prior.ppf(u)
-    xs = genmodel.sample_conditional_vector(config, y, nus, seed, stream_base=8)
-    if getattr(provider, "x_independent", False):
-        covered = provider.region(xs[0], y).contains(nus)
-    else:
-        covered = np.fromiter(
-            (bool(provider.region(x, y).contains(nu)) for x, nu in zip(xs, nus)), dtype=bool, count=n
-        )
-    return float(np.mean(covered))
+        Label 1 gets the full space: its class-conditional density carries
+        no nuisance dependence, so no constraint is available or needed.
+        """
+        g = self.gamma
+        if y == 1 or g == 0.0:
+            return full_space_set(self.space)
+        lo = self.distribution.quantile(g / 2.0)
+        hi = self.distribution.quantile(1.0 - g / 2.0)
+        slo, shi = self.space.bounds
+        lo, hi = max(lo, slo), min(hi, shi)
+        if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= 0.0:
+            raise NumericError(f"quantile interval degenerated at gamma={g}: [{lo}, {hi}]")
+        return NuisanceRegion(intervals=((float(lo), float(hi)),))

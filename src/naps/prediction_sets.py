@@ -23,12 +23,7 @@ import numpy as np
 
 from .classifier import bayes_factor_with_flags  # noqa: F401  (patched by perfbench/tracing.py)
 from .classifier import ScoredDataset, label_bayes_factors
-from .cutoffs import (
-    MODE_FPR,
-    SCOPE_CONFIDENCE_SET,
-    CutoffRequest,
-    cutoff_for_region,
-)
+from .cutoffs import CutoffRequest, cutoff_for_region
 from .errors import ConfigError, SaturationError
 from .genmodel import Dataset
 from .nuisance import NuisanceRegion
@@ -107,26 +102,18 @@ class LabelCutoff:
 class NapsSetClassifier:
     """Amortized set-valued classifier.
 
-    Surfaces and providers are fitted once and treated as read-only.
-    Providers must be x-independent, so each label's cutoff depends only on
-    (alpha, gamma): it is resolved once per pair and reused for every
-    point. ``predict`` and ``predict_batch`` evaluate the posterior once per
-    call; ``decide`` applies the cutoffs to statistics computed elsewhere.
+    Surfaces and providers are fitted once and treated as read-only. A
+    provider's region depends only on the label (``region(y)``), so each
+    label's cutoff depends only on (alpha, gamma): it is resolved once per
+    pair and reused for every point. ``predict`` and ``predict_batch``
+    evaluate the posterior once per call; ``decide`` applies the cutoffs to
+    statistics computed elsewhere.
     """
 
     model: object
     surfaces: dict[int, RejectionSurface]
     providers: dict[int, object]
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for y in (0, 1):
-            provider = self.providers.get(y)
-            if not getattr(provider, "x_independent", False):
-                raise ConfigError(
-                    f"the label-{y} nuisance provider {type(provider).__name__} does not declare "
-                    f"x_independent = True; NAPS cutoffs are resolved once per (alpha, gamma)"
-                )
 
     def cutoff_table(self, alpha: float, gamma: float = 0.0) -> tuple[LabelCutoff, LabelCutoff]:
         """Per-label cutoffs at (alpha, gamma), inverted once and then looked up."""
@@ -136,16 +123,8 @@ class NapsSetClassifier:
         return self._table[key]
 
     def _label_cutoff(self, y: int, alpha: float, gamma: float) -> LabelCutoff:
-        provider = self.providers[y]
-        request = CutoffRequest(
-            null_label=y,
-            alpha=alpha,
-            gamma=gamma,
-            mode=MODE_FPR,
-            scope=SCOPE_CONFIDENCE_SET,
-            provider=provider,
-        )
-        region = provider.region(None, y)
+        request = CutoffRequest(null_label=y, alpha=alpha, gamma=gamma)
+        region = self.providers[y].region(y)
         try:
             return LabelCutoff(cutoff_for_region(self.surfaces[y], region, request).cutoff, False, region)
         except SaturationError:
@@ -379,20 +358,11 @@ class PlugInConditionalBaseline:
         return (1.0 - p1_plug) > c0[cells], p1_plug > c1[cells]
 
 
-def bayes_point_predict(x, model, costs: tuple[float, float] = (1.0, 1.0)) -> int:
-    """Cost-weighted point classifier: 1 iff P(Y=1 | x) > c0 / (c0 + c1).
+def bayes_point_batch(p1_eval: np.ndarray, costs: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
+    """Cost-weighted point classifier: label 1 iff P(Y=1 | x) >= c0 / (c0 + c1).
 
     Ties break toward label 1 (an arbitrary, documented choice).
     """
-    c0, c1 = costs
-    if c0 <= 0 or c1 <= 0:
-        raise ConfigError("costs must be positive")
-    threshold = c0 / (c0 + c1)
-    p1 = float(np.asarray(model.posterior1(x), dtype=float))
-    return 1 if p1 >= threshold else 0
-
-
-def bayes_point_batch(p1_eval: np.ndarray, costs: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
     c0, c1 = costs
     if c0 <= 0 or c1 <= 0:
         raise ConfigError("costs must be positive")

@@ -276,11 +276,6 @@ class RejectionSurface:
         g.flags.writeable = False
         v.flags.writeable = False
 
-    def rejection_probability(self, cutoff, y: int, nu) -> np.ndarray:
-        """Step-function lookup of W(cutoff; y, nu)."""
-        cell = self.binning.cell_index(nu)
-        return self._eval_cells(np.asarray(cutoff, dtype=float), y, cell)
-
     def rejection_probability_batch(self, cutoffs, y_arr, nu_arr) -> np.ndarray:
         """Per-sample lookup W(cutoff_i; y_i, nu_i)."""
         cutoffs = np.asarray(cutoffs, dtype=float)
@@ -292,19 +287,8 @@ class RejectionSurface:
         out[below] = 0.0
         return out
 
-    def _eval_cells(self, cutoff: np.ndarray, y: int, cell) -> np.ndarray:
-        idx = np.searchsorted(self.grid, cutoff, side="right") - 1
-        scalar = idx.ndim == 0
-        idx = np.atleast_1d(idx)
-        vals = np.where(idx < 0, 0.0, self.values[y, cell, np.clip(idx, 0, len(self.grid) - 1)])
-        return float(vals[0]) if scalar else vals
-
-    def invert(self, beta: float, y: int, nu) -> float:
-        """Generalized inverse: smallest grid cutoff with W >= beta."""
-        cell = int(self.binning.cell_index(nu))
-        return self.invert_cell(beta, y, cell)
-
     def invert_cell(self, beta: float, y: int, cell: int) -> float:
+        """Generalized inverse: smallest grid cutoff with W >= beta in one cell."""
         if not 0.0 <= beta <= 1.0:
             raise DomainError("beta must lie in [0, 1]")
         vals = self.values[y, cell]

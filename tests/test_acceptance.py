@@ -18,7 +18,7 @@ import pytest
 import naps
 from naps import cli, genmodel as gm, harness
 from naps.classifier import bayes_factor_from_posterior, score_dataset, x_at_bayes_factor
-from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region, uniform_cutoff
+from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
 from naps.rejection import NuBinning, augment, cutoff_grid_from_values, fit_rejection_surface, pool_adjacent_violators
 
@@ -48,8 +48,8 @@ def test_criterion_1_closed_form_oracle_agreement():
     pipeline = harness.fit_pipeline(cfg)
     errors = {}
     for alpha in (0.01, 0.05, 0.1, 0.2):
-        request = CutoffRequest(null_label=0, alpha=alpha, scope="uniform")
-        cut = uniform_cutoff(pipeline.surfaces[0], request).cutoff
+        request = CutoffRequest(null_label=0, alpha=alpha)
+        cut = cutoff_for_region(pipeline.surfaces[0], full_space_set(gm.ANALYTIC_SPACE), request).cutoff
         x_cut = x_at_bayes_factor(pipeline.model, 0, cut)
         errors[alpha] = abs(x_cut - x0_star_closed_form(alpha))
         if alpha == 0.05:
@@ -83,8 +83,8 @@ def test_criterion_2_conditional_coverage():
     n_cell = 20_000
     alphas = (0.05, 0.1, 0.2)
     cuts = {
-        (a, y): uniform_cutoff(
-            pipeline.surfaces[y], CutoffRequest(null_label=y, alpha=a, scope="uniform")
+        (a, y): cutoff_for_region(
+            pipeline.surfaces[y], full_space_set(gm.ANALYTIC_SPACE), CutoffRequest(null_label=y, alpha=a)
         ).cutoff
         for a in alphas
         for y in (0, 1)
@@ -245,7 +245,8 @@ def test_criterion_6_algorithm_unit_suite():
     for y in (0, 1):
         lam = np.sort(big.x[big.y == y])
         ecdf = np.arange(1, len(lam) + 1) / len(lam)
-        fitted = surface._eval_cells(lam, y, 0)
+        one_bin = np.full(len(lam), 5.0)  # the single bin holds every nu
+        fitted = surface.rejection_probability_batch(lam, np.full(len(lam), y), one_bin)
         sup = max(sup, float(np.max(np.abs(fitted - ecdf))))
     ok = pav_ok and count_ok and sup <= 0.01
     report(
@@ -348,21 +349,17 @@ def test_criterion_9_fpr_tpr_control():
     provider = OracleQuantileProvider(gamma=gamma, distribution=cfg.target_prior)
     # the quantile set is valid exactly on its own interval, which is where
     # the per-nu control guarantee of the data-dependent cutoff applies
-    (lo, hi), = provider.region(None, 0).intervals
+    (lo, hi), = provider.region(0).intervals
     nu_grid = np.linspace(lo, hi, 10)
     n_pt = 20_000
     se = math.sqrt(alpha * (1 - alpha) / n_pt)
 
     cut_fpr, cut_tpr = {}, {}
     for y in (0, 1):
-        fpr_req = CutoffRequest(
-            null_label=y, alpha=alpha, gamma=gamma, mode="fpr", scope="confidence-set", provider=provider
-        )
-        cut_fpr[y] = cutoff_for_region(pipeline.surfaces[y], provider.region(None, y), fpr_req).cutoff
-        tpr_req = CutoffRequest(
-            null_label=y, alpha=alpha, gamma=gamma, mode="tpr", scope="confidence-set", provider=provider
-        )
-        cut_tpr[y] = cutoff_for_region(pipeline.surfaces[y], provider.region(None, 1 - y), tpr_req).cutoff
+        fpr_req = CutoffRequest(null_label=y, alpha=alpha, gamma=gamma, mode="fpr")
+        cut_fpr[y] = cutoff_for_region(pipeline.surfaces[y], provider.region(y), fpr_req).cutoff
+        tpr_req = CutoffRequest(null_label=y, alpha=alpha, gamma=gamma, mode="tpr")
+        cut_tpr[y] = cutoff_for_region(pipeline.surfaces[y], provider.region(1 - y), tpr_req).cutoff
 
     worst_type1, worst_recall = -math.inf, math.inf
     for y in (0, 1):

@@ -137,8 +137,8 @@ def test_histogram_roundtrip(tmp_path, uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2000, seed=23)
     fitted = naps.fit_histogram_classifier(ds, 16)
     path = tmp_path / "clf.json"
-    fitted.save(path)
-    loaded = clf.HistogramClassifier.load(path)
+    clf.save_classifier(fitted, path)
+    loaded = clf.load_classifier(path)
     assert np.array_equal(loaded.bin_edges, fitted.bin_edges)
     assert np.array_equal(loaded.bin_posterior, fitted.bin_posterior)
     assert loaded.class1_prior == fitted.class1_prior
@@ -262,3 +262,26 @@ def test_discrete_toy_posterior_matches_direct_mixture():
         num0 = 0.6 * np.exp(gm.toy_log_pmf(x, 0, k))
         np.testing.assert_allclose(m.posterior1_given_nu(x, k), num1 / (num1 + num0), rtol=0, atol=1e-12)
     assert isinstance(m.posterior1(x[0]), float) and m.posterior1(x[0]) == m.posterior1(x[:1])[0]
+
+
+def test_discrete_toy_ties_are_exact():
+    # x enters the posterior only through x . TOY_CLASS_SHIFT and x . TOY_PROTOCOL_SHIFT[k];
+    # distinct count vectors with equal sums (in integer hundredths) must get the same float
+    w0, w1 = (0.25, 0.25, 0.25, 0.25), (0.05, 0.05, 0.1, 0.8)
+    m = toy_model(w0, w1)
+    x = naps.sample_discrete_toy(m.config, 10_000, seed=11).x
+    cents = np.rint(100 * np.vstack([gm.TOY_CLASS_SHIFT, gm.TOY_PROTOCOL_SHIFT])).astype(np.int64)
+    _, group = np.unique(x @ cents.T, axis=0, return_inverse=True)
+    group = group.ravel()
+    n_vectors = np.bincount(np.unique(np.column_stack([group, x]), axis=0)[:, 0])
+    assert np.sum(n_vectors > 1) >= 100  # many groups of distinct tied vectors
+    for p in (m.posterior1(x), m.posterior1_given_nu(x, 2)):
+        lo = np.full(len(n_vectors), np.inf)
+        hi = np.full(len(n_vectors), -np.inf)
+        np.minimum.at(lo, group, p)
+        np.maximum.at(hi, group, p)
+        assert np.array_equal(lo, hi)
+    # the same values as the log-space mixture of the full log-pmfs, to rounding
+    log1 = logsumexp([np.log(0.5 * w) + gm.toy_log_pmf(x, 1, k) for k, w in enumerate(w1)], axis=0)
+    log0 = logsumexp([np.log(0.5 * w) + gm.toy_log_pmf(x, 0, k) for k, w in enumerate(w0)], axis=0)
+    np.testing.assert_allclose(m.posterior1(x), expit(log1 - log0), rtol=0, atol=1e-12)

@@ -197,6 +197,29 @@ def test_missing_model_artifacts_exit_2(config_path, tmp_path):
     assert code == 2
 
 
+def _truncate(path):
+    data = open(path, "rb").read()
+    open(path, "wb").write(data[:300])
+
+
+def _drop_grid(path):
+    data = json.loads(open(path).read())
+    del data["grid"]
+    open(path, "w").write(json.dumps(data))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _drop_grid], ids=["truncated", "no-grid"])
+def test_malformed_model_artifact_exits_2(config_path, tmp_path, capsys, corrupt):
+    models = str(tmp_path / "models")
+    assert run(["fit", "--config", config_path, "--out", models]) == 0
+    corrupt(os.path.join(models, "surface_bf0.json"))
+    capsys.readouterr()
+    code = run(["evaluate", "--config", config_path, "--out", str(tmp_path / "o"), "--models", models])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "surface_bf0.json" in err
+
+
 def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):
     def boom(config, pipeline=None):
         raise NumericError("synthetic numeric failure")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import naps
 from naps import cutoffs as co
@@ -30,8 +32,19 @@ X1_STAR = {
 X0_RESTRICTED_38_42 = 0.7043244562157329
 
 
+FULL_SPACE = full_space_set(gm.ANALYTIC_SPACE)
+
+
 def full_request(alpha, gamma=0.0, y=0, mode="fpr"):
-    return co.CutoffRequest(null_label=y, alpha=alpha, gamma=gamma, mode=mode, scope="uniform")
+    return co.CutoffRequest(null_label=y, alpha=alpha, gamma=gamma, mode=mode)
+
+
+def point_region(nu0):
+    return NuisanceRegion(intervals=((nu0, nu0),))
+
+
+def arg_nu(surface, result):
+    return tuple(float(v) for v in surface.binning.representatives()[list(result.cells)])
 
 
 def test_request_validation():
@@ -40,28 +53,32 @@ def test_request_validation():
     with pytest.raises(ConfigError):
         co.CutoffRequest(null_label=0, alpha=0.05, gamma=0.05)  # beta = 0
     with pytest.raises(ConfigError):
-        co.CutoffRequest(null_label=0, alpha=0.05, gamma=0.01, scope="fixed", nu0=2.0)
-    with pytest.raises(ConfigError):
         co.CutoffRequest(null_label=0, alpha=0.9, gamma=0.2, mode="tpr")  # beta > 1
+    with pytest.raises(ConfigError):
+        co.CutoffRequest(null_label=2, alpha=0.1)
+    with pytest.raises(ConfigError):
+        co.CutoffRequest(null_label=0, alpha=0.1, mode="both")
+    with pytest.raises(ConfigError):
+        co.CutoffRequest(null_label=0, alpha=0.1, gamma=-0.01)
     req = co.CutoffRequest(null_label=0, alpha=0.1, gamma=0.02, mode="tpr")
     assert req.beta == pytest.approx(0.12)
     assert req.slice_label == 1
 
 
 def test_fixed_nu_cutoff_recovers_closed_form(fine_pipeline):
-    request = co.CutoffRequest(null_label=0, alpha=0.05, scope="fixed", nu0=1.0)
-    result = co.fixed_nu_cutoff(fine_pipeline.surfaces[0], request)
+    surface = fine_pipeline.surfaces[0]
+    result = co.cutoff_for_region(surface, point_region(1.0), co.CutoffRequest(null_label=0, alpha=0.05))
     x_cut = x_at_bayes_factor(fine_pipeline.model, 0, result.cutoff)
     assert abs(x_cut - X0_STAR[0.05]) <= 0.02
-    assert result.arg_nu == (1.0,)
+    assert result.cells == (int(surface.binning.cell_index(1.0)),)
 
 
 def test_fixed_nu_cutoff_monotone_in_alpha(fine_pipeline):
     surface = fine_pipeline.surfaces[0]
     cuts, xcuts = [], []
     for alpha in (0.02, 0.05, 0.1, 0.2, 0.4):
-        request = co.CutoffRequest(null_label=0, alpha=alpha, scope="fixed", nu0=3.0)
-        c = co.fixed_nu_cutoff(surface, request).cutoff
+        request = co.CutoffRequest(null_label=0, alpha=alpha)
+        c = co.cutoff_for_region(surface, point_region(3.0), request).cutoff
         cuts.append(c)
         xcuts.append(x_at_bayes_factor(fine_pipeline.model, 0, c))
     # statistic-scale cutoffs rise with alpha; the x-space rejection
@@ -73,11 +90,10 @@ def test_fixed_nu_cutoff_monotone_in_alpha(fine_pipeline):
 def test_uniform_cutoff_is_min_over_fixed(fine_pipeline):
     surface = fine_pipeline.surfaces[0]
     request = full_request(0.05)
-    uniform = co.uniform_cutoff(surface, request)
+    uniform = co.cutoff_for_region(surface, FULL_SPACE, request)
     fixed = []
     for rep in surface.binning.representatives():
-        r = co.CutoffRequest(null_label=0, alpha=0.05, scope="fixed", nu0=float(rep))
-        fixed.append(co.fixed_nu_cutoff(surface, r).cutoff)
+        fixed.append(co.cutoff_for_region(surface, point_region(float(rep)), request).cutoff)
     assert uniform.cutoff == min(fixed)
     assert uniform.cutoff <= min(fixed) + 1e-15
 
@@ -90,29 +106,28 @@ def test_uniform_cutoff_single_bin_equals_fixed(base_config, calibration, model)
     grid = cutoff_grid_from_values(tau0, 100)
     binning = NuBinning.equal_width(1.0, 10.0, 1)
     surface = fit_surface(calibration, tau0, grid, binning)
-    uniform = co.uniform_cutoff(surface, full_request(0.1))
-    fixed = co.fixed_nu_cutoff(surface, co.CutoffRequest(null_label=0, alpha=0.1, scope="fixed", nu0=7.0))
+    uniform = co.cutoff_for_region(surface, FULL_SPACE, full_request(0.1))
+    fixed = co.cutoff_for_region(surface, point_region(7.0), full_request(0.1))
     assert uniform.cutoff == fixed.cutoff
 
 
 def test_uniform_cutoff_matches_oracle_sweep(fine_pipeline):
     for alpha in (0.05, 0.1, 0.2):
-        result = co.uniform_cutoff(fine_pipeline.surfaces[0], full_request(alpha))
+        surface = fine_pipeline.surfaces[0]
+        result = co.cutoff_for_region(surface, FULL_SPACE, full_request(alpha))
         x_cut = x_at_bayes_factor(fine_pipeline.model, 0, result.cutoff)
         assert abs(x_cut - X0_STAR[alpha]) <= 0.02
-        assert result.arg_nu[0] < 1.3  # optimum sits against the lower boundary
+        assert arg_nu(surface, result)[0] < 1.3  # optimum sits against the lower boundary
 
 
 def test_data_dependent_gamma0_equals_uniform(fine_pipeline):
     surface = fine_pipeline.surfaces[0]
     provider = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
-    request = co.CutoffRequest(
-        null_label=0, alpha=0.1, gamma=0.0, scope="confidence-set", provider=provider
-    )
-    dd = co.data_dependent_cutoff(surface, 0.5, request)
-    uni = co.uniform_cutoff(surface, full_request(0.1))
+    request = co.CutoffRequest(null_label=0, alpha=0.1, gamma=0.0)
+    dd = co.cutoff_for_region(surface, provider.region(0), request)
+    uni = co.cutoff_for_region(surface, FULL_SPACE, full_request(0.1))
     assert dd.cutoff == uni.cutoff
-    assert dd.arg_nu == uni.arg_nu
+    assert arg_nu(surface, dd) == arg_nu(surface, uni)
 
 
 def test_data_dependent_superset_is_more_conservative(fine_pipeline):
@@ -128,13 +143,7 @@ def test_data_dependent_superset_is_more_conservative(fine_pipeline):
 
 def test_data_dependent_restricted_region_gains_power(fine_pipeline):
     surface = fine_pipeline.surfaces[0]
-    request = co.CutoffRequest(
-        null_label=0,
-        alpha=0.05,
-        gamma=0.0025,
-        scope="confidence-set",
-        provider=FullSpaceProvider(space=gm.ANALYTIC_SPACE),  # replaced below by explicit region
-    )
+    request = co.CutoffRequest(null_label=0, alpha=0.05, gamma=0.0025)
     region = NuisanceRegion(intervals=((3.8, 4.2),))
     restricted = co.cutoff_for_region(surface, region, request)
     x_cut = x_at_bayes_factor(fine_pipeline.model, 0, restricted.cutoff)
@@ -157,7 +166,7 @@ def test_saturation_error_lists_cells():
         values=np.array([[[0.1, 0.6], [0.1, 0.9]], [[0.0, 1.0], [0.0, 1.0]]]),
     )
     with pytest.raises(SaturationError) as err:
-        co.uniform_cutoff(surface, full_request(0.95))
+        co.cutoff_for_region(surface, FULL_SPACE, full_request(0.95))
     assert err.value.attainable_max == pytest.approx(0.6)
 
 
@@ -169,8 +178,8 @@ def test_tpr_mode_uses_opposite_slice():
         grid=np.array([0.0, 1.0, 2.0]),
         values=np.array([[[0.1, 0.5, 0.9]], [[0.2, 0.6, 1.0]]]),
     )
-    request = co.CutoffRequest(null_label=0, alpha=0.6, mode="tpr", scope="uniform")
-    result = co.uniform_cutoff(surface, request)
+    request = co.CutoffRequest(null_label=0, alpha=0.6, mode="tpr")
+    result = co.cutoff_for_region(surface, FULL_SPACE, request)
     # inverts the label-1 slice at beta = 0.6: the smallest C with W >= 0.6 is 1.0
     assert result.cutoff == 1.0
 
@@ -240,14 +249,10 @@ def test_full_space_cutoffs_control_rates(fine_pipeline, fine_config):
     cut_fpr = {}
     cut_tpr = {}
     for y in (0, 1):
-        fpr_req = co.CutoffRequest(
-            null_label=y, alpha=alpha, scope="confidence-set", provider=provider
-        )
-        cut_fpr[y] = co.data_dependent_cutoff(fine_pipeline.surfaces[y], 0.5, fpr_req).cutoff
-        tpr_req = co.CutoffRequest(
-            null_label=y, alpha=alpha, mode="tpr", scope="confidence-set", provider=provider
-        )
-        cut_tpr[y] = co.data_dependent_cutoff(fine_pipeline.surfaces[y], 0.5, tpr_req).cutoff
+        fpr_req = co.CutoffRequest(null_label=y, alpha=alpha)
+        cut_fpr[y] = co.cutoff_for_region(fine_pipeline.surfaces[y], provider.region(y), fpr_req).cutoff
+        tpr_req = co.CutoffRequest(null_label=y, alpha=alpha, mode="tpr")
+        cut_tpr[y] = co.cutoff_for_region(fine_pipeline.surfaces[y], provider.region(1 - y), tpr_req).cutoff
     se = math.sqrt(alpha * (1 - alpha) / n)
     for y in (0, 1):
         prior_y = 0.5
@@ -264,3 +269,66 @@ def test_full_space_cutoffs_control_rates(fine_pipeline, fine_config):
             tau_alt = bayes_factor_from_posterior(p_ya, prior_y)[0]
             recall = float(np.mean(tau_alt <= cut_tpr[y]))
             assert recall >= alpha - 3 * se
+
+
+# --- the single path against its per-cell definition --------------------------
+
+LEVELS = st.integers(min_value=0, max_value=10).map(lambda i: i / 10)  # coarse, so cells tie
+
+
+@st.composite
+def surface_region_request(draw):
+    n_cells = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=5))
+    grid = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))).astype(float)
+    slices = st.lists(LEVELS, min_size=k, max_size=k).map(sorted)
+    values = np.array([[draw(slices) for _ in range(n_cells)] for _ in (0, 1)])
+    surface = RejectionSurface("s", NuBinning.equal_width(1.0, 10.0, n_cells), grid, values)
+    ends = st.floats(min_value=1.0, max_value=10.0, allow_nan=False)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    mode = draw(st.sampled_from(("fpr", "tpr")))
+    alpha = draw(st.floats(min_value=0.01, max_value=0.99))
+    gamma = draw(st.floats(min_value=0.0, max_value=0.5))
+    beta = alpha - gamma if mode == "fpr" else alpha + gamma
+    assume(0.0 < beta < 1.0)
+    request = co.CutoffRequest(null_label=draw(st.integers(0, 1)), alpha=alpha, gamma=gamma, mode=mode)
+    return surface, NuisanceRegion(intervals=((lo, hi),)), request
+
+
+@given(surface_region_request())
+@settings(max_examples=300, deadline=None)
+def test_cutoff_for_region_is_the_per_cell_optimum(case):
+    surface, region, request = case
+    y = request.slice_label
+    inverses, maxima = {}, {}
+    for cell in surface.binning.cells_intersecting(region):
+        try:
+            inverses[int(cell)] = surface.invert_cell(request.beta, y, int(cell))
+        except SaturationError as exc:
+            maxima[int(cell)] = exc.attainable_max
+    if maxima:
+        with pytest.raises(SaturationError) as err:
+            co.cutoff_for_region(surface, region, request)
+        assert err.value.attainable_max == min(maxima.values())
+        return
+    result = co.cutoff_for_region(surface, region, request)
+    optimum = (min if request.mode == "fpr" else max)(inverses.values())
+    assert result.cutoff == optimum
+    assert set(result.cells) == {c for c, v in inverses.items() if v == optimum}
+    assert list(result.cells) == sorted(result.cells)
+
+
+def test_one_point_region_is_the_cell_inverse(fine_pipeline):
+    surface = fine_pipeline.surfaces[0]
+    request = full_request(0.1)
+    reps = surface.binning.representatives()
+    for cell, nu0 in enumerate(reps):
+        result = co.cutoff_for_region(surface, point_region(float(nu0)), request)
+        assert result.cutoff == surface.invert_cell(request.beta, 0, cell)
+        assert result.cells == (cell,)
+    # an interior edge meets both neighbouring cells: the more conservative cutoff
+    edge = float(surface.binning.edges[5])
+    on_edge = co.cutoff_for_region(surface, point_region(edge), request)
+    both = [surface.invert_cell(request.beta, 0, c) for c in (4, 5)]
+    assert on_edge.cutoff == min(both)
+    assert set(on_edge.cells) <= {4, 5}

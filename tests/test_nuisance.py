@@ -26,7 +26,7 @@ def test_full_space_always_covers():
 
 def test_oracle_quantile_interval_value():
     provider = nu.OracleQuantileProvider(gamma=0.05, distribution=naps.truncated_gaussian_prior(4.0, 0.1))
-    region = provider.region(x=None, y=0)
+    region = provider.region(y=0)
     (lo, hi), = region.intervals
     assert lo == pytest.approx(ORACLE_95_INTERVAL[0], abs=1e-7)
     assert hi == pytest.approx(ORACLE_95_INTERVAL[1], abs=1e-7)
@@ -34,20 +34,20 @@ def test_oracle_quantile_interval_value():
 
 def test_oracle_gamma_zero_is_full_support():
     provider = nu.OracleQuantileProvider(gamma=0.0, distribution=naps.truncated_gaussian_prior(4.0, 0.1))
-    assert provider.region(None, 0).intervals == ((1.0, 10.0),)
+    assert provider.region(0).intervals == ((1.0, 10.0),)
 
 
 def test_oracle_full_space_for_class1():
     # class-1 observations carry no nuisance information in this model
     provider = nu.OracleQuantileProvider(gamma=0.1, distribution=naps.truncated_gaussian_prior(4.0, 0.1))
-    assert provider.region(None, 1).intervals == ((1.0, 10.0),)
+    assert provider.region(1).intervals == ((1.0, 10.0),)
 
 
 def test_oracle_center_always_covered():
     dist = naps.truncated_gaussian_prior(4.0, 0.1)
     for gamma in (0.001, 0.05, 0.5, 0.99):
         provider = nu.OracleQuantileProvider(gamma=gamma, distribution=dist)
-        assert bool(provider.region(None, 0).contains(4.0))
+        assert bool(provider.region(0).contains(4.0))
 
 
 @given(
@@ -60,8 +60,8 @@ def test_oracle_center_always_covered():
 def test_oracle_width_nonincreasing_in_gamma(g):
     g1, g2 = sorted(g)
     dist = naps.truncated_gaussian_prior(4.0, 0.1)
-    w1 = nu.OracleQuantileProvider(gamma=g1, distribution=dist).region(None, 0).width()
-    w2 = nu.OracleQuantileProvider(gamma=g2, distribution=dist).region(None, 0).width()
+    w1 = nu.OracleQuantileProvider(gamma=g1, distribution=dist).region(0).width()
+    w2 = nu.OracleQuantileProvider(gamma=g2, distribution=dist).region(0).width()
     assert w2 <= w1 + 1e-12
 
 
@@ -69,7 +69,7 @@ def test_oracle_degenerate_interval_error():
     dist = naps.PriorSpec(kind="point-mass", support=gm.ANALYTIC_SPACE, value=4.0)
     provider = nu.OracleQuantileProvider(gamma=0.1, distribution=dist)
     with pytest.raises(NumericError):
-        provider.region(None, 0)
+        provider.region(0)
 
 
 def test_oracle_rejects_discrete_distribution():
@@ -92,27 +92,26 @@ def test_region_validation_and_roundtrip():
     assert empty.is_empty
 
 
-def test_coverage_by_nu_full_space(uniform_gen):
+def test_coverage_by_nu_full_space():
     provider = nu.FullSpaceProvider(space=gm.ANALYTIC_SPACE)
-    rows = nu.coverage_by_nu(provider, uniform_gen, np.linspace(1, 10, 5), 200, seed=1)
-    assert all(r["coverage"] == 1.0 and not r["flagged"] for r in rows)
+    covered = provider.region(0).contains(np.linspace(1, 10, 5))
+    assert np.all(covered)
 
 
-def test_coverage_by_nu_oracle_flags_outside_point(uniform_gen):
+def test_coverage_by_nu_oracle_flags_outside_point():
+    # the region ignores x, so its coverage at a fixed nu is 0 or 1
     provider = nu.OracleQuantileProvider(gamma=0.05, distribution=naps.truncated_gaussian_prior(4.0, 0.1))
-    rows = nu.coverage_by_nu(provider, uniform_gen, np.array([1.0, 4.0]), 500, seed=2)
-    at_1 = rows[0]
-    at_4 = rows[1]
-    assert at_1["coverage"] == 0.0 and at_1["flagged"]
-    assert at_4["coverage"] == 1.0 and not at_4["flagged"]
+    at_1, at_4 = provider.region(0).contains(np.array([1.0, 4.0]))
+    assert not at_1
+    assert at_4
 
 
 def test_marginal_coverage_matched_distribution():
     # nu drawn from the same distribution the quantile interval is built on
     gamma = 0.1
     target = naps.truncated_gaussian_prior(4.0, 0.1)
-    cfg = naps.analytic_config(0.5, target)
     provider = nu.OracleQuantileProvider(gamma=gamma, distribution=target)
-    cov = nu.marginal_coverage(provider, cfg, n=20_000, seed=3)
+    nus = target.ppf(gm.stream_rng(3, 7).random(20_000))
+    cov = float(np.mean(provider.region(0).contains(nus)))
     se = np.sqrt(gamma * (1 - gamma) / 20_000)
     assert cov >= 1 - gamma - 3 * se

@@ -91,27 +91,6 @@ def test_naps_one_posterior_pass_per_call(fine_pipeline, monkeypatch):
     assert len(inversions) == 4
 
 
-@dataclass(frozen=True)
-class PerPointProvider:
-    """A provider whose regions may depend on x: the classifier must refuse it."""
-
-    space: object
-    x_independent = False
-
-    def region(self, x, y):
-        return naps.full_space_set(self.space)
-
-
-def test_naps_refuses_x_dependent_provider(fine_pipeline):
-    good = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
-    bad = PerPointProvider(space=gm.ANALYTIC_SPACE)
-    for providers in ({0: bad, 1: good}, {0: good, 1: bad}, {0: good}):
-        with pytest.raises(ConfigError):
-            ps.NapsSetClassifier(
-                model=fine_pipeline.model, surfaces=fine_pipeline.surfaces, providers=providers
-            )
-
-
 def test_naps_empty_set_flagged(naps_clf):
     # at a large miscoverage level the inclusion bands separate and the
     # middle of the domain yields empty sets
@@ -239,15 +218,19 @@ def test_class_conditional_requires_both_classes():
 
 def test_bayes_point_thresholds(model):
     fake = LinearModel()
-    assert ps.bayes_point_predict(0.7, fake) == 1
-    assert ps.bayes_point_predict(0.3, fake) == 0
-    assert ps.bayes_point_predict(0.5, fake) == 1  # tie goes to label 1
+
+    def label(x, costs=(1.0, 1.0)):
+        return int(ps.bayes_point_batch(np.atleast_1d(fake.posterior1(x)), costs)[0])
+
+    assert label(0.7) == 1
+    assert label(0.3) == 0
+    assert label(0.5) == 1  # tie goes to label 1
     # cost ratio moves the threshold to c0 / (c0 + c1)
-    assert ps.bayes_point_predict(0.3, fake, costs=(1.0, 3.0)) == 1
+    assert label(0.3, costs=(1.0, 3.0)) == 1
     # balanced-accuracy costs (1/P0, 1/P1) with equal priors keep 1/2
-    assert ps.bayes_point_predict(0.49, fake, costs=(2.0, 2.0)) == 0
+    assert label(0.49, costs=(2.0, 2.0)) == 0
     with pytest.raises(ConfigError):
-        ps.bayes_point_predict(0.5, fake, costs=(0.0, 1.0))
+        label(0.5, costs=(0.0, 1.0))
 
 
 def test_bayes_point_batch():

@@ -186,7 +186,8 @@ def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
 def sup_distance_to_ecdf(surface, y, cell, lams):
     lams = np.sort(lams)
     ecdf = np.arange(1, len(lams) + 1) / len(lams)
-    fitted = surface._eval_cells(lams, y, cell)
+    nu = np.full(len(lams), surface.binning.representatives()[cell])
+    fitted = surface.rejection_probability_batch(lams, np.full(len(lams), y), nu)
     return float(np.max(np.abs(fitted - ecdf)))
 
 
@@ -208,11 +209,12 @@ def test_eval_boundary_conventions():
         grid=np.array([0.0, 1.0, 2.0]),
         values=np.array([[[0.25, 0.5, 0.75]], [[0.1, 0.2, 1.0]]]),
     )
-    assert surface.rejection_probability(-0.5, 0, 2.0) == 0.0
-    assert surface.rejection_probability(0.0, 0, 2.0) == 0.25
-    assert surface.rejection_probability(1.5, 0, 2.0) == 0.5
-    assert surface.rejection_probability(99.0, 0, 2.0) == 0.75  # stays at the fitted max
-    assert surface.rejection_probability(99.0, 1, 2.0) == 1.0
+    w = surface.rejection_probability_batch([-0.5, 0.0, 1.5, 99.0, 99.0], [0, 0, 0, 0, 1], np.full(5, 2.0))
+    assert w[0] == 0.0
+    assert w[1] == 0.25
+    assert w[2] == 0.5
+    assert w[3] == 0.75  # stays at the fitted max
+    assert w[4] == 1.0
 
 
 def test_invert_contracts():
@@ -223,18 +225,22 @@ def test_invert_contracts():
         grid=np.array([0.0, 1.0, 2.0, 3.0]),
         values=np.array([[[0.1, 0.4, 0.4, 0.9]], [[0.0, 0.3, 0.6, 1.0]]]),
     )
-    assert surface.invert(0.0, 0, 2.0) == 0.0  # smallest grid cutoff
+    cell = int(binning.cell_index(2.0))
+
+    def w0(c):
+        return surface.rejection_probability_batch([c], [0], [2.0])[0]
+
+    assert surface.invert_cell(0.0, 0, cell) == 0.0  # smallest grid cutoff
     for beta in (0.05, 0.1, 0.3, 0.4, 0.7, 0.9):
-        c = surface.invert(beta, 0, 2.0)
-        assert surface.rejection_probability(c, 0, 2.0) >= beta
+        c = surface.invert_cell(beta, 0, cell)
+        assert w0(c) >= beta
     # ties resolve to the smaller cutoff
-    assert surface.invert(0.4, 0, 2.0) == 1.0
+    assert surface.invert_cell(0.4, 0, cell) == 1.0
     # round trip: inverting an attained level returns a cutoff no larger
     for c_in in (1.0, 2.0, 3.0):
-        w = surface.rejection_probability(c_in, 0, 2.0)
-        assert surface.invert(w, 0, 2.0) <= c_in
+        assert surface.invert_cell(w0(c_in), 0, cell) <= c_in
     with pytest.raises(SaturationError) as err:
-        surface.invert(0.95, 0, 2.0)
+        surface.invert_cell(0.95, 0, cell)
     assert err.value.attainable_max == pytest.approx(0.9)
 
 
@@ -246,7 +252,7 @@ def test_w_matches_closed_form_cdf(uniform_gen):
     surface = rj.fit_surface(ds, ds.x, grid, binning)
     for x0 in np.linspace(0.05, 0.95, 10):
         expected = 1.0 - gm.survival_class0(x0, 2.0)
-        got = surface.rejection_probability(x0, 0, 2.0)
+        got = surface.rejection_probability_batch([x0], [0], [2.0])[0]
         assert abs(got - expected) <= 0.02
 
 
@@ -256,7 +262,7 @@ def test_invert_recovers_upper_quantile(uniform_gen):
     binning = rj.NuBinning(edges=np.array([1.0, 1.1, 10.0]))
     surface = rj.fit_surface(ds, ds.x, grid, binning)
     # beta = 0.95 on the CDF scale is the alpha = 0.05 upper tail in x
-    cut = surface.invert(0.95, 0, 1.02)
+    cut = surface.invert_cell(0.95, 0, int(binning.cell_index(1.02)))
     assert abs(cut - UQ0_005_NU1) <= 0.02
 
 
