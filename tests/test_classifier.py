@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
 from scipy.stats import poisson, spearmanr
@@ -10,6 +11,7 @@ import naps
 from naps import classifier as clf
 from naps import genmodel as gm
 from naps.errors import ConfigError, DomainError
+from test_genmodel import TRUNCATED_GAUSSIANS
 
 POSTERIOR1_AT_1 = 0.9426053577545077  # 30-digit quadrature of the marginal posterior
 POSTERIOR1_GIVEN_NU_0_1 = 0.2689414213699951  # 1 / (1 + e)
@@ -174,6 +176,51 @@ def test_posterior_mean_nu_point_mass_prior():
     m = naps.AnalyticMarginalClassifier(cfg)
     got = m.posterior_mean_nu(np.array([0.1, 0.5, 0.9]))
     assert np.max(np.abs(got - 3.7)) < 1e-12
+
+
+# The uniform prior, the truncated Gaussians of test_genmodel and two narrower ones.
+TRAINING_PRIORS = [naps.uniform_prior()] + [
+    naps.truncated_gaussian_prior(mean, sd) for mean, sd in TRUNCATED_GAUSSIANS + [(4.0, 0.01), (5.3, 0.001)]
+]
+
+
+@pytest.mark.parametrize("prior", TRAINING_PRIORS, ids=lambda p: p.kind if p.mean is None else f"N({p.mean},{p.sd})")
+def test_posterior_exact_under_narrow_training_priors(prior):
+    # A rule spread over all of [1, 10] can miss a prior of sd 0.01 entirely and return
+    # posterior 1 everywhere; the reference integrates over the prior's own +-12 sd window.
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, prior))
+    lo, hi = (1.0, 10.0)
+    if prior.mean is not None:
+        lo, hi = max(lo, prior.mean - 12 * prior.sd), min(hi, prior.mean + 12 * prior.sd)
+    for x in (0.0, 0.1, 0.5, 0.9, 1.0):
+        f1 = gm.density_class1(x)
+        f0bar = quad(lambda nu: gm.density_class0(x, nu) * prior.pdf(nu), lo, hi)[0]
+        nu_f0bar = quad(lambda nu: nu * gm.density_class0(x, nu) * prior.pdf(nu), lo, hi)[0]
+        assert m.posterior1(x) == pytest.approx(f1 / (f1 + f0bar), abs=1e-12)
+        expected_mean = (f1 * prior.mean_value() + nu_f0bar) / (f1 + f0bar)
+        assert m.posterior_mean_nu(x) == pytest.approx(expected_mean, abs=1e-12)
+
+
+def test_nuisance_rule_built_and_checked_once(monkeypatch):
+    sizes = []
+    build = clf._nuisance_rule
+    monkeypatch.setattr(clf, "_nuisance_rule", lambda prior, n: sizes.append(n) or build(prior, n))
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, naps.truncated_gaussian_prior(5.0, 2.0)))
+    for n in (0, 1, 7, clf._BLOCK + 1, 3 * clf._BLOCK):
+        x = np.linspace(0.0, 1.0, n)
+        p1, nu_hat = m.posterior1(x), m.posterior_mean_nu(x)
+        assert p1.shape == nu_hat.shape == (n,)
+        if n:  # a point scores the same in any batch, up to the order of the rule's sum
+            assert m.posterior1(x[-1]) == pytest.approx(p1[-1], rel=1e-13)
+    assert isinstance(m.posterior1(0.3), float) and isinstance(m.posterior_mean_nu(0.3), float)
+    # one rule, and one check of it against the rule with twice the nodes
+    assert sizes == [clf._NODES, 2 * clf._NODES]
+
+
+@pytest.mark.parametrize("quad_tol", [-1.0, 0.0, math.nan, math.inf])
+def test_quad_tol_must_be_finite_and_positive(uniform_gen, quad_tol):
+    with pytest.raises(ConfigError):
+        naps.AnalyticMarginalClassifier(uniform_gen, quad_tol=quad_tol)
 
 
 def test_posterior_mean_nu_needs_analytic_scenario():

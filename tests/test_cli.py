@@ -230,6 +230,32 @@ def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def _evaluate_with_quad_tol(config_path, tmp_path, capsys, quad_tol):
+    models = str(tmp_path / "models")
+    assert run(["fit", "--config", config_path, "--out", models]) == 0
+    path = os.path.join(models, "classifier.json")
+    data = json.loads(open(path).read())
+    data["quad_tol"] = quad_tol
+    open(path, "w").write(json.dumps(data))
+    capsys.readouterr()
+    code = run(["evaluate", "--config", config_path, "--out", str(tmp_path / "o"), "--models", models])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quad_tol", [-1.0, 0.0])
+def test_invalid_quad_tol_artifact_exits_2(config_path, tmp_path, capsys, quad_tol):
+    code, err = _evaluate_with_quad_tol(config_path, tmp_path, capsys, quad_tol)
+    assert code == 2
+    assert "configuration error" in err and "quad_tol" in err
+
+
+def test_unreachable_quad_tol_exits_3(config_path, tmp_path, capsys):
+    # the real check, not a patched one: no two float rules agree to 1e-20
+    code, err = _evaluate_with_quad_tol(config_path, tmp_path, capsys, 1e-20)
+    assert code == 3
+    assert "numeric error" in err
+
+
 def test_seed_override_changes_outputs(config_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["simulate", "--config", config_path, "--out", out1, "--seed", "1"]) == 0
@@ -238,25 +264,30 @@ def test_seed_override_changes_outputs(config_path, tmp_path):
 
 
 def test_cli_runs_without_scipy_stats(tmp_path):
-    # scipy.stats costs about half a second of every command's start-up
+    # scipy.stats, scipy.integrate and scipy.optimize each cost over half a second of
+    # every command's start-up; fit evaluates the posterior, simulate only draws
     cfg = harness.ExperimentConfig(
         train_prior=naps.truncated_gaussian_prior(5.0, 2.0),
         target_prior=naps.truncated_gaussian_prior(4.0, 0.1),
-        n_calibration=200,
+        n_calibration=2_000,
         n_evaluation=100,
+        nu_bins=2,
         seed=3,
     )
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    out = tmp_path / "sim"
+    sim, models = tmp_path / "sim", tmp_path / "models"
     code = (
         "import sys\n"
         "import naps.cli\n"
-        f"assert naps.cli.main(['simulate', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0\n"
-        "assert 'scipy.stats' not in sys.modules\n"
+        f"assert naps.cli.main(['simulate', '--config', {str(path)!r}, '--out', {str(sim)!r}]) == 0\n"
+        f"assert naps.cli.main(['fit', '--config', {str(path)!r}, '--out', {str(models)!r}]) == 0\n"
+        "loaded = {'scipy.stats', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert sorted(os.listdir(out)) == ["calibration.csv", "evaluation.csv"]
+    assert sorted(os.listdir(sim)) == ["calibration.csv", "evaluation.csv"]
+    assert sorted(os.listdir(models)) == ["classifier.json", "surface_bf0.json", "surface_bf1.json"]
