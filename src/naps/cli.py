@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="write PIT goodness-of-fit tables")
     _add_common(p)
-    p.add_argument("--param-bins", type=int, default=2, help="nuisance bins per label in the PIT table")
+    p.add_argument(
+        "--param-bins", type=int, default=2, help="nuisance bins per label in the PIT table (continuous spaces only)"
+    )
 
     p = sub.add_parser("sweep-gamma", help="write the gamma power-sweep table")
     _add_common(p)

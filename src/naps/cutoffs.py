@@ -14,14 +14,15 @@ takes the supremum. The region decides which cutoff comes out:
   cutoff.
 
 For the analytic scenario the same quantities exist in closed form in
-x-space; ``analytic_oracle_cutoffs`` computes them by a dense grid sweep
-with golden-section refinement and serves as the ground truth the
-surface-based path is tested against.
+x-space; ``analytic_oracle_cutoffs`` computes them and serves as the ground
+truth the surface-based path is tested against. The truncated-exponential
+family has a monotone likelihood ratio in x, so the class-0 cutoff curve
+strictly decreases in nu and its supremum over a region sits at the
+region's lowest nu.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,60 +143,16 @@ def class1_cutoff(alpha: float) -> float:
     return float(np.log1p(alpha * E_MINUS_1))
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    arg = 0.5 * (a + b)
-    return arg, fn(arg)
-
-
-def analytic_oracle_cutoffs(
-    alpha: float,
-    gamma: float,
-    region: NuisanceRegion,
-    grid_points: int = 2000,
-) -> OracleCutoffs:
+def analytic_oracle_cutoffs(alpha: float, gamma: float, region: NuisanceRegion) -> OracleCutoffs:
     """Closed-form x-space cutoffs for the analytic scenario.
 
     The class-0 cutoff is the supremum of the closed-form per-nu cutoff over
-    the region, found by a dense sweep with golden-section refinement around
-    the grid optimum (boundary optima are kept as-is).
+    the region. That curve strictly decreases in nu (the family has a
+    monotone likelihood ratio in x), so the supremum is the curve at the
+    region's lowest nu, the lower end of its first (sorted) interval.
     """
     if region.is_empty or not region.intervals:
         raise ConfigError("the analytic oracle needs a nonempty continuous region")
     x1 = class1_cutoff(alpha)
-
-    def curve(nu):
-        return class0_cutoff_curve(nu, alpha, gamma)
-
-    best_val = -np.inf
-    best_arg = None
-    for lo, hi in region.intervals:
-        if hi == lo:
-            val = float(curve(np.asarray(lo)))
-            if val > best_val:
-                best_val, best_arg = val, lo
-            continue
-        grid = np.linspace(lo, hi, grid_points)
-        vals = curve(grid)
-        k = int(np.argmax(vals))
-        if 0 < k < len(grid) - 1:
-            arg, val = _golden_max(lambda t: float(curve(np.asarray(t))), grid[k - 1], grid[k + 1])
-        else:
-            arg, val = float(grid[k]), float(vals[k])
-        if val > best_val:
-            best_val, best_arg = val, arg
-    return OracleCutoffs(x0_star=float(best_val), x1_star=x1, arg_nu=float(best_arg))
+    lo = region.intervals[0][0]
+    return OracleCutoffs(x0_star=float(class0_cutoff_curve(lo, alpha, gamma)), x1_star=x1, arg_nu=float(lo))

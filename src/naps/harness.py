@@ -50,7 +50,6 @@ from .rejection import (
     RejectionSurface,
     cutoff_grid_from_values,
     fit_surface,
-    make_param_bins,
     pit_diagnostics,
 )
 
@@ -258,7 +257,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return ExperimentConfig.from_dict(json.load(fh))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ConfigError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed configuration {path}: {exc}") from exc
 
 
@@ -287,7 +286,7 @@ class Pipeline:
                 raise ConfigError(f"missing fitted artifact {name} in {model_dir}")
             try:
                 return loader(path)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ConfigError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"malformed fitted artifact {path}: {exc!r}") from exc
 
         model = read(load_classifier, "classifier.json")
@@ -701,9 +700,12 @@ def run_pit_diagnostics(
     n_param_bins: int = 2,
     pipeline: Pipeline | None = None,
 ) -> dict:
-    """PIT tables for the nuisance-aware surface and a one-bin control.
+    """PIT tables for the nuisance-aware surface and a one-cell control.
 
-    The one-bin surface deliberately ignores the nuisance parameter; its
+    The tables group by label and ``NuBinning.for_space(space, n_param_bins)``
+    cell: ``n_param_bins`` equal-width intervals on a continuous space, one
+    cell per protocol on a discrete one. The control's single cell spans the
+    whole space, so it deliberately ignores the nuisance parameter; its
     per-bin PIT failures demonstrate why marginal calibration is not enough.
     """
     if pipeline is None:
@@ -715,14 +717,16 @@ def run_pit_diagnostics(
     )
     tau0 = score_dataset(pipeline.model, eval_ds).statistics[0][0]
     space = config.train_prior.support
-    flat_surface = _label_surface(config, calibration, 0, NuBinning.for_space(space, 1))
+    lo, hi = space.bounds if space.is_continuous else (min(space.categories), max(space.categories))
+    one_cell = NuBinning(edges=np.array([lo, hi], dtype=float)) if lo < hi else NuBinning.for_space(space, 1)
+    flat_surface = _label_surface(config, calibration, 0, one_cell)
 
-    bins = make_param_bins(space, n_param_bins)
-    aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, bins)
-    flat = pit_diagnostics(flat_surface, eval_ds, tau0, bins)
+    binning = NuBinning.for_space(space, n_param_bins)
+    aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, binning)
+    flat = pit_diagnostics(flat_surface, eval_ds, tau0, binning)
     return {
         "n_evaluation": int(config.n_evaluation),
-        "bins": [b.label() for b in bins],
+        "bins": [r.bin_label for r in aware],
         "nuisance_aware": [r.to_dict() for r in aware],
         "nuisance_ignoring": [r.to_dict() for r in flat],
     }

@@ -182,8 +182,8 @@ class CutoffGrid:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or len(v) < 2 or np.any(np.diff(v) <= 0):
-            raise ConfigError("cutoff grid must be strictly sorted with >= 2 entries")
+        if v.ndim != 1 or len(v) < 2 or not np.all(np.isfinite(v)) or np.any(np.diff(v) <= 0):
+            raise ConfigError("cutoff grid must be finite and strictly sorted with >= 2 entries")
         v.flags.writeable = False
 
     def __len__(self) -> int:
@@ -268,9 +268,12 @@ class RejectionSurface:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
+        CutoffGrid(values=g)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (2, self.binning.n_cells, len(g)):
             raise ConfigError("surface values must have shape (2, n_cells, len(grid))")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
+            raise ConfigError("surface values must be finite and inside [0, 1]")
         if np.any(np.diff(v, axis=-1) < -1e-12):
             raise ConfigError("fitted surface must be nondecreasing along the grid")
         g.flags.writeable = False
@@ -422,46 +425,6 @@ def fit_surface(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamBin:
-    """One bin of the parameter space (a label plus a nuisance slice)."""
-
-    y: int
-    nu_lo: float | None = None
-    nu_hi: float | None = None
-    categories: tuple[int, ...] | None = None
-
-    def label(self) -> str:
-        if self.categories is not None:
-            return f"y={self.y},protocols={list(self.categories)}"
-        return f"y={self.y},nu=[{self.nu_lo:g},{self.nu_hi:g})"
-
-    def mask(self, y: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        m = y == self.y
-        if self.categories is not None:
-            return m & np.isin(nu, np.asarray(self.categories))
-        return m & (nu >= self.nu_lo) & (nu < self.nu_hi)
-
-
-def make_param_bins(space: NuisanceSpace, n_nu_bins: int) -> list[ParamBin]:
-    """Partition {0,1} x nuisance-space into 2 * n_nu_bins rectangular bins."""
-    bins = []
-    if space.is_continuous:
-        lo, hi = space.bounds
-        edges = np.linspace(lo, hi, n_nu_bins + 1)
-        edges[-1] = np.nextafter(hi, np.inf)  # closed upper edge
-        for y in (0, 1):
-            for j in range(n_nu_bins):
-                bins.append(ParamBin(y=y, nu_lo=float(edges[j]), nu_hi=float(edges[j + 1])))
-    else:
-        cats = list(space.categories)
-        chunks = np.array_split(np.asarray(cats), min(n_nu_bins, len(cats)))
-        for y in (0, 1):
-            for chunk in chunks:
-                bins.append(ParamBin(y=y, categories=tuple(int(c) for c in chunk)))
-    return bins
-
-
 def ks_distance_uniform(pit: np.ndarray) -> float:
     """Exact Kolmogorov-Smirnov distance of a sample against Uniform(0, 1)."""
     u = np.sort(np.asarray(pit, dtype=float))
@@ -499,39 +462,37 @@ def pit_diagnostics(
     surface: RejectionSurface,
     eval_dataset: Dataset,
     values,
-    param_bins: list[ParamBin],
+    binning: NuBinning,
     pp_grid_size: int = 100,
 ) -> list[PitBinResult]:
-    """Per-bin PIT table of the statistic's ``values`` on ``eval_dataset``.
+    """Per-(label, cell) PIT table of the statistic's ``values`` on ``eval_dataset``.
 
-    KS distances are taken against Uniform(0, 1). Empty bins are flagged
-    and skipped rather than raising; the 95% KS band 1.36 / sqrt(n) is
-    reported per bin but never enforced here.
+    The bins are the cells of ``binning`` crossed with the two labels, so
+    they partition the binning's support; a nuisance value outside it
+    raises ``DomainError``. KS distances are taken against Uniform(0, 1).
+    Empty bins are flagged and skipped rather than raising; the 95% KS band
+    1.36 / sqrt(n) is reported per bin but never enforced here.
     """
     lam = np.asarray(values, dtype=float)
     pit = surface.rejection_probability_batch(lam, eval_dataset.y, eval_dataset.nu)
+    cells = binning.cell_index(eval_dataset.nu)
     levels = np.linspace(0.0, 1.0, pp_grid_size)
     results = []
-    for pb in param_bins:
-        mask = pb.mask(eval_dataset.y, eval_dataset.nu)
-        n = int(np.sum(mask))
-        if n == 0:
-            warnings.warn(f"PIT bin {pb.label()} is empty; skipped")
-            results.append(
-                PitBinResult(pb.label(), 0, None, None, None, None, skipped=True)
-            )
-            continue
-        sample = pit[mask]
-        ks = ks_distance_uniform(sample)
-        band = KS_BAND_COEFFICIENT / np.sqrt(n)
-        cdf = np.searchsorted(np.sort(sample), levels, side="right") / n
-        results.append(
-            PitBinResult(pb.label(), n, ks, float(band), bool(ks <= band), cdf)
-        )
-    counted = sum(r.n for r in results)
-    if counted != len(eval_dataset):
-        # Bins are expected to partition the parameter space.
-        raise ConfigError(
-            f"parameter bins do not partition the evaluation set: {counted} != {len(eval_dataset)}"
-        )
+    for y in (0, 1):
+        for cell in range(binning.n_cells):
+            if binning.is_continuous:
+                label = "y={},nu=[{:g},{:g})".format(y, *binning.cell_bounds(cell))
+            else:
+                label = f"y={y},protocols=[{binning.categories[cell]}]"
+            mask = (eval_dataset.y == y) & (cells == cell)
+            n = int(np.sum(mask))
+            if n == 0:
+                warnings.warn(f"PIT bin {label} is empty; skipped")
+                results.append(PitBinResult(label, 0, None, None, None, None, skipped=True))
+                continue
+            sample = pit[mask]
+            ks = ks_distance_uniform(sample)
+            band = KS_BAND_COEFFICIENT / np.sqrt(n)
+            cdf = np.searchsorted(np.sort(sample), levels, side="right") / n
+            results.append(PitBinResult(label, n, ks, float(band), bool(ks <= band), cdf))
     return results

@@ -208,7 +208,23 @@ def _drop_grid(path):
     open(path, "w").write(json.dumps(data))
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _drop_grid], ids=["truncated", "no-grid"])
+def _unsort_grid(path):
+    data = json.loads(open(path).read())
+    data["grid"][0], data["grid"][1] = data["grid"][1], data["grid"][0]
+    open(path, "w").write(json.dumps(data))
+
+
+def _nan_value(path):
+    data = json.loads(open(path).read())
+    data["values"][0][0][0] = float("nan")
+    open(path, "w").write(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_truncate, _drop_grid, _unsort_grid, _nan_value],
+    ids=["truncated", "no-grid", "unsorted-grid", "nan-value"],
+)
 def test_malformed_model_artifact_exits_2(config_path, tmp_path, capsys, corrupt):
     models = str(tmp_path / "models")
     assert run(["fit", "--config", config_path, "--out", models]) == 0
@@ -246,7 +262,7 @@ def _evaluate_with_quad_tol(config_path, tmp_path, capsys, quad_tol):
 def test_invalid_quad_tol_artifact_exits_2(config_path, tmp_path, capsys, quad_tol):
     code, err = _evaluate_with_quad_tol(config_path, tmp_path, capsys, quad_tol)
     assert code == 2
-    assert "configuration error" in err and "quad_tol" in err
+    assert "configuration error" in err and "quad_tol" in err and "classifier.json" in err
 
 
 def test_unreachable_quad_tol_exits_3(config_path, tmp_path, capsys):

@@ -187,8 +187,8 @@ def test_tpr_mode_uses_opposite_slice():
 # --- closed-form oracles -----------------------------------------------------
 
 
-def brute_force_x0_star(alpha, gamma, lo, hi, n=500):
-    grid = np.linspace(lo, hi, n)
+def brute_force_x0_star(alpha, gamma, region, n=500):
+    grid = np.concatenate([np.linspace(lo, hi, n) for lo, hi in region.intervals])
     vals = gm.upper_quantile_class0(alpha - gamma, grid)
     return float(np.max(vals))
 
@@ -205,7 +205,7 @@ def test_oracle_x0_star_values():
         assert oracle.x0_star == pytest.approx(expected, abs=1e-12)
         assert oracle.arg_nu == pytest.approx(1.0, abs=1e-9)
         # independent dense sweep agrees
-        assert oracle.x0_star == pytest.approx(brute_force_x0_star(alpha, 0.0, 1.0, 10.0), abs=1e-6)
+        assert oracle.x0_star == pytest.approx(brute_force_x0_star(alpha, 0.0, FULL_SPACE), abs=1e-6)
 
 
 def test_oracle_restricted_region():
@@ -224,17 +224,22 @@ def test_oracle_parameter_errors():
         co.analytic_oracle_cutoffs(0.05, 0.0, NuisanceRegion())
 
 
-def test_golden_section_finds_interior_maximum():
-    arg, val = co._golden_max(lambda t: -((t - 2.3) ** 2) + 7.0, 0.0, 5.0)
-    # argument precision is sqrt(eps)-limited on a smooth maximum
-    assert arg == pytest.approx(2.3, abs=1e-6)
-    assert val == pytest.approx(7.0, abs=1e-12)
+def test_oracle_two_interval_region_takes_lowest_nu():
+    region = NuisanceRegion(intervals=((2.0, 3.0), (6.0, 8.0)))
+    for alpha, gamma in ((0.05, 0.0), (0.1, 0.02), (0.5, 0.1)):
+        oracle = co.analytic_oracle_cutoffs(alpha, gamma, region)
+        assert oracle.arg_nu == 2.0
+        # independent sweep over both intervals: the lower interval's lower end wins
+        assert oracle.x0_star == pytest.approx(brute_force_x0_star(alpha, gamma, region), abs=1e-12)
+        assert oracle.x0_star > brute_force_x0_star(alpha, gamma, NuisanceRegion(intervals=((6.0, 8.0),)))
 
 
 def test_class0_cutoff_curve_decreasing_in_nu():
-    grid = np.linspace(1.0, 10.0, 200)
-    vals = co.class0_cutoff_curve(grid, 0.05)
-    assert np.all(np.diff(vals) < 0)
+    # the analytic oracle reads its supremum at a region's lowest nu on this property
+    grid = np.linspace(1.0, 10.0, 200)  # both support ends included
+    for alpha in (1e-3, 0.05, 0.5, 0.999):
+        vals = co.class0_cutoff_curve(grid, alpha)
+        assert np.all(np.diff(vals) < 0)
 
 
 # --- Monte Carlo FPR/TPR guarantee with the trivially valid provider ---------

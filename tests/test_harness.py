@@ -368,6 +368,40 @@ def test_discrete_scenario_end_to_end():
                 assert seg["coverage"] >= 0.9 - 3 * se_cell
 
 
+def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
+    weights = (0.4, 0.3, 0.2, 0.1)
+    prior = naps.PriorSpec(kind="discrete-weights", support=gm.DISCRETE_SPACE, weights=weights)
+    cfg = harness.ExperimentConfig(
+        scenario=gm.SCENARIO_DISCRETE,
+        train_prior=prior,
+        target_prior=prior,
+        n_calibration=40_000,
+        n_evaluation=10_000,
+        alphas=(0.1,),
+        methods=(harness.MethodSpec(name="naps", kind="naps"),),
+        nu_bins=4,
+        cutoff_grid_size=64,
+        seed=11,
+    )
+    binnings = []
+    label_surface = harness._label_surface
+
+    def spy(config, calibration, y, binning):
+        binnings.append(binning)
+        return label_surface(config, calibration, y, binning)
+
+    monkeypatch.setattr(harness, "_label_surface", spy)
+    result = harness.run_pit_diagnostics(cfg, n_param_bins=2)
+    # fitted surfaces for y = 0 and 1, then the control
+    assert [b.n_cells for b in binnings] == [4, 4, 1]
+    cats = gm.DISCRETE_SPACE.categories
+    assert result["bins"] == [f"y={y},protocols=[{c}]" for y in (0, 1) for c in cats]
+    aware = [r["ks_distance"] for r in result["nuisance_aware"]]
+    flat = [r["ks_distance"] for r in result["nuisance_ignoring"]]
+    assert aware != flat
+    assert max(flat) > max(aware)
+
+
 def test_gamma_sweep_rows_and_minimum():
     cfg = small_config(n_evaluation=20_000)
     grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e-2, 12), [0.06]])

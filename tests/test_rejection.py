@@ -244,6 +244,29 @@ def test_invert_contracts():
     assert err.value.attainable_max == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize(
+    "grid, w0",
+    [
+        ([2.0, 1.0, 3.0], [0.1, 0.4, 0.9]),
+        ([1.0, 1.0, 2.0], [0.1, 0.4, 0.9]),
+        ([np.nan, 1.0, 2.0], [0.1, 0.4, 0.9]),
+        ([0.0, 1.0, np.inf], [0.1, 0.4, 0.9]),
+        ([0.0, 1.0, 2.0], [np.nan, 0.4, 0.9]),
+        ([0.0, 1.0, 2.0], [-0.1, 0.4, 0.9]),
+        ([0.0, 1.0, 2.0], [0.1, 0.4, 1.5]),
+    ],
+    ids=["unsorted-grid", "tied-grid", "nan-grid", "inf-grid", "nan-value", "negative-value", "value-above-1"],
+)
+def test_surface_rejects_bad_grid_or_values(grid, w0):
+    with pytest.raises(ConfigError):
+        rj.RejectionSurface(
+            statistic_id="s",
+            binning=rj.NuBinning.equal_width(1.0, 10.0, 1),
+            grid=np.array(grid),
+            values=np.array([[w0], [[0.0, 0.5, 1.0]]]),
+        )
+
+
 def test_w_matches_closed_form_cdf(uniform_gen):
     # statistic = x itself; a narrow bin centered at nu = 2
     ds = gm.sample_dataset(uniform_gen, 2_000_000, seed=6)
@@ -355,8 +378,8 @@ def exact_surface(n_nu_cells=200, n_grid=2000):
 def test_pit_exact_w_is_uniform(uniform_gen):
     surface = exact_surface()
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=8)
-    bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 2)
-    results = rj.pit_diagnostics(surface, ds, ds.x, bins)
+    binning = rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 2)
+    results = rj.pit_diagnostics(surface, ds, ds.x, binning)
     assert len(results) == 4
     for r in results:
         assert r.ks_distance <= 0.02
@@ -371,7 +394,7 @@ def test_pit_constant_half_degenerates(uniform_gen):
         values=np.full((2, 1, 2), 0.5),
     )
     ds = gm.sample_dataset(uniform_gen, 5000, seed=9)
-    results = rj.pit_diagnostics(surface, ds, ds.x, rj.make_param_bins(gm.ANALYTIC_SPACE, 1))
+    results = rj.pit_diagnostics(surface, ds, ds.x, rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 1))
     for r in results:
         assert r.ks_distance >= 0.45
 
@@ -379,8 +402,8 @@ def test_pit_constant_half_degenerates(uniform_gen):
 def test_pit_partition_counts(uniform_gen):
     surface = exact_surface(20, 200)
     ds = gm.sample_dataset(uniform_gen, 20_000, seed=10)
-    bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 4)
-    results = rj.pit_diagnostics(surface, ds, ds.x, bins)
+    binning = rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 4)
+    results = rj.pit_diagnostics(surface, ds, ds.x, binning)
     assert sum(r.n for r in results) == len(ds)
 
 
@@ -388,8 +411,8 @@ def test_pit_empty_bin_skipped(uniform_gen):
     surface = exact_surface(20, 200)
     ds = gm.sample_dataset(uniform_gen, 2000, seed=11)
     only_class0 = ds.subset(ds.y == 0)
-    bins = rj.make_param_bins(gm.ANALYTIC_SPACE, 1)
-    results = rj.pit_diagnostics(surface, only_class0, only_class0.x, bins)
+    binning = rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 1)
+    results = rj.pit_diagnostics(surface, only_class0, only_class0.x, binning)
     skipped = [r for r in results if r.skipped]
     assert len(skipped) == 1 and skipped[0].bin_label.startswith("y=1")
 
@@ -397,9 +420,9 @@ def test_pit_empty_bin_skipped(uniform_gen):
 def test_pit_non_partition_raises(uniform_gen):
     surface = exact_surface(20, 200)
     ds = gm.sample_dataset(uniform_gen, 2000, seed=12)
-    bins = [rj.ParamBin(y=0, nu_lo=1.0, nu_hi=5.0)]  # misses most of the space
-    with pytest.raises(ConfigError):
-        rj.pit_diagnostics(surface, ds, ds.x, bins)
+    binning = rj.NuBinning.equal_width(1.0, 5.0, 1)  # misses most of the space
+    with pytest.raises(DomainError):
+        rj.pit_diagnostics(surface, ds, ds.x, binning)
 
 
 def test_ks_distance_uniform():
