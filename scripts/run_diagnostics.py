@@ -42,9 +42,11 @@ def main() -> int:
         cutoff_grid_size=400,
         seed=args.seed,
     )
-    pipeline = harness.fit_pipeline(config)
+    # One fit: its scored calibration set also feeds the PIT control surface.
+    fitted = harness._fit_scored(config)
+    pipeline = fitted[0]
 
-    pit = harness.run_pit_diagnostics(config, n_param_bins=args.param_bins, pipeline=pipeline)
+    pit = harness.run_pit_diagnostics(config, n_param_bins=args.param_bins, fitted=fitted)
     print("PIT diagnostics (KS distance vs the 1.36/sqrt(n) band):")
     for name in ("nuisance_aware", "nuisance_ignoring"):
         print(f"  {name}:")

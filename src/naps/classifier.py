@@ -2,8 +2,13 @@
 
 The analytic classifier evaluates P(Y=1 | x) exactly, marginalizing the
 class-0 nuisance parameter over its training prior with one fixed
-Gauss-Legendre rule in nu, built once per classifier and checked against
-the rule with twice the nodes to the classifier's ``quad_tol``.
+Gauss-Legendre rule, built once per classifier and checked against the
+rule with twice the nodes to the classifier's ``quad_tol``. The rule's
+weights carry the class-0 normalizer nu / (1 - e^{-nu}), so x is read in
+blocks of 1024 rows with one exponential per (x, node) and one stacked
+one-row product per x: a point's posterior is bit-identical whether it is
+scored alone or in any batch. ``scipy.special`` is imported only by the
+discrete toy's paths.
 A histogram classifier provides an estimated posterior so the full
 pipeline can also be exercised with a fitted model.
 """
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import genmodel
 from .errors import ConfigError, DomainError, NumericError
@@ -25,28 +29,52 @@ POSTERIOR_CLIP = 1e-12
 
 # Gauss-Legendre nodes of the nuisance rule; checked against twice as many on every classifier.
 _NODES = 64
-# Rows of x per block of the rule: 4096 x 64 float64 temporaries are about 2 MB.
-_BLOCK = 4096
+# Rows of x per block of the rule: 1024 x 64 float64 temporaries are 512 KB.
+_BLOCK = 1024
 
 
 def _nuisance_rule(prior: PriorSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """An n-node rule in nu against the prior: nodes, and weights for the moments 1 and nu."""
+    """An n-node rule against the prior, for the moments 1 and nu of the class-0 density.
+
+    Returns the nodes and, per node, the prior weight times the class-0
+    normalizer nu / (1 - e^{-nu}) in two columns, the second times nu: one
+    exponential per (x, node) then gives both moments. A truncated Gaussian is
+    integrated in its standardized variable z, where the sd cancels from the
+    weights, so the nodes' rounding does not grow as the prior narrows.
+    """
     if prior.kind == "point-mass":
-        return np.array([prior.value]), np.array([[1.0, prior.value]])
-    lo, hi = prior.ppf(np.array([1e-16, 1.0 - 1e-16]))  # the window that holds the prior's mass
-    t, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    w = w * prior.pdf(nodes) * (hi - lo) / 2.0
+        nodes, w = np.array([prior.value]), np.array([1.0])
+    else:
+        t, w = np.polynomial.legendre.leggauss(n)
+        u = np.array([1e-16, 1.0 - 1e-16])  # the window that holds the prior's mass
+        if prior.kind == "truncated-gaussian":
+            lo, hi = prior.standardized_ppf(u)
+            z = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+            w = w * prior.standardized_pdf(z) * (hi - lo) / 2.0
+            nodes = prior.mean + prior.sd * z
+        else:
+            lo, hi = prior.ppf(u)
+            nodes = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+            w = w * prior.pdf(nodes) * (hi - lo) / 2.0
+    nodes = genmodel._check_nu(nodes)
+    w = w * nodes / -np.expm1(-nodes)
     return nodes, np.column_stack([w, nodes * w])
 
 
 def _prior_moments(x, rule) -> tuple[np.ndarray, np.ndarray]:
-    """∫ f0(x; nu) dπ(nu) and ∫ nu f0(x; nu) dπ(nu) per x, in one blocked pass of the rule."""
+    """∫ f0(x; nu) dπ(nu) and ∫ nu f0(x; nu) dπ(nu) per x, in blocks of _BLOCK rows.
+
+    Each row's sum over the nodes is its own one-row product, so a point's
+    moments are bit-identical whatever batch it is scored in.
+    """
     nodes, weights = rule
-    flat = np.ravel(x)
-    blocks = np.array_split(flat, range(_BLOCK, len(flat), _BLOCK))
-    moments = np.concatenate([genmodel.density_class0(block[:, None], nodes) @ weights for block in blocks])
-    return moments[:, 0].reshape(np.shape(x)), moments[:, 1].reshape(np.shape(x))
+    x = genmodel._check_unit_interval(x)
+    flat = x.ravel()
+    moments = np.empty((flat.size, 2))
+    for start in range(0, flat.size, _BLOCK):
+        e = np.exp(np.multiply.outer(flat[start : start + _BLOCK], -nodes))
+        moments[start : start + _BLOCK] = np.matmul(e[:, None, :], weights)[:, 0, :]
+    return moments[:, 0].reshape(x.shape), moments[:, 1].reshape(x.shape)
 
 
 # The toy's log-rate shifts in hundredths: their dot products with counts are exact integer sums.
@@ -61,6 +89,8 @@ def _toy_log_numerator(x, y: int, weights, protocols) -> np.ndarray:
     rest reads x only through exact integer sums, so tied count vectors get
     equal floats; the mixture is taken in log space, so counts cannot underflow.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):  # a zero weight is a -inf term
         log_w = np.log(np.asarray(weights, dtype=float))
@@ -121,6 +151,8 @@ class AnalyticMarginalClassifier:
             out = num1 / (num1 + num0)
             return float(out) if x.ndim == 0 else out
         # Discrete toy: finite mixture over protocols.
+        from scipy import special
+
         protocols = self.config.nuisance_space.categories
         weights1 = p1 * self.config.nuisance_prior_class1.pdf(protocols)
         weights0 = (1.0 - p1) * self.config.nuisance_prior_class0.pdf(protocols)
@@ -135,6 +167,8 @@ class AnalyticMarginalClassifier:
             num1 = p1 * genmodel.density_class1(x)
             num0 = (1.0 - p1) * genmodel.density_class0(x, nu)
             return num1 / (num1 + num0)
+        from scipy import special
+
         log_odds = _toy_log_numerator(x, 1, [p1], [int(nu)]) - _toy_log_numerator(x, 0, [1.0 - p1], [int(nu)])
         out = special.expit(log_odds)
         return float(out) if np.ndim(x) == 1 else out

@@ -20,7 +20,9 @@ The truncated-Gaussian nuisance prior is computed on ``scipy.special`` with
 scipy's own truncnorm algorithm (log-mass in the nearer tail, quantiles by
 ``ndtri_exp``), so its quantiles, density and mean are bit-identical to
 ``scipy.stats.truncnorm`` without importing ``scipy.stats``, which would
-add about half a second to every command-line start-up.
+add about half a second to every command-line start-up. ``scipy.special``
+itself is imported only by the functions that call it (the truncated
+Gaussian and the discrete toy), so a run on uniform priors never loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DomainError
 
@@ -61,6 +62,8 @@ TOY_PROTOCOL_SHIFT = np.array(
 )
 
 _FLOAT_FMT = "%.17g"
+# Rows formatted per write of Dataset.save, so its text buffer stays a few MB.
+_SAVE_ROWS = 65536
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -131,6 +134,8 @@ def _log_gauss_mass(a: float, b: float) -> float:
     The tails are worked in the left tail (a log_ndtr difference, mirrored
     for a > 0); the central case is log1p(-Phi(a) - Phi(-b)).
     """
+    from scipy import special
+
     if b <= 0 or a > 0:
         hi, lo = (b, a) if b <= 0 else (-a, -b)
         return special.logsumexp([special.log_ndtr(hi), special.log_ndtr(lo) + np.pi * 1j], axis=0).real
@@ -190,15 +195,7 @@ class PriorSpec:
             lo, hi = self.support.bounds
             return lo + u * (hi - lo)
         if self.kind == "truncated-gaussian":
-            a, b, mass = self._tn()
-            # Invert from the lower tail of the side nearer the mode (mirrored when a >= 0).
-            sign, edge = (1.0, a) if a < 0 else (-1.0, -b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_q = np.log(u) if a < 0 else np.log1p(-u)
-                log_phi = special.logsumexp([np.full_like(u, special.log_ndtr(edge)), log_q + mass], axis=0)
-            z = sign * special.ndtri_exp(log_phi)
-            z = np.select([u == 0.0, u == 1.0, (u > 0.0) & (u < 1.0)], [a, b, z], np.nan)
-            return z * self.sd + self.mean
+            return self.standardized_ppf(u) * self.sd + self.mean
         if self.kind == "point-mass":
             return np.full_like(u, self.value)
         cum = np.cumsum(self.weights)
@@ -213,9 +210,7 @@ class PriorSpec:
             lo, hi = self.support.bounds
             return np.where((nu >= lo) & (nu <= hi), 1.0 / (hi - lo), 0.0)
         if self.kind == "truncated-gaussian":
-            a, b, mass = self._tn()
-            z = (nu - self.mean) / self.sd
-            return np.select([(z >= a) & (z <= b), np.isnan(z)], [_std_normal_pdf(z, mass) / self.sd, np.nan], 0.0)
+            return self.standardized_pdf((nu - self.mean) / self.sd) / self.sd
         if self.kind == "point-mass":
             return np.where(nu == self.value, np.inf, 0.0)
         cats = np.asarray(self.support.categories, dtype=float)
@@ -226,6 +221,25 @@ class PriorSpec:
         for c, wi in zip(cats, w):
             out[nu1 == c] = wi
         return out[0] if scalar else out
+
+    def standardized_ppf(self, u: np.ndarray) -> np.ndarray:
+        """Truncated Gaussian: quantiles of its standardized variable z = (nu - mean) / sd."""
+        from scipy import special
+
+        u = np.asarray(u, dtype=float)
+        a, b, mass = self._tn()
+        # Invert from the lower tail of the side nearer the mode (mirrored when a >= 0).
+        sign, edge = (1.0, a) if a < 0 else (-1.0, -b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_q = np.log(u) if a < 0 else np.log1p(-u)
+            log_phi = special.logsumexp([np.full_like(u, special.log_ndtr(edge)), log_q + mass], axis=0)
+        z = sign * special.ndtri_exp(log_phi)
+        return np.select([u == 0.0, u == 1.0, (u > 0.0) & (u < 1.0)], [a, b, z], np.nan)
+
+    def standardized_pdf(self, z: np.ndarray) -> np.ndarray:
+        """Truncated Gaussian: density of z = (nu - mean) / sd, which is ``pdf`` times sd."""
+        a, b, mass = self._tn()
+        return np.select([(z >= a) & (z <= b), np.isnan(z)], [_std_normal_pdf(z, mass), np.nan], 0.0)
 
     def quantile(self, q: float) -> float:
         if self.kind == "discrete-weights":
@@ -431,6 +445,8 @@ def toy_rates(y: int, protocol) -> np.ndarray:
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:
     """Log-probability of count vectors x (n, 8) under (y, protocol)."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     rates = toy_rates(y, protocol)
     if x.ndim == 1:
@@ -469,17 +485,18 @@ class Dataset:
 
     def save(self, path) -> None:
         """Write delimited text; floats keep 17 significant digits."""
+        if self.scenario == SCENARIO_ANALYTIC:
+            header, row = "y,nu,x\n", f"%d,{_FLOAT_FMT},{_FLOAT_FMT}\n"
+            columns = (self.y, self.nu, self.x)
+        else:
+            cols = ",".join(f"x{j + 1}" for j in range(TOY_N_DIMS))
+            header, row = f"y,protocol,{cols}\n", ",".join(["%d"] * (2 + TOY_N_DIMS)) + "\n"
+            columns = (self.y, self.nu, *self.x.T)
         with open(path, "w", encoding="utf-8") as fh:
-            if self.scenario == SCENARIO_ANALYTIC:
-                fh.write("y,nu,x\n")
-                for yi, ni, xi in zip(self.y, self.nu, self.x):
-                    fh.write(f"{int(yi)},{_FLOAT_FMT % ni},{_FLOAT_FMT % xi}\n")
-            else:
-                cols = ",".join(f"x{j + 1}" for j in range(TOY_N_DIMS))
-                fh.write(f"y,protocol,{cols}\n")
-                for yi, ni, xi in zip(self.y, self.nu, self.x):
-                    counts = ",".join(str(int(c)) for c in xi)
-                    fh.write(f"{int(yi)},{int(ni)},{counts}\n")
+            fh.write(header)
+            for start in range(0, len(self), _SAVE_ROWS):
+                chunk = (c[start : start + _SAVE_ROWS].tolist() for c in columns)
+                fh.write("".join(map(row.__mod__, zip(*chunk))))
 
     @staticmethod
     def load(path) -> "Dataset":

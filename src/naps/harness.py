@@ -698,7 +698,7 @@ def invariance_check(
 def run_pit_diagnostics(
     config: ExperimentConfig,
     n_param_bins: int = 2,
-    pipeline: Pipeline | None = None,
+    fitted: tuple[Pipeline, ScoredDataset] | None = None,
 ) -> dict:
     """PIT tables for the nuisance-aware surface and a one-cell control.
 
@@ -707,11 +707,11 @@ def run_pit_diagnostics(
     cell per protocol on a discrete one. The control's single cell spans the
     whole space, so it deliberately ignores the nuisance parameter; its
     per-bin PIT failures demonstrate why marginal calibration is not enough.
+
+    ``fitted`` is the ``(pipeline, scored calibration set)`` of ``_fit_scored``
+    when the caller has fitted already; without it the driver fits here.
     """
-    if pipeline is None:
-        pipeline, calibration = _fit_scored(config)
-    else:
-        calibration = score_dataset(pipeline.model, config.calibration_set())
+    pipeline, calibration = _fit_scored(config) if fitted is None else fitted
     eval_ds = genmodel.sample_dataset(
         config.generative("train"), config.n_evaluation, config.seed, stream_base=STREAM_DIAGNOSE
     )

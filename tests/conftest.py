@@ -61,3 +61,16 @@ def fine_config():
 @pytest.fixture(scope="session")
 def fine_pipeline(fine_config):
     return harness.fit_pipeline(fine_config)
+
+
+@pytest.fixture(scope="session")
+def readme_points():
+    """3000 evaluation observations of the README config (uniform training prior, N(4, 0.1) target)."""
+    cfg = harness.ExperimentConfig(
+        train_prior=naps.uniform_prior(),
+        target_prior=naps.truncated_gaussian_prior(4.0, 0.1),
+        n_calibration=200_000,
+        n_evaluation=3000,
+        seed=7,
+    )
+    return cfg.evaluation_set().x

@@ -210,11 +210,32 @@ def test_nuisance_rule_built_and_checked_once(monkeypatch):
         x = np.linspace(0.0, 1.0, n)
         p1, nu_hat = m.posterior1(x), m.posterior_mean_nu(x)
         assert p1.shape == nu_hat.shape == (n,)
-        if n:  # a point scores the same in any batch, up to the order of the rule's sum
-            assert m.posterior1(x[-1]) == pytest.approx(p1[-1], rel=1e-13)
+        if n:  # a point scores the same in any batch
+            assert m.posterior1(x[-1]) == p1[-1]
     assert isinstance(m.posterior1(0.3), float) and isinstance(m.posterior_mean_nu(0.3), float)
     # one rule, and one check of it against the rule with twice the nodes
     assert sizes == [clf._NODES, 2 * clf._NODES]
+
+
+def test_posterior_bit_identical_in_any_batch(model, readme_points):
+    # point by point, in chunks of 7 and in one batch across the rule's block edges
+    x = readme_points
+    assert len(x) > 2 * clf._BLOCK
+    for f in (model.posterior1, model.posterior_mean_nu):
+        whole = f(x)
+        assert np.array_equal(np.array([f(xi) for xi in x]), whole)
+        assert np.array_equal(np.concatenate([f(x[i : i + 7]) for i in range(0, len(x), 7)]), whole)
+        assert np.array_equal(f(x.reshape(3, -1)), whole.reshape(3, -1))
+
+
+@pytest.mark.parametrize("sd", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_rule_rounding_does_not_grow_as_the_prior_narrows(sd):
+    # the rule lives in the prior's standardized variable, so no NumericError at the default quad_tol
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, naps.truncated_gaussian_prior(5.0, sd)))
+    x = np.linspace(0.0, 1.0, 11)
+    p1 = m.posterior1(x)
+    if sd <= 1e-6:  # the prior is all but a point mass at its mean
+        assert np.max(np.abs(p1 - m.posterior1_given_nu(x, 5.0))) < 1e-11
 
 
 @pytest.mark.parametrize("quad_tol", [-1.0, 0.0, math.nan, math.inf])

@@ -279,6 +279,21 @@ def test_seed_override_changes_outputs(config_path, tmp_path):
     assert read_all(out1) != read_all(out2)
 
 
+def run_cli_in_fresh_interpreter(tmp_path, cfg, commands, unloaded):
+    """Run ``naps <command> --config ... --out tmp_path/<command>`` for each command in one
+    new interpreter, then check that none of the ``unloaded`` modules was imported."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    code = "import sys\nimport naps.cli\n" + "".join(
+        f"assert naps.cli.main([{c!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / c)!r}]) == 0\n"
+        for c in commands
+    ) + f"loaded = {set(unloaded)!r} & set(sys.modules)\nassert not loaded, loaded\n"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_runs_without_scipy_stats(tmp_path):
     # scipy.stats, scipy.integrate and scipy.optimize each cost over half a second of
     # every command's start-up; fit evaluates the posterior, simulate only draws
@@ -290,20 +305,23 @@ def test_cli_runs_without_scipy_stats(tmp_path):
         nu_bins=2,
         seed=3,
     )
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    sim, models = tmp_path / "sim", tmp_path / "models"
-    code = (
-        "import sys\n"
-        "import naps.cli\n"
-        f"assert naps.cli.main(['simulate', '--config', {str(path)!r}, '--out', {str(sim)!r}]) == 0\n"
-        f"assert naps.cli.main(['fit', '--config', {str(path)!r}, '--out', {str(models)!r}]) == 0\n"
-        "loaded = {'scipy.stats', 'scipy.integrate', 'scipy.optimize'} & set(sys.modules)\n"
-        "assert not loaded, loaded\n"
+    run_cli_in_fresh_interpreter(
+        tmp_path, cfg, ["simulate", "fit"], {"scipy.stats", "scipy.integrate", "scipy.optimize"}
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    sim, models = tmp_path / "simulate", tmp_path / "fit"
     assert sorted(os.listdir(sim)) == ["calibration.csv", "evaluation.csv"]
     assert sorted(os.listdir(models)) == ["classifier.json", "surface_bf0.json", "surface_bf1.json"]
+
+
+def test_uniform_train_fit_and_diagnose_never_load_scipy_special(tmp_path):
+    # scipy.special serves only the truncated Gaussian and the discrete toy
+    cfg = harness.ExperimentConfig(
+        train_prior=naps.uniform_prior(),
+        target_prior=naps.truncated_gaussian_prior(4.0, 0.1),
+        n_calibration=2_000,
+        n_evaluation=500,
+        nu_bins=2,
+        seed=3,
+    )
+    run_cli_in_fresh_interpreter(tmp_path, cfg, ["fit", "diagnose"], {"scipy.special"})
+    assert sorted(os.listdir(tmp_path / "fit")) == ["classifier.json", "surface_bf0.json", "surface_bf1.json"]

@@ -162,6 +162,25 @@ def test_dataset_roundtrip_csv(tmp_path, uniform_gen):
     assert np.array_equal(loaded.x, ds.x)
 
 
+@pytest.mark.parametrize("save_rows", [gm._SAVE_ROWS, 3])
+def test_dataset_save_bytes(tmp_path, monkeypatch, save_rows):
+    # pinned text of both layouts, also when the rows are written in chunks of 3
+    monkeypatch.setattr(gm, "_SAVE_ROWS", save_rows)
+    y = np.array([0, 1, 1, 0], dtype=np.int8)
+    analytic = naps.Dataset(gm.SCENARIO_ANALYTIC, y, np.array([1.0, 10.0, 4.1, 2.5]), np.array([0.0, 1.0, 0.1, 5e-324]))
+    counts = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [12, 0, 0, 0, 0, 0, 0, 0], [0] * 8, [1, 1, 1, 1, 1, 1, 1, 123]])
+    toy = naps.Dataset(gm.SCENARIO_DISCRETE, y, np.array([0, 3, 1, 2], dtype=np.int64), counts.astype(np.int64))
+    analytic.save(tmp_path / "a.csv")
+    toy.save(tmp_path / "t.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"y,nu,x\n0,1,0\n1,10,1\n1,4.0999999999999996,0.10000000000000001\n0,2.5,4.9406564584124654e-324\n"
+    )
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"y,protocol,x1,x2,x3,x4,x5,x6,x7,x8\n"
+        b"0,0,0,1,2,3,4,5,6,7\n1,3,12,0,0,0,0,0,0,0\n1,1,0,0,0,0,0,0,0,0\n0,2,1,1,1,1,1,1,1,123\n"
+    )
+
+
 def test_sample_conditional_matches_closed_form(uniform_gen):
     xs = gm.sample_conditional(uniform_gen, 0, 2.0, 20_000, seed=5)
     assert ks_distance_uniform(gm.cdf_class0(xs, 2.0)) < 0.02

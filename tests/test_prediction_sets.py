@@ -91,6 +91,14 @@ def test_naps_one_posterior_pass_per_call(fine_pipeline, monkeypatch):
     assert len(inversions) == 4
 
 
+def test_predict_statistics_bitwise_equal_to_batch(naps_clf, readme_points):
+    batch = naps_clf.predict_batch(readme_points, alpha=0.05)
+    for i, x in enumerate(readme_points):
+        single = naps_clf.predict(x, alpha=0.05)
+        assert single.decisions[0].statistic == batch.statistic0[i]
+        assert single.decisions[1].statistic == batch.statistic1[i]
+
+
 def test_naps_empty_set_flagged(naps_clf):
     # at a large miscoverage level the inclusion bands separate and the
     # middle of the domain yields empty sets

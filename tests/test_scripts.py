@@ -1,11 +1,15 @@
 """Smoke tests: each experiment script runs at tiny sizes and writes its tables."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from test_harness import PassCounter
+
+from naps import harness
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
@@ -51,3 +55,20 @@ def test_script_runs_and_writes_its_tables(name, tmp_path):
         report = json.loads((out / "report_gls.json").read_text())
         assert report["n_evaluation"] == 2000
         assert len(report["methods"]) == 6
+
+
+def test_diagnostics_script_draws_and_scores_calibration_once(tmp_path, monkeypatch):
+    # one fit hands its scored calibration set to the PIT driver
+    path = os.path.join(SCRIPTS, "run_diagnostics.py")
+    spec = importlib.util.spec_from_file_location("run_diagnostics", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ on import
+    spec.loader.exec_module(script)
+    n_cal = 4000
+    argv = [path, "--out", str(tmp_path), "--calibration", str(n_cal), "--evaluation", "2000"]
+    monkeypatch.setattr(sys, "argv", argv)
+    counter = PassCounter(monkeypatch)
+    with pytest.warns(UserWarning):  # the invariance cells are too sparse at this size
+        assert script.main() == 0
+    assert counter.draws[harness.STREAM_CALIBRATION] == 1
+    assert counter.scored[harness.STREAM_CALIBRATION] == n_cal
