@@ -19,10 +19,12 @@ draw is reproducible regardless of how work is split up.
 The truncated-Gaussian nuisance prior is computed on ``scipy.special`` with
 scipy's own truncnorm algorithm (log-mass in the nearer tail, quantiles by
 ``ndtri_exp``), so its quantiles, density and mean are bit-identical to
-``scipy.stats.truncnorm`` without importing ``scipy.stats``, which would
-add about half a second to every command-line start-up. ``scipy.special``
-itself is imported only by the functions that call it (the truncated
-Gaussian and the discrete toy), so a run on uniform priors never loads it.
+``scipy.stats.truncnorm`` wherever that is finite (a top quantile whose lower
+tail rounds to mass 1 is inverted from the upper tail instead) without
+importing ``scipy.stats``, which would add about half a second to every
+command-line start-up. ``scipy.special`` itself is imported only by the
+functions that call it (the truncated Gaussian and the discrete toy), so a run
+on uniform priors never loads it.
 """
 
 from __future__ import annotations
@@ -229,11 +231,18 @@ class PriorSpec:
         u = np.asarray(u, dtype=float)
         a, b, mass = self._tn()
         # Invert from the lower tail of the side nearer the mode (mirrored when a >= 0).
-        sign, edge = (1.0, a) if a < 0 else (-1.0, -b)
+        sign, edge, far = (1.0, a, b) if a < 0 else (-1.0, -b, -a)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(u) if a < 0 else np.log1p(-u)
             log_phi = special.logsumexp([np.full_like(u, special.log_ndtr(edge)), log_q + mass], axis=0)
-        z = sign * special.ndtri_exp(log_phi)
+            z = special.ndtri_exp(log_phi)
+            # That tail's mass rounds to 1 near the far edge: there, invert from the far edge's tail.
+            top = np.isinf(z) & (u > 0.0) & (u < 1.0)
+            if np.any(top):
+                log_rest = np.log1p(-u) if a < 0 else np.log(u)
+                log_far = special.logsumexp([np.full_like(u, special.log_ndtr(-far)), log_rest + mass], axis=0)
+                z = np.where(top, -special.ndtri_exp(log_far), z)
+        z = sign * z
         return np.select([u == 0.0, u == 1.0, (u > 0.0) & (u < 1.0)], [a, b, z], np.nan)
 
     def standardized_pdf(self, z: np.ndarray) -> np.ndarray:
@@ -516,6 +525,14 @@ class Dataset:
         raise ConfigError(f"unrecognized dataset header {header!r} in {path}")
 
 
+def _draw_nuisance(config: GenerativeConfig, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's nuisance by inverse CDF of its label's prior: one quantile pass when the priors agree."""
+    nu = config.nuisance_prior_class0.ppf(u)
+    if config.nuisance_prior_class1 != config.nuisance_prior_class0:
+        nu = np.where(y == 1, config.nuisance_prior_class1.ppf(u), nu)
+    return nu
+
+
 def sample_dataset(config: GenerativeConfig, n: int, seed: int, stream_base: int = 0) -> Dataset:
     """Draw n samples from the configured joint distribution.
 
@@ -533,11 +550,7 @@ def sample_dataset(config: GenerativeConfig, n: int, seed: int, stream_base: int
     u_x = stream_rng(seed, stream_base + _STREAM_OBSERVATION).random(n)
 
     y = (u_label < config.class1_probability).astype(np.int8)
-    nu = np.where(
-        y == 1,
-        config.nuisance_prior_class1.ppf(u_nu),
-        config.nuisance_prior_class0.ppf(u_nu),
-    )
+    nu = _draw_nuisance(config, y, u_nu)
     x = np.where(y == 1, quantile_class1(u_x), quantile_class0(u_x, nu))
     return Dataset(SCENARIO_ANALYTIC, y, nu, x, seed=seed)
 
@@ -554,11 +567,7 @@ def sample_discrete_toy(config: GenerativeConfig, n: int, seed: int, stream_base
     rng_x = stream_rng(seed, stream_base + _STREAM_OBSERVATION)
 
     y = (u_label < config.class1_probability).astype(np.int8)
-    protocol = np.where(
-        y == 1,
-        config.nuisance_prior_class1.ppf(u_nu),
-        config.nuisance_prior_class0.ppf(u_nu),
-    ).astype(np.int64)
+    protocol = _draw_nuisance(config, y, u_nu).astype(np.int64)
     rates = np.where((y == 1)[:, None], toy_rates(1, protocol), toy_rates(0, protocol))
     x = rng_x.poisson(lam=rates).astype(np.int64)
     return Dataset(SCENARIO_DISCRETE, y, protocol, x, seed=seed)

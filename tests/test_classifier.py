@@ -178,13 +178,19 @@ def test_posterior_mean_nu_point_mass_prior():
     assert np.max(np.abs(got - 3.7)) < 1e-12
 
 
-# The uniform prior, the truncated Gaussians of test_genmodel and two narrower ones.
+# The uniform prior, the truncated Gaussians of test_genmodel, two narrower ones and one whose
+# mean sits just above the lower bound (its top quantile needs the upper tail).
 TRAINING_PRIORS = [naps.uniform_prior()] + [
-    naps.truncated_gaussian_prior(mean, sd) for mean, sd in TRUNCATED_GAUSSIANS + [(4.0, 0.01), (5.3, 0.001)]
+    naps.truncated_gaussian_prior(mean, sd)
+    for mean, sd in TRUNCATED_GAUSSIANS + [(4.0, 0.01), (5.3, 0.001), (1.01, 0.1)]
 ]
 
 
-@pytest.mark.parametrize("prior", TRAINING_PRIORS, ids=lambda p: p.kind if p.mean is None else f"N({p.mean},{p.sd})")
+def prior_id(p):
+    return p.kind if p.mean is None else f"N({p.mean},{p.sd})"
+
+
+@pytest.mark.parametrize("prior", TRAINING_PRIORS, ids=prior_id)
 def test_posterior_exact_under_narrow_training_priors(prior):
     # A rule spread over all of [1, 10] can miss a prior of sd 0.01 entirely and return
     # posterior 1 everywhere; the reference integrates over the prior's own +-12 sd window.
@@ -213,8 +219,26 @@ def test_nuisance_rule_built_and_checked_once(monkeypatch):
         if n:  # a point scores the same in any batch
             assert m.posterior1(x[-1]) == p1[-1]
     assert isinstance(m.posterior1(0.3), float) and isinstance(m.posterior_mean_nu(0.3), float)
-    # one rule, and one check of it against the rule with twice the nodes
-    assert sizes == [clf._NODES, 2 * clf._NODES]
+    # the ladder is built once, on the first call, and never again
+    assert sizes == list(clf._LADDER)
+
+
+@pytest.mark.parametrize("prior", TRAINING_PRIORS, ids=prior_id)
+def test_chosen_rule_as_accurate_as_64_nodes(prior):
+    # against a 256-node rule, on a dense x grid with both ends
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, prior))
+    x = np.linspace(0.0, 1.0, 2001)
+    reference = np.stack(clf._prior_moments(x, clf._nuisance_rule(prior, 256)))
+
+    def error(rule):
+        return np.max(np.abs(np.stack(clf._prior_moments(x, rule)) - reference) / reference)
+
+    assert error(m._rule) <= error(clf._nuisance_rule(prior, 64)) + 4 * np.finfo(float).eps
+
+
+def test_uniform_training_prior_needs_16_nodes(model):
+    # the README's training prior: the coarsest rule is already at rounding
+    assert len(model._rule[0]) == 16
 
 
 def test_posterior_bit_identical_in_any_batch(model, readme_points):

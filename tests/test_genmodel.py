@@ -202,6 +202,36 @@ TRUNCATED_GAUSSIANS = [
 ]
 
 
+def test_upper_quantiles_finite_with_the_mean_just_above_the_lower_bound():
+    # The lower tail's mass rounds to 1 below u = 1 - 1e-16 here; the far tail inverts it instead.
+    from scipy.special import ndtr
+
+    prior = naps.truncated_gaussian_prior(1.01, 0.1)
+    a, b = (1.0 - 1.01) / 0.1, (10.0 - 1.01) / 0.1
+    u = np.array([0.5, 1.0 - 1e-10, 1.0 - 1e-14, 1.0 - 1e-16])
+    z = prior.standardized_ppf(u)
+    assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+    upper_mass = (ndtr(-z) - ndtr(-b)) / (ndtr(b) - ndtr(a))
+    assert upper_mass == pytest.approx(1.0 - u, rel=1e-9)
+    assert np.all(prior.ppf(u) < 10.0)
+
+
+def test_equal_class_priors_draw_each_nuisance_once(base_config, monkeypatch):
+    calls = []
+    ppf = gm.PriorSpec.standardized_ppf
+    monkeypatch.setattr(gm.PriorSpec, "standardized_ppf", lambda self, u: calls.append(np.size(u)) or ppf(self, u))
+    base_config.evaluation_set()
+    assert calls == [base_config.n_evaluation]
+
+
+def test_unequal_class_priors_draw_from_each_label_prior():
+    prior0, prior1 = naps.truncated_gaussian_prior(4.0, 0.1), naps.uniform_prior()
+    cfg = naps.GenerativeConfig(gm.SCENARIO_ANALYTIC, 0.5, nuisance_prior_class0=prior0, nuisance_prior_class1=prior1)
+    data = gm.sample_dataset(cfg, 1000, seed=3)
+    u = gm.stream_rng(3, gm._STREAM_NUISANCE).random(1000)
+    assert np.array_equal(data.nu, np.where(data.y == 1, prior1.ppf(u), prior0.ppf(u)))
+
+
 @pytest.mark.parametrize("mean,sd", TRUNCATED_GAUSSIANS)
 def test_truncated_gaussian_bit_identical_to_scipy(mean, sd):
     # scipy.stats stays the reference; the prior itself is computed on scipy.special.
