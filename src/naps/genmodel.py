@@ -231,17 +231,17 @@ class PriorSpec:
         u = np.asarray(u, dtype=float)
         a, b, mass = self._tn()
         # Invert from the lower tail of the side nearer the mode (mirrored when a >= 0).
-        sign, edge, far = (1.0, a, b) if a < 0 else (-1.0, -b, -a)
+        sign, edge = (1.0, a) if a < 0 else (-1.0, -b)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(u) if a < 0 else np.log1p(-u)
             log_phi = special.logsumexp([np.full_like(u, special.log_ndtr(edge)), log_q + mass], axis=0)
             z = special.ndtri_exp(log_phi)
-            # That tail's mass rounds to 1 near the far edge: there, invert from the far edge's tail.
+            # Unmirrored, that tail's cdf can round to 1 (z = inf) below the upper edge: there,
+            # invert from the upper tail. Mirrored, it stays below ndtr(-a) <= 1/2.
             top = np.isinf(z) & (u > 0.0) & (u < 1.0)
             if np.any(top):
-                log_rest = np.log1p(-u) if a < 0 else np.log(u)
-                log_far = special.logsumexp([np.full_like(u, special.log_ndtr(-far)), log_rest + mass], axis=0)
-                z = np.where(top, -special.ndtri_exp(log_far), z)
+                log_rest = special.logsumexp([np.full_like(u, special.log_ndtr(-b)), np.log1p(-u) + mass], axis=0)
+                z = np.where(top, -special.ndtri_exp(log_rest), z)
         z = sign * z
         return np.select([u == 0.0, u == 1.0, (u > 0.0) & (u < 1.0)], [a, b, z], np.nan)
 

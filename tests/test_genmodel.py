@@ -196,24 +196,29 @@ def test_truncated_gaussian_prior_stays_in_support():
     assert prior.mean_value() == pytest.approx(4.0, abs=1e-9)
 
 
-# Central, left-tail and right-tail mass cases of the [1, 10] truncation.
+# Central, left-tail and right-tail mass cases of the [1, 10] truncation; N(0.99, 0.1) takes the
+# mirrored inversion with the mean just below the lower bound, where no quantile saturates.
 TRUNCATED_GAUSSIANS = [
-    (4.0, 0.1), (1.0, 0.01), (10.0, 0.001), (5.0, 3.0), (5.5, 100.0), (-3.0, 1.0), (20.0, 2.0), (0.5, 0.3)
+    (4.0, 0.1), (1.0, 0.01), (10.0, 0.001), (5.0, 3.0), (5.5, 100.0), (-3.0, 1.0), (20.0, 2.0), (0.5, 0.3),
+    (0.99, 0.1),
 ]
 
 
 def test_upper_quantiles_finite_with_the_mean_just_above_the_lower_bound():
-    # The lower tail's mass rounds to 1 below u = 1 - 1e-16 here; the far tail inverts it instead.
+    # Below u = 1 - 1e-16 the lower tail's cdf stays under 1 and the quantiles keep scipy's bytes;
+    # at 1 - 1e-16 it rounds to 1 (scipy returns inf) and the upper tail inverts u instead.
     from scipy.special import ndtr
 
     prior = naps.truncated_gaussian_prior(1.01, 0.1)
     a, b = (1.0 - 1.01) / 0.1, (10.0 - 1.01) / 0.1
-    u = np.array([0.5, 1.0 - 1e-10, 1.0 - 1e-14, 1.0 - 1e-16])
-    z = prior.standardized_ppf(u)
-    assert np.all(np.isfinite(z)) and np.all(np.diff(z) > 0)
+    kept = np.array([1e-16, 0.5, 1.0 - 1e-10, 1.0 - 1e-14])
+    assert np.array_equal(prior.standardized_ppf(kept), truncnorm.ppf(kept, a, b))
+    u = 1.0 - 1e-16
+    assert np.isinf(truncnorm.ppf(u, a, b))
+    z = float(prior.standardized_ppf(np.array(u)))
     upper_mass = (ndtr(-z) - ndtr(-b)) / (ndtr(b) - ndtr(a))
-    assert upper_mass == pytest.approx(1.0 - u, rel=1e-9)
-    assert np.all(prior.ppf(u) < 10.0)
+    assert upper_mass == pytest.approx(1.0 - u, rel=1e-9, abs=0.0)
+    assert prior.standardized_ppf(kept)[-1] < z < b and prior.ppf(u) < 10.0
 
 
 def test_equal_class_priors_draw_each_nuisance_once(base_config, monkeypatch):
