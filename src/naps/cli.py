@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import harness
-from .classifier import ScoredDataset
 from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig, Pipeline
 
@@ -74,7 +73,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.out is not None:
         updates["output_dir"] = args.out
     if getattr(args, "alpha", None) is not None and args.command == "evaluate":
-        updates["alphas"] = tuple(float(a) for a in str(args.alpha).split(","))
+        updates["alphas"] = tuple(_parse_float(a, "--alpha") for a in str(args.alpha).split(","))
     if getattr(args, "method", None):
         keep = set(args.method)
         methods = tuple(m for m in config.methods if m.name in keep)
@@ -97,9 +96,15 @@ def _load_config(args) -> ExperimentConfig:
 
 def _parse_gamma_rule(text: str) -> harness.GammaRule:
     text = text.strip()
-    if text.startswith("alpha*"):
-        return harness.GammaRule(kind="alpha-multiple", value=float(text[len("alpha*") :]))
-    return harness.GammaRule(kind="fixed", value=float(text))
+    kind = "alpha-multiple" if text.startswith("alpha*") else "fixed"
+    return harness.GammaRule(kind=kind, value=_parse_float(text.removeprefix("alpha*"), "--gamma"))
+
+
+def _parse_float(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"malformed {flag} value {text!r}: expected a number") from exc
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -130,7 +135,10 @@ def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions:
     report.to_json(os.path.join(out, "report.json"))
     report.write_long_table(os.path.join(out, "report_long.csv"))
     if dump_spec is not None:
-        _dump_predictions(config, pipeline, evaluation, dump_spec, out)
+        # the first alpha, on the evaluation set the report scored
+        alpha = config.alphas[0]
+        clf = harness.naps_cutoffs_for_alpha(pipeline, config, dump_spec, alpha)
+        clf.decide(evaluation.data.x, evaluation.statistics, alpha).save(os.path.join(out, "naps_predictions.csv"))
 
 
 def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
@@ -138,16 +146,6 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
         if spec.kind == "naps":
             return spec
     raise ConfigError("--dump-predictions needs a NAPS method in the configuration")
-
-
-def _dump_predictions(
-    config: ExperimentConfig, pipeline: Pipeline, evaluation: ScoredDataset, spec: harness.MethodSpec, out: str
-) -> None:
-    """Per-point prediction sets of one NAPS method at the first alpha, on the report's evaluation set."""
-    alpha = config.alphas[0]
-    clf, gamma = harness.naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
-    batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha, gamma)
-    batch.save(os.path.join(out, "naps_predictions.csv"))
 
 
 def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:

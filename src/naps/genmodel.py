@@ -320,6 +320,9 @@ class GenerativeConfig:
         space = self.nuisance_prior_class0.support
         if self.scenario == SCENARIO_ANALYTIC and not space.is_continuous:
             raise ConfigError("analytic scenario requires a continuous nuisance space")
+        if self.scenario == SCENARIO_ANALYTIC and not np.all(ANALYTIC_SPACE.contains(space.bounds)):
+            lo, hi = ANALYTIC_SPACE.bounds
+            raise ConfigError(f"analytic nuisance space {list(space.bounds)} must lie inside [{lo}, {hi}]")
         if self.scenario == SCENARIO_DISCRETE and space.is_continuous:
             raise ConfigError("discrete toy requires a discrete nuisance space")
 

@@ -94,6 +94,8 @@ class GammaRule:
     def from_dict(d) -> "GammaRule":
         if isinstance(d, (int, float)):
             return GammaRule(kind="fixed", value=float(d))
+        if not isinstance(d, dict):
+            raise ConfigError(f"a gamma rule is a number or an object, got {d!r}")
         return GammaRule(kind=d.get("kind", "fixed"), value=float(d.get("value", 0.0)))
 
 
@@ -122,6 +124,8 @@ class MethodSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "MethodSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a method is an object, got {d!r}")
         return MethodSpec(
             name=d.get("name", d["kind"]),
             kind=d["kind"],
@@ -321,27 +325,23 @@ def _label_surface(config: ExperimentConfig, calibration: ScoredDataset, y: int,
     return fit_surface(calibration.data, tau, grid, binning, f"bayes-factor-{y}", config.seed)
 
 
-def _provider_for(spec: MethodSpec, config: ExperimentConfig, gamma: float):
-    if spec.provider == "oracle-quantile":
-        return OracleQuantileProvider(gamma=gamma, distribution=config.target_prior)
-    return FullSpaceProvider(space=config.train_prior.support)
-
-
 def naps_cutoffs_for_alpha(
     pipeline: Pipeline, config: ExperimentConfig, spec: MethodSpec, alpha: float
-) -> tuple[NapsSetClassifier, float]:
-    """The NAPS classifier and gamma of one method at one alpha.
+) -> NapsSetClassifier:
+    """The NAPS classifier of one method at one alpha.
 
-    Applies the method's gamma rule and provider choice; the classifier
-    resolves the cutoffs. gamma is passed through as the rule gives it,
-    also for the full-space provider, which is valid at any gamma.
+    The method's provider carries the gamma its rule gives at alpha, also
+    the full-space provider, which is valid at any gamma; the classifier
+    resolves the cutoffs.
     """
     gamma = spec.gamma_rule.gamma_for(alpha)
-    provider = _provider_for(spec, config, gamma)
-    clf = NapsSetClassifier(
+    if spec.provider == "oracle-quantile":
+        provider = OracleQuantileProvider(gamma=gamma, distribution=config.target_prior)
+    else:
+        provider = FullSpaceProvider(space=config.train_prior.support, gamma=gamma)
+    return NapsSetClassifier(
         model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider}
     )
-    return clf, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +484,10 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
 
     Passing a pre-fitted pipeline skips refitting entirely; results are
     bit-identical either way because evaluation data depend only on the
-    seed, not on the fitting stage. Each dataset is drawn and scored once:
-    a fresh fit hands its scored calibration set to the baselines, and with
-    a pre-fitted pipeline the calibration set is drawn only if a baseline
-    needs it, and scored only if a marginal baseline reads its statistics.
+    seed, not on the fitting stage. Each dataset is drawn and scored once.
+    Every baseline is fitted from one scored calibration set: the fit's own,
+    or, with a pre-fitted pipeline, one drawn only if a baseline needs it.
+    Each NAPS method's provider carries the gamma its rule gives at alpha.
     """
     return _run_scored(config, pipeline)[0]
 
@@ -502,21 +502,16 @@ def _run_scored(
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
-    calibration_data = None if calibration is None else calibration.data
     baselines: dict[str, object] = {}
     for spec in config.methods:
         if spec.kind in ("naps", "bayes-point"):
             continue
-        if calibration_data is None:
-            # A prefitted pipeline does not keep its calibration data.
-            calibration_data = config.calibration_set()
-        if spec.kind == "plug-in":
-            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration_data, pipeline.binning)
-            continue
         if calibration is None:
-            # Only the marginal baselines read the calibration statistics.
-            calibration = score_dataset(model, calibration_data)
-        if spec.kind == "standard":
+            # A prefitted pipeline does not keep its calibration set.
+            calibration = score_dataset(model, config.calibration_set())
+        if spec.kind == "plug-in":
+            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration.data, pipeline.binning)
+        elif spec.kind == "standard":
             baselines[spec.name] = StandardSetsBaseline.fit(calibration)
         else:
             baselines[spec.name] = ClassConditionalBaseline.fit(calibration)
@@ -528,13 +523,13 @@ def _run_scored(
         for alpha in config.alphas:
             extra: dict = {}
             if spec.kind == "naps":
-                clf, gamma = naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
-                batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha, gamma)
+                clf = naps_cutoffs_for_alpha(pipeline, config, spec, alpha)
+                batch = clf.decide(evaluation.data.x, evaluation.statistics, alpha)
                 include0, include1 = batch.include0, batch.include1
-                table = clf.cutoff_table(alpha, gamma)
+                table = clf.cutoff_table(alpha)
                 # A saturated cutoff is -inf; strict JSON writes it as null.
                 extra = {
-                    "gamma": gamma,
+                    "gamma": clf.providers[0].gamma,
                     "cutoff0": None if table[0].saturated else table[0].cutoff,
                     "cutoff1": None if table[1].saturated else table[1].cutoff,
                     "nuisance_regions": {str(y): table[y].region.to_dict() for y in (0, 1)},
@@ -579,6 +574,8 @@ def gamma_sweep(config: ExperimentConfig, alpha: float, gamma_grid) -> dict:
     """
     if config.scenario != SCENARIO_ANALYTIC:
         raise ConfigError("the gamma sweep is defined for the analytic scenario")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     evaluation = genmodel.sample_dataset(
         config.generative("target"), config.n_evaluation, config.seed, stream_base=STREAM_SWEEP
     )

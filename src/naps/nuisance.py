@@ -1,13 +1,15 @@
 """Confidence sets for the nuisance parameter.
 
-A provider maps a label y to its nuisance region, ``region(y)``; the region
-does not depend on the observation, so each label's cutoff is resolved once
-per (alpha, gamma) by ``cutoffs.cutoff_for_region``. Besides a provider's
-set, that path takes the full space (``full_space_set``) or a one-point
-region ``NuisanceRegion(intervals=((nu0, nu0),))``. Two providers ship:
+A provider is any object with ``region(y)``, label y's nuisance region, and
+``gamma``, that region's miscoverage; label y's cutoff inverts at
+alpha - gamma over ``region(y)``. The region does not depend on the
+observation, so each label's cutoff is resolved once per alpha by
+``cutoffs.cutoff_for_region``. Besides a provider's set, that path takes the
+full space (``full_space_set``) or a one-point region
+``NuisanceRegion(intervals=((nu0, nu0),))``. Two providers ship:
 
-* ``FullSpaceProvider`` -- always returns the whole nuisance space. Trivially
-  valid at level 1 (gamma = 0) for every nuisance value.
+* ``FullSpaceProvider`` -- always returns the whole nuisance space, so it is
+  valid at any gamma (0 unless given one) for every nuisance value.
 
 * ``OracleQuantileProvider`` -- the central (gamma/2, 1 - gamma/2) quantile
   interval of a known nuisance distribution. This is valid when the true
@@ -86,10 +88,7 @@ def full_space_set(space: NuisanceSpace) -> NuisanceRegion:
 @dataclass(frozen=True)
 class FullSpaceProvider:
     space: NuisanceSpace
-
-    @property
-    def gamma(self) -> float:
-        return 0.0
+    gamma: float = 0.0
 
     def region(self, y: int) -> NuisanceRegion:
         return full_space_set(self.space)

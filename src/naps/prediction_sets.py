@@ -2,8 +2,9 @@
 
 A prediction set is a subset of {0, 1}. The nuisance-aware classifier
 includes label y exactly when its Bayes-factor statistic exceeds a cutoff
-obtained by inverting the label's rejection surface over a nuisance
-confidence set. Baselines cover the standard single-cutoff construction,
+obtained by inverting the label's rejection surface at alpha - gamma over
+the (1 - gamma) nuisance confidence set of the label's provider, which
+carries gamma. Baselines cover the standard single-cutoff construction,
 class-conditional cutoffs, the cost-weighted point classifier, and a
 plug-in variant that calibrates per nuisance bin but selects the bin with a
 point estimate of the nuisance parameter (intentionally invalid; it exists
@@ -86,7 +87,7 @@ def lower_quantile(sorted_scores: np.ndarray, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class LabelCutoff:
-    """One label's NAPS cutoff at one (alpha, gamma).
+    """One label's NAPS cutoff at one alpha.
 
     A saturated inversion (the target level exceeds the fitted maximum of
     W somewhere in the region) gets cutoff -inf, so the label is always
@@ -102,10 +103,10 @@ class LabelCutoff:
 class NapsSetClassifier:
     """Amortized set-valued classifier.
 
-    Surfaces and providers are fitted once and treated as read-only. A
-    provider's region depends only on the label (``region(y)``), so each
-    label's cutoff depends only on (alpha, gamma): it is resolved once per
-    pair and reused for every point. ``predict`` and ``predict_batch``
+    Surfaces and providers are fitted once and treated as read-only. Label
+    y's provider fixes its region (``region(y)``) and its level ``gamma``,
+    so each label's cutoff depends only on alpha: it is resolved once per
+    alpha and reused for every point. ``predict`` and ``predict_batch``
     evaluate the posterior once per call; ``decide`` applies the cutoffs to
     statistics computed elsewhere.
     """
@@ -115,46 +116,37 @@ class NapsSetClassifier:
     providers: dict[int, object]
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def cutoff_table(self, alpha: float, gamma: float = 0.0) -> tuple[LabelCutoff, LabelCutoff]:
-        """Per-label cutoffs at (alpha, gamma), inverted once and then looked up."""
-        key = (float(alpha), float(gamma))
-        if key not in self._table:
-            self._table[key] = tuple(self._label_cutoff(y, alpha, gamma) for y in (0, 1))
-        return self._table[key]
+    def cutoff_table(self, alpha: float) -> tuple[LabelCutoff, LabelCutoff]:
+        """Per-label cutoffs at alpha, inverted once and then looked up."""
+        alpha = float(alpha)
+        if alpha not in self._table:
+            self._table[alpha] = tuple(self._label_cutoff(y, alpha) for y in (0, 1))
+        return self._table[alpha]
 
-    def _label_cutoff(self, y: int, alpha: float, gamma: float) -> LabelCutoff:
-        request = CutoffRequest(null_label=y, alpha=alpha, gamma=gamma)
+    def _label_cutoff(self, y: int, alpha: float) -> LabelCutoff:
+        request = CutoffRequest(null_label=y, alpha=alpha, gamma=self.providers[y].gamma)
         region = self.providers[y].region(y)
         try:
             return LabelCutoff(cutoff_for_region(self.surfaces[y], region, request).cutoff, False, region)
         except SaturationError:
             return LabelCutoff(-math.inf, True, region)
 
-    def predict(self, x, alpha: float, gamma: float = 0.0) -> PredictionSet:
-        batch = self.predict_batch(np.asarray([x], dtype=float), alpha, gamma)
+    def predict(self, x, alpha: float) -> PredictionSet:
+        batch = self.predict_batch(np.asarray([x], dtype=float), alpha)
         return batch.prediction_set(0)
 
-    def predict_batch(self, xs, alpha: float, gamma: float = 0.0) -> "BatchPredictions":
-        """Prediction sets at observations ``xs``; gamma must match the providers' levels."""
-        for y in (0, 1):
-            pgamma = getattr(self.providers[y], "gamma", None)
-            if pgamma is not None and gamma != pgamma:
-                raise ConfigError(
-                    f"gamma={gamma} disagrees with the label-{y} provider's level {pgamma}"
-                )
+    def predict_batch(self, xs, alpha: float) -> "BatchPredictions":
+        """Prediction sets at observations ``xs``."""
         xs = np.asarray(xs, dtype=float)
         statistics = label_bayes_factors(self.model.posterior1(xs), self.model.class1_prior)
-        return self.decide(xs, statistics, alpha, gamma)
+        return self.decide(xs, statistics, alpha)
 
-    def decide(self, xs, statistics: dict, alpha: float, gamma: float = 0.0) -> "BatchPredictions":
+    def decide(self, xs, statistics: dict, alpha: float) -> "BatchPredictions":
         """Prediction sets from precomputed ``{y: (statistic, clipped)}``.
 
-        Includes label y iff its statistic exceeds its cutoff. Unlike
-        ``predict_batch``, gamma is not checked against the providers' levels:
-        the harness applies a method's gamma rule to whatever provider the
-        method names, and the full-space provider is valid at any gamma.
+        Includes label y iff its statistic exceeds its cutoff.
         """
-        c0, c1 = self.cutoff_table(alpha, gamma)
+        c0, c1 = self.cutoff_table(alpha)
         (stat0, clipped0), (stat1, clipped1) = statistics[0], statistics[1]
         return BatchPredictions(
             x=np.asarray(xs, dtype=float),

@@ -8,7 +8,9 @@ import pytest
 
 import naps
 from naps import cli, harness
+from naps.cutoffs import CutoffRequest, cutoff_for_region
 from naps.errors import NumericError
+from naps.nuisance import full_space_set
 
 
 @pytest.fixture()
@@ -38,6 +40,12 @@ def read_all(directory):
 
 def run(argv):
     return cli.main(argv)
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on the module path."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_simulate_reproducible(config_path, tmp_path):
@@ -76,6 +84,26 @@ def test_evaluate_method_and_alpha_flags(config_path, tmp_path):
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert list(report["methods"]) == ["naps"]
     assert list(report["methods"]["naps"]["alphas"]) == ["0.1"]
+
+
+def test_full_space_method_inverts_at_alpha_minus_gamma(config_path, tmp_path):
+    # the rule's gamma reaches the full-space provider, and the report reads it there
+    out = str(tmp_path / "r")
+    assert run(["evaluate", "--config", config_path, "--out", out, "--method", "naps", "--gamma", "alpha*0.01"]) == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    config = harness.ExperimentConfig.from_json_file(config_path)
+    pipeline = harness.fit_pipeline(config)
+    region = full_space_set(config.train_prior.support)
+    moved = False
+    for alpha in config.alphas:
+        table = report["methods"]["naps"]["alphas"][repr(alpha)]
+        gamma = 0.01 * alpha
+        assert table["gamma"] == gamma
+        for y in (0, 1):
+            surface = pipeline.surfaces[y]
+            assert table[f"cutoff{y}"] == cutoff_for_region(surface, region, CutoffRequest(y, alpha, gamma)).cutoff
+            moved |= table[f"cutoff{y}"] != cutoff_for_region(surface, region, CutoffRequest(y, alpha)).cutoff
+    assert moved  # gamma 0 would give other cutoffs
 
 
 def test_evaluate_dump_predictions(config_path, tmp_path):
@@ -191,6 +219,38 @@ def test_unknown_method_exits_2(config_path, tmp_path):
     assert code == 2
 
 
+WIDE_SPACE = {"kind": "continuous-interval", "bounds": [0.5, 20.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, changes",
+    [
+        (["evaluate", "--alpha", "0.1,abc"], {}),
+        (["evaluate", "--gamma", "abc"], {}),
+        (["evaluate", "--gamma", "alpha*abc"], {}),
+        (["evaluate"], {"methods": ["naps"]}),
+        (["evaluate"], {"methods": [{"kind": "naps", "gamma_rule": "abc"}]}),
+        (["sweep-gamma", "--alpha", "1.5"], {}),
+        (["simulate"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
+        (["fit"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
+    ],
+    ids=[
+        "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
+        "sweep-alpha", "simulate-wide-space", "fit-wide-space",
+    ],
+)
+def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):
+    cfg = json.loads(open(config_path).read())
+    cfg.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    command = [sys.executable, "-m", "naps.cli", argv[0], "--config", str(path), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(command + argv[1:], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_model_artifacts_exit_2(config_path, tmp_path):
     code = run(["evaluate", "--config", config_path, "--out", str(tmp_path / "o"),
                 "--models", str(tmp_path)])
@@ -288,9 +348,7 @@ def run_cli_in_fresh_interpreter(tmp_path, cfg, commands, unloaded):
         f"assert naps.cli.main([{c!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / c)!r}]) == 0\n"
         for c in commands
     ) + f"loaded = {set(unloaded)!r} & set(sys.modules)\nassert not loaded, loaded\n"
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
 
 

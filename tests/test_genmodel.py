@@ -286,6 +286,16 @@ def test_generative_config_validation():
         )
 
 
+@pytest.mark.parametrize("bounds", [(0.5, 20.0), (0.5, 5.0), (2.0, 10.5)])
+def test_analytic_space_must_lie_inside_its_domain(bounds):
+    # the closed forms are defined for nu in [1, 10] only
+    space = naps.NuisanceSpace(kind="continuous-interval", bounds=bounds)
+    with pytest.raises(ConfigError, match="must lie inside"):
+        naps.analytic_config(0.5, naps.uniform_prior(space))
+    inner = naps.NuisanceSpace(kind="continuous-interval", bounds=(2.0, 5.0))
+    assert naps.analytic_config(0.5, naps.uniform_prior(inner)).nuisance_space == inner
+
+
 def test_stream_rng_contract():
     a = gm.stream_rng(3, 5).random(4)
     b = gm.stream_rng(3, 5).random(4)

@@ -119,8 +119,8 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch):
         (lambda: harness.run_experiment(cfg), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_experiment(cfg, pipeline=pipeline), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_experiment(naps_only, pipeline=pipeline), {ev: n_ev}, 0),
-        # the plug-in baseline reads the calibration data, not its statistics
-        (lambda: harness.run_experiment(plug_in_only, pipeline=pipeline), {ev: n_ev}, 1),
+        # every baseline is fitted from the one scored calibration set
+        (lambda: harness.run_experiment(plug_in_only, pipeline=pipeline), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_pit_diagnostics(cfg), {cal: n_cal, diag: n_ev}, 1),
     ):
         counter.clear()
@@ -255,7 +255,7 @@ def test_classifier_batches_match_report_counts():
     )
     y = evaluation.y
     for name, gamma_of, provider_of in (
-        ("naps", lambda a: 0.0, lambda g: FullSpaceProvider(space=cfg.train_prior.support)),
+        ("naps", lambda a: 0.0, lambda g: FullSpaceProvider(space=cfg.train_prior.support, gamma=g)),
         (
             "naps-oracle",
             lambda a: 0.01 * a,
@@ -268,7 +268,7 @@ def test_classifier_batches_match_report_counts():
             clf = ps.NapsSetClassifier(
                 model=pipeline.model, surfaces=pipeline.surfaces, providers={0: provider, 1: provider}
             )
-            batch = clf.predict_batch(evaluation.x, alpha, gamma)
+            batch = clf.predict_batch(evaluation.x, alpha)
             i0, i1 = batch.include0, batch.include1
             table = report.method_alpha(name, alpha)
             assert table["counts"] == {

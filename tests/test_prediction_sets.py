@@ -9,8 +9,9 @@ from naps import genmodel as gm
 from naps import harness
 from naps import prediction_sets as ps
 from naps.classifier import score_dataset
+from naps.cutoffs import CutoffRequest, cutoff_for_region
 from naps.errors import ConfigError
-from naps.nuisance import FullSpaceProvider
+from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
 from naps.rejection import NuBinning
 
 X0_STAR_005 = 0.9175778871209889
@@ -124,9 +125,27 @@ def test_naps_audit_trail(naps_clf):
     assert 0 in pred and 1 in pred
 
 
-def test_naps_gamma_provider_mismatch(naps_clf):
-    with pytest.raises(ConfigError):
-        naps_clf.predict(0.5, alpha=0.05, gamma=0.001)  # full-space provider is gamma = 0
+@pytest.mark.parametrize(
+    "provider",
+    [
+        FullSpaceProvider(space=gm.ANALYTIC_SPACE, gamma=0.002),
+        OracleQuantileProvider(gamma=0.002, distribution=naps.truncated_gaussian_prior(4.0, 0.1)),
+    ],
+    ids=["full-space", "oracle-quantile"],
+)
+def test_cutoff_table_inverts_at_the_provider_gamma(fine_pipeline, naps_clf, provider):
+    # gamma is the provider's: each label inverts at alpha - gamma over its region
+    clf = ps.NapsSetClassifier(
+        model=fine_pipeline.model, surfaces=fine_pipeline.surfaces, providers={0: provider, 1: provider}
+    )
+    alpha = 0.05
+    table = clf.cutoff_table(alpha)
+    for y in (0, 1):
+        region = provider.region(y)
+        want = cutoff_for_region(fine_pipeline.surfaces[y], region, CutoffRequest(y, alpha, provider.gamma))
+        assert (table[y].cutoff, table[y].region) == (want.cutoff, region)
+    # the provider's gamma moves the cutoffs off the gamma-0 ones
+    assert [c.cutoff for c in table] != [c.cutoff for c in naps_clf.cutoff_table(alpha)]
 
 
 def test_batch_csv_output(tmp_path, naps_clf):
