@@ -25,7 +25,6 @@ from .genmodel import (
     PriorSpec,
     analytic_config,
     sample_dataset,
-    sample_discrete_toy,
     truncated_gaussian_prior,
     uniform_prior,
 )

@@ -282,39 +282,39 @@ def save_classifier(model, path) -> None:
         json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
 
 
-def bayes_factor_from_posterior(p_y: np.ndarray, prior_y: float, clip: float = POSTERIOR_CLIP):
+def bayes_factor_from_posterior(p_y: np.ndarray, prior_y: float):
     """Posterior-to-prior odds ratio, with clipping for boundary posteriors.
 
     Returns the statistic together with a mask marking entries whose
-    posterior had to be clipped into [clip, 1 - clip].
+    posterior had to be clipped into [POSTERIOR_CLIP, 1 - POSTERIOR_CLIP].
     """
     if not 0.0 < prior_y < 1.0:
         raise DomainError("class prior must lie strictly inside (0, 1)")
     p_y = np.asarray(p_y, dtype=float)
-    clipped = (p_y < clip) | (p_y > 1.0 - clip)
-    p = np.clip(p_y, clip, 1.0 - clip)
+    clipped = (p_y < POSTERIOR_CLIP) | (p_y > 1.0 - POSTERIOR_CLIP)
+    p = np.clip(p_y, POSTERIOR_CLIP, 1.0 - POSTERIOR_CLIP)
     tau = (p * (1.0 - prior_y)) / ((1.0 - p) * prior_y)
     return tau, clipped
 
 
-def bayes_factor(model, y: int, x, clip: float = POSTERIOR_CLIP) -> np.ndarray:
+def bayes_factor(model, y: int, x) -> np.ndarray:
     """Bayes-factor statistic for label y at observation(s) x.
 
     The posterior odds of label y divided by its prior odds,
     [P(Y=y|x) P(Y != y)] / [P(Y != y|x) P(Y=y)]: a strictly increasing
     transform of the label-y posterior.
     """
-    tau, _ = bayes_factor_with_flags(model, y, x, clip)
+    tau, _ = bayes_factor_with_flags(model, y, x)
     return tau
 
 
-def bayes_factor_with_flags(model, y: int, x, clip: float = POSTERIOR_CLIP):
+def bayes_factor_with_flags(model, y: int, x):
     if y not in (0, 1):
         raise DomainError("label must be 0 or 1")
-    return label_bayes_factors(model.posterior1(x), model.class1_prior, clip)[y]
+    return label_bayes_factors(model.posterior1(x), model.class1_prior)[y]
 
 
-def label_bayes_factors(p1, class1_prior: float, clip: float = POSTERIOR_CLIP) -> dict:
+def label_bayes_factors(p1, class1_prior: float) -> dict:
     """Both labels' Bayes factors and clip masks from one posterior P(Y=1 | x).
 
     Returns ``{y: (statistic, clipped)}``; label y's statistic is its own
@@ -325,7 +325,7 @@ def label_bayes_factors(p1, class1_prior: float, clip: float = POSTERIOR_CLIP) -
     for y in (0, 1):
         p_y = p1 if y == 1 else 1.0 - p1
         prior_y = class1_prior if y == 1 else 1.0 - class1_prior
-        out[y] = bayes_factor_from_posterior(p_y, prior_y, clip)
+        out[y] = bayes_factor_from_posterior(p_y, prior_y)
     return out
 
 
@@ -348,7 +348,7 @@ def score_dataset(model, data: Dataset) -> ScoredDataset:
     return ScoredDataset(data=data, p1=p1, statistics=label_bayes_factors(p1, model.class1_prior))
 
 
-def x_at_bayes_factor(model, y: int, value: float, tol: float = 1e-12) -> float:
+def x_at_bayes_factor(model, y: int, value: float) -> float:
     """Invert the Bayes-factor statistic back to x-space.
 
     Valid for the analytic scenario, where the posterior (hence the
@@ -361,7 +361,7 @@ def x_at_bayes_factor(model, y: int, value: float, tol: float = 1e-12) -> float:
         return a
     if value >= max(ends):
         return b
-    while abs(b - a) > tol:  # bisection
+    while abs(b - a) > 1e-12:  # bisection to 1e-12 in x
         mid = 0.5 * (a + b)
         a, b = (mid, b) if float(bayes_factor(model, y, mid)) < value else (a, mid)
     return 0.5 * (a + b)

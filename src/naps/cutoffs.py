@@ -14,11 +14,11 @@ takes the supremum. The region decides which cutoff comes out:
   cutoff.
 
 For the analytic scenario the same quantities exist in closed form in
-x-space; ``analytic_oracle_cutoffs`` computes them and serves as the ground
-truth the surface-based path is tested against. The truncated-exponential
-family has a monotone likelihood ratio in x, so the class-0 cutoff curve
-strictly decreases in nu and its supremum over a region sits at the
-region's lowest nu.
+x-space; ``analytic_oracle_cutoffs`` reads them off genmodel's closed-form
+quantiles and serves as the ground truth the surface-based path is tested
+against. The truncated-exponential family has a monotone likelihood ratio
+in x, so the class-0 cutoff curve strictly decreases in nu and its supremum
+over a region sits at the region's lowest nu.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, SaturationError
-from .genmodel import E_MINUS_1, upper_quantile_class0
+from .errors import ConfigError, NumericError, SaturationError
+from .genmodel import quantile_class1, upper_quantile_class0
 from .nuisance import NuisanceRegion
 from .rejection import RejectionSurface
 
@@ -126,33 +126,17 @@ class OracleCutoffs:
     arg_nu: float
 
 
-def class0_cutoff_curve(nu, alpha: float, gamma: float = 0.0) -> np.ndarray:
-    """x with P[X >= x | Y=0, nu] = alpha - gamma, elementwise in nu."""
-    beta = alpha - gamma
-    if beta <= 0.0:
-        raise DomainError("alpha - gamma must be positive")
-    if beta > 1.0:
-        raise DomainError("alpha - gamma must be at most 1")
-    return upper_quantile_class0(beta, nu)
-
-
-def class1_cutoff(alpha: float) -> float:
-    """x with P[X <= x | Y=1] = alpha; free of the nuisance parameter."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
-    return float(np.log1p(alpha * E_MINUS_1))
-
-
 def analytic_oracle_cutoffs(alpha: float, gamma: float, region: NuisanceRegion) -> OracleCutoffs:
     """Closed-form x-space cutoffs for the analytic scenario.
 
-    The class-0 cutoff is the supremum of the closed-form per-nu cutoff over
-    the region. That curve strictly decreases in nu (the family has a
+    The class-1 cutoff is the class-1 alpha quantile. The class-0 cutoff is
+    the supremum over the region of the per-nu upper (alpha - gamma)
+    quantile. That curve strictly decreases in nu (the family has a
     monotone likelihood ratio in x), so the supremum is the curve at the
     region's lowest nu, the lower end of its first (sorted) interval.
     """
     if region.is_empty or not region.intervals:
         raise ConfigError("the analytic oracle needs a nonempty continuous region")
-    x1 = class1_cutoff(alpha)
     lo = region.intervals[0][0]
-    return OracleCutoffs(x0_star=float(class0_cutoff_curve(lo, alpha, gamma)), x1_star=x1, arg_nu=float(lo))
+    x0 = float(upper_quantile_class0(alpha - gamma, lo))
+    return OracleCutoffs(x0_star=x0, x1_star=float(quantile_class1(alpha)), arg_nu=float(lo))

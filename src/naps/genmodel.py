@@ -13,8 +13,12 @@ Two scenarios are implemented:
   Poissons whose log-rates are linear in (class, protocol). All rate
   constants are fixed below.
 
-Randomness is counter-based (Philox) keyed by ``(seed, stream)``, so every
-draw is reproducible regardless of how work is split up.
+``sample_dataset`` is the only sampler, for both scenarios: it draws the
+label, then the nuisance from that label's prior, then the observation. A
+draw at fixed ``(y, nu)`` is a ``sample_dataset`` draw on
+``point_mass_prior(nu)`` with class-1 probability 0 or 1. Randomness is
+counter-based (Philox) keyed by ``(seed, stream)``, so every draw is
+reproducible regardless of how work is split up.
 
 The truncated-Gaussian nuisance prior is computed on ``scipy.special`` with
 scipy's own truncnorm algorithm (log-mass in the nearer tail, quantiles by
@@ -90,8 +94,8 @@ class NuisanceSpace:
 
     def __post_init__(self):
         if self.kind == "continuous-interval":
-            if self.bounds is None or not (self.bounds[0] < self.bounds[1]):
-                raise ConfigError(f"continuous nuisance space needs lo < hi, got {self.bounds}")
+            if self.bounds is None or len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
+                raise ConfigError(f"continuous nuisance space needs two bounds lo < hi, got {self.bounds}")
         elif self.kind == "discrete-set":
             if not self.categories:
                 raise ConfigError("discrete nuisance space needs a nonempty category list")
@@ -119,7 +123,7 @@ class NuisanceSpace:
     @staticmethod
     def from_dict(d: dict) -> "NuisanceSpace":
         if d["kind"] == "continuous-interval":
-            return NuisanceSpace(kind=d["kind"], bounds=(float(d["bounds"][0]), float(d["bounds"][1])))
+            return NuisanceSpace(kind=d["kind"], bounds=tuple(float(b) for b in d["bounds"]))
         return NuisanceSpace(kind=d["kind"], categories=tuple(int(c) for c in d["categories"]))
 
 
@@ -250,11 +254,6 @@ class PriorSpec:
         a, b, mass = self._tn()
         return np.select([(z >= a) & (z <= b), np.isnan(z)], [_std_normal_pdf(z, mass), np.nan], 0.0)
 
-    def quantile(self, q: float) -> float:
-        if self.kind == "discrete-weights":
-            raise ConfigError("quantiles are only defined for continuous or point priors")
-        return float(self.ppf(np.asarray(q)))
-
     def mean_value(self) -> float:
         if self.kind == "uniform":
             lo, hi = self.support.bounds
@@ -291,6 +290,10 @@ class PriorSpec:
 
 def uniform_prior(space: NuisanceSpace = ANALYTIC_SPACE) -> PriorSpec:
     return PriorSpec(kind="uniform", support=space)
+
+
+def point_mass_prior(value, space: NuisanceSpace = ANALYTIC_SPACE) -> PriorSpec:
+    return PriorSpec(kind="point-mass", support=space, value=value)
 
 
 def truncated_gaussian_prior(mean: float, sd: float, space: NuisanceSpace = ANALYTIC_SPACE) -> PriorSpec:
@@ -541,53 +544,22 @@ def sample_dataset(config: GenerativeConfig, n: int, seed: int, stream_base: int
 
     Labels, nuisance values and observations come from three separate
     Philox streams, so the draw is identical no matter how callers batch
-    or parallelize around it.
+    or parallelize around it. A draw at fixed (y, nu) is this draw on a
+    ``point_mass_prior`` with class1_probability 0 or 1.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if config.scenario == SCENARIO_DISCRETE:
-        return sample_discrete_toy(config, n, seed, stream_base)
-
-    u_label = stream_rng(seed, stream_base + _STREAM_LABEL).random(n)
-    u_nu = stream_rng(seed, stream_base + _STREAM_NUISANCE).random(n)
-    u_x = stream_rng(seed, stream_base + _STREAM_OBSERVATION).random(n)
-
-    y = (u_label < config.class1_probability).astype(np.int8)
-    nu = _draw_nuisance(config, y, u_nu)
-    x = np.where(y == 1, quantile_class1(u_x), quantile_class0(u_x, nu))
-    return Dataset(SCENARIO_ANALYTIC, y, nu, x, seed=seed)
-
-
-def sample_discrete_toy(config: GenerativeConfig, n: int, seed: int, stream_base: int = 0) -> Dataset:
-    """Draw n count-vector samples from the discrete-nuisance toy."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if config.scenario != SCENARIO_DISCRETE:
-        raise ConfigError("sample_discrete_toy requires the discrete-toy scenario")
-
     u_label = stream_rng(seed, stream_base + _STREAM_LABEL).random(n)
     u_nu = stream_rng(seed, stream_base + _STREAM_NUISANCE).random(n)
     rng_x = stream_rng(seed, stream_base + _STREAM_OBSERVATION)
 
     y = (u_label < config.class1_probability).astype(np.int8)
-    protocol = _draw_nuisance(config, y, u_nu).astype(np.int64)
-    rates = np.where((y == 1)[:, None], toy_rates(1, protocol), toy_rates(0, protocol))
-    x = rng_x.poisson(lam=rates).astype(np.int64)
-    return Dataset(SCENARIO_DISCRETE, y, protocol, x, seed=seed)
-
-
-def sample_conditional(
-    config: GenerativeConfig, y: int, nu, n: int, seed: int, stream_base: int = 0
-) -> np.ndarray:
-    """Draw n observations x from p(x | y, nu) with nu held fixed."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    rng = stream_rng(seed, stream_base + _STREAM_OBSERVATION)
-    if config.scenario == SCENARIO_ANALYTIC:
-        u = rng.random(n)
-        if y == 1:
-            return quantile_class1(u)
-        return quantile_class0(u, float(nu))
-    rates = toy_rates(y, int(nu))
-    return rng.poisson(lam=np.broadcast_to(rates, (n, TOY_N_DIMS))).astype(np.int64)
-
+    nu = _draw_nuisance(config, y, u_nu)
+    if config.scenario == SCENARIO_DISCRETE:
+        nu = nu.astype(np.int64)  # the protocol
+        rates = np.where((y == 1)[:, None], toy_rates(1, nu), toy_rates(0, nu))
+        x = rng_x.poisson(lam=rates).astype(np.int64)
+    else:
+        u_x = rng_x.random(n)
+        x = np.where(y == 1, quantile_class1(u_x), quantile_class0(u_x, nu))
+    return Dataset(config.scenario, y, nu, x, seed=seed)

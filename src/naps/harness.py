@@ -112,6 +112,10 @@ class MethodSpec:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.provider not in ("full-space", "oracle-quantile"):
             raise ConfigError(f"unknown provider {self.provider!r}")
+        if len(self.costs) != 2 or not all(
+            isinstance(c, (int, float)) and 0.0 < c < math.inf for c in self.costs
+        ):
+            raise ConfigError(f"costs must be two finite positive numbers, got {list(self.costs)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -379,16 +383,16 @@ def _segment_metrics(t: np.ndarray) -> dict:
     }
 
 
-def compute_metrics(y, nu, include0, include1, report_binning: NuBinning) -> dict:
+def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> dict:
     """Coverage/power/precision tables: marginal, per class, per (class, bin).
 
-    One count over the code (cell, y, include0, include1); every table is a
-    sum over that count tensor.
+    ``cells`` is each point's ``report_binning.cell_index``. One count over
+    the code (cell, y, include0, include1); every table is a sum over that
+    count tensor.
     """
     y = np.asarray(y).astype(np.intp)
     include0 = np.asarray(include0, dtype=bool)
     include1 = np.asarray(include1, dtype=bool)
-    cells = report_binning.cell_index(nu)
     m = report_binning.n_cells
     code = ((cells * 2 + y) * 2 + include0) * 2 + include1
     counts = np.bincount(code, minlength=8 * m).reshape(m, 2, 2, 2)
@@ -517,6 +521,7 @@ def _run_scored(
             baselines[spec.name] = ClassConditionalBaseline.fit(calibration)
 
     report_binning = config.report_binning()
+    cells = report_binning.cell_index(evaluation.data.nu)
     methods_out: dict[str, dict] = {}
     for spec in config.methods:
         alphas_out = {}
@@ -543,7 +548,7 @@ def _run_scored(
                 labels = bayes_point_batch(evaluation.p1, spec.costs)
                 include0 = labels == 0
                 include1 = labels == 1
-            tables = compute_metrics(evaluation.data.y, evaluation.data.nu, include0, include1, report_binning)
+            tables = compute_metrics(evaluation.data.y, cells, include0, include1, report_binning)
             tables.update(extra)
             alphas_out[_alpha_key(alpha)] = tables
         methods_out[spec.name] = {"kind": spec.kind, "alphas": alphas_out}

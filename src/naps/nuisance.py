@@ -124,8 +124,7 @@ class OracleQuantileProvider:
         g = self.gamma
         if y == 1 or g == 0.0:
             return full_space_set(self.space)
-        lo = self.distribution.quantile(g / 2.0)
-        hi = self.distribution.quantile(1.0 - g / 2.0)
+        lo, hi = self.distribution.ppf([g / 2.0, 1.0 - g / 2.0]).tolist()
         slo, shi = self.space.bounds
         lo, hi = max(lo, slo), min(hi, shi)
         if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= 0.0:

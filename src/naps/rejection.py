@@ -333,12 +333,7 @@ class RejectionSurface:
             return RejectionSurface.from_dict(json.load(fh))
 
 
-def fit_rejection_surface(
-    records: AugmentedRecords,
-    binning: NuBinning,
-    statistic_id: str = "statistic",
-    metadata: dict | None = None,
-) -> RejectionSurface:
+def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> RejectionSurface:
     """Isotonic fit of the augmented records, cell by cell.
 
     Every (label, bin) cell that appears must carry records at every grid
@@ -371,11 +366,7 @@ def fit_rejection_surface(
                 raise BinningError(f"cell (y={y}, bin={cell}) is missing grid cutoffs")
             means = sums[cell] / counts[cell]
             values[y, cell] = np.clip(pool_adjacent_violators(means, counts[cell]), 0.0, 1.0)
-    meta = dict(metadata or {})
-    meta.setdefault("n_records", len(records))
-    return RejectionSurface(
-        statistic_id=statistic_id, binning=binning, grid=grid, values=values, metadata=meta
-    )
+    return RejectionSurface("statistic", binning, grid, values, metadata={"n_records": len(records)})
 
 
 def fit_surface(
@@ -459,11 +450,7 @@ class PitBinResult:
 
 
 def pit_diagnostics(
-    surface: RejectionSurface,
-    eval_dataset: Dataset,
-    values,
-    binning: NuBinning,
-    pp_grid_size: int = 100,
+    surface: RejectionSurface, eval_dataset: Dataset, values, binning: NuBinning
 ) -> list[PitBinResult]:
     """Per-(label, cell) PIT table of the statistic's ``values`` on ``eval_dataset``.
 
@@ -476,7 +463,7 @@ def pit_diagnostics(
     lam = np.asarray(values, dtype=float)
     pit = surface.rejection_probability_batch(lam, eval_dataset.y, eval_dataset.nu)
     cells = binning.cell_index(eval_dataset.nu)
-    levels = np.linspace(0.0, 1.0, pp_grid_size)
+    levels = np.linspace(0.0, 1.0, 100)  # each bin's PIT cdf on 100 points
     results = []
     for y in (0, 1):
         for cell in range(binning.n_cells):

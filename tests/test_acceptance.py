@@ -77,7 +77,6 @@ def test_criterion_2_conditional_coverage():
     )
     pipeline = harness.fit_pipeline(cfg)
     model = pipeline.model
-    gen = cfg.generative("train")
     # ten interior representatives of the nuisance interval (decile midpoints)
     nu_grid = np.linspace(1.45, 9.55, 10)
     n_cell = 20_000
@@ -95,9 +94,9 @@ def test_criterion_2_conditional_coverage():
         for y in (0, 1):
             prior_y = 0.5
             for k, nu in enumerate(nu_grid):
-                xs = gm.sample_conditional(
-                    gen, y, nu, n_cell, cfg.seed, stream_base=harness.STREAM_MC_BASE + 64 * k + 2 * y
-                )
+                fixed = gm.analytic_config(float(y), gm.point_mass_prior(nu))
+                base = harness.STREAM_MC_BASE + 64 * k + 2 * y
+                xs = gm.sample_dataset(fixed, n_cell, cfg.seed, stream_base=base).x
                 p1 = np.asarray(model.posterior1(xs))
                 p_y = p1 if y == 1 else 1.0 - p1
                 tau = bayes_factor_from_posterior(p_y, prior_y)[0]
@@ -309,7 +308,8 @@ def test_criterion_8_baseline_failure_reproduction():
     per_class_ok = min(cov0, cov1) >= 1 - alpha - 3 * se_class
 
     n_fix = 20_000
-    xs_nu1 = gm.sample_conditional(gen, 0, 1.0, n_fix, cfg.seed, stream_base=1 << 20)
+    at_nu1 = gm.analytic_config(0.0, gm.point_mass_prior(1.0))
+    xs_nu1 = gm.sample_dataset(at_nu1, n_fix, cfg.seed, stream_base=1 << 20).x
     i0_nu1, _ = cc.include_batch(model.posterior1(xs_nu1), alpha)
     cov_nu1 = float(np.mean(i0_nu1))
     se_fix = math.sqrt(alpha * (1 - alpha) / n_fix)
@@ -343,7 +343,6 @@ def test_criterion_9_fpr_tpr_control():
     )
     pipeline = harness.fit_pipeline(cfg)
     model = pipeline.model
-    gen = cfg.generative("target")
     alpha = 0.05
     gamma = alpha * 0.01
     provider = OracleQuantileProvider(gamma=gamma, distribution=cfg.target_prior)
@@ -365,13 +364,13 @@ def test_criterion_9_fpr_tpr_control():
     for y in (0, 1):
         prior_y = 0.5
         for k, nu in enumerate(nu_grid):
-            xs = gm.sample_conditional(gen, y, nu, n_pt, cfg.seed, stream_base=(1 << 21) + 16 * k + 2 * y)
+            fixed = gm.analytic_config(float(y), gm.point_mass_prior(nu))
+            xs = gm.sample_dataset(fixed, n_pt, cfg.seed, stream_base=(1 << 21) + 16 * k + 2 * y).x
             p1 = np.asarray(model.posterior1(xs))
             tau = bayes_factor_from_posterior(p1 if y == 1 else 1 - p1, prior_y)[0]
             worst_type1 = max(worst_type1, float(np.mean(tau <= cut_fpr[y])))
-            xs_alt = gm.sample_conditional(
-                gen, 1 - y, nu, n_pt, cfg.seed, stream_base=(1 << 22) + 16 * k + 2 * y
-            )
+            alt = gm.analytic_config(float(1 - y), gm.point_mass_prior(nu))
+            xs_alt = gm.sample_dataset(alt, n_pt, cfg.seed, stream_base=(1 << 22) + 16 * k + 2 * y).x
             p1a = np.asarray(model.posterior1(xs_alt))
             tau_alt = bayes_factor_from_posterior(p1a if y == 1 else 1 - p1a, prior_y)[0]
             worst_recall = min(worst_recall, float(np.mean(tau_alt <= cut_tpr[y])))

@@ -299,7 +299,7 @@ def test_discrete_toy_posterior():
         nuisance_prior_class1=prior,
     )
     m = naps.AnalyticMarginalClassifier(cfg)
-    ds = naps.sample_discrete_toy(cfg, 4000, seed=6)
+    ds = naps.sample_dataset(cfg, 4000, seed=6)
     p1 = m.posterior1(ds.x)
     assert np.all((p1 > 0) & (p1 < 1))
     # Bayes-optimal accuracy sanity: thresholding the posterior must beat chance.
@@ -345,7 +345,7 @@ def test_discrete_toy_posterior_matches_direct_mixture():
     # ordinary counts: the log-space mixture equals the direct sum of densities
     w0, w1 = (0.05, 0.05, 0.1, 0.8), (0.0, 0.5, 0.5, 0.0)
     m = toy_model(w0, w1, 0.4)
-    x = naps.sample_discrete_toy(m.config, 3000, seed=8).x
+    x = naps.sample_dataset(m.config, 3000, seed=8).x
     num1 = sum(0.4 * w * np.exp(gm.toy_log_pmf(x, 1, k)) for k, w in enumerate(w1))
     num0 = sum(0.6 * w * np.exp(gm.toy_log_pmf(x, 0, k)) for k, w in enumerate(w0))
     np.testing.assert_allclose(m.posterior1(x), num1 / (num1 + num0), rtol=0, atol=1e-12)
@@ -361,7 +361,7 @@ def test_discrete_toy_ties_are_exact():
     # distinct count vectors with equal sums (in integer hundredths) must get the same float
     w0, w1 = (0.25, 0.25, 0.25, 0.25), (0.05, 0.05, 0.1, 0.8)
     m = toy_model(w0, w1)
-    x = naps.sample_discrete_toy(m.config, 10_000, seed=11).x
+    x = naps.sample_dataset(m.config, 10_000, seed=11).x
     cents = np.rint(100 * np.vstack([gm.TOY_CLASS_SHIFT, gm.TOY_PROTOCOL_SHIFT])).astype(np.int64)
     _, group = np.unique(x @ cents.T, axis=0, return_inverse=True)
     group = group.ravel()

@@ -233,10 +233,16 @@ WIDE_SPACE = {"kind": "continuous-interval", "bounds": [0.5, 20.0]}
         (["sweep-gamma", "--alpha", "1.5"], {}),
         (["simulate"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
         (["fit"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
+        (["evaluate"], {"train_prior": {"kind": "uniform", "support": {**WIDE_SPACE, "bounds": [5]}}}),
+        (["evaluate"], {"train_prior": {"kind": "uniform", "support": {**WIDE_SPACE, "bounds": [1, 5, 9]}}}),
+        (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": ["a", 1]}]}),
+        (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": [1]}]}),
+        (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": [-1, 1]}]}),
     ],
     ids=[
         "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
-        "sweep-alpha", "simulate-wide-space", "fit-wide-space",
+        "sweep-alpha", "simulate-wide-space", "fit-wide-space", "one-bound", "three-bounds",
+        "costs-string", "one-cost", "negative-cost",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):

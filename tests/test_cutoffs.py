@@ -234,22 +234,21 @@ def test_oracle_two_interval_region_takes_lowest_nu():
         assert oracle.x0_star > brute_force_x0_star(alpha, gamma, NuisanceRegion(intervals=((6.0, 8.0),)))
 
 
-def test_class0_cutoff_curve_decreasing_in_nu():
+def test_upper_quantile_class0_decreasing_in_nu():
     # the analytic oracle reads its supremum at a region's lowest nu on this property
     grid = np.linspace(1.0, 10.0, 200)  # both support ends included
     for alpha in (1e-3, 0.05, 0.5, 0.999):
-        vals = co.class0_cutoff_curve(grid, alpha)
+        vals = gm.upper_quantile_class0(alpha, grid)
         assert np.all(np.diff(vals) < 0)
 
 
 # --- Monte Carlo FPR/TPR guarantee with the trivially valid provider ---------
 
 
-def test_full_space_cutoffs_control_rates(fine_pipeline, fine_config):
+def test_full_space_cutoffs_control_rates(fine_pipeline):
     model = fine_pipeline.model
     alpha = 0.1
     n = 5000
-    gen = fine_config.generative("train")
     provider = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
     cut_fpr = {}
     cut_tpr = {}
@@ -262,13 +261,15 @@ def test_full_space_cutoffs_control_rates(fine_pipeline, fine_config):
     for y in (0, 1):
         prior_y = 0.5
         for k, nu in enumerate(np.linspace(1.0, 10.0, 10)):
-            xs = gm.sample_conditional(gen, y, nu, n, seed=77, stream_base=64 * k + 4 * y)
+            fixed = gm.analytic_config(float(y), gm.point_mass_prior(nu))
+            xs = gm.sample_dataset(fixed, n, 77, stream_base=64 * k + 4 * y).x
             p1 = np.asarray(model.posterior1(xs))
             p_y = p1 if y == 1 else 1.0 - p1
             tau = bayes_factor_from_posterior(p_y, prior_y)[0]
             type1 = float(np.mean(tau <= cut_fpr[y]))
             assert type1 <= alpha + 3 * se
-            xs_alt = gm.sample_conditional(gen, 1 - y, nu, n, seed=78, stream_base=64 * k + 4 * y)
+            alt = gm.analytic_config(float(1 - y), gm.point_mass_prior(nu))
+            xs_alt = gm.sample_dataset(alt, n, 78, stream_base=64 * k + 4 * y).x
             p1a = np.asarray(model.posterior1(xs_alt))
             p_ya = p1a if y == 1 else 1.0 - p1a
             tau_alt = bayes_factor_from_posterior(p_ya, prior_y)[0]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -181,10 +182,10 @@ def test_dataset_save_bytes(tmp_path, monkeypatch, save_rows):
     )
 
 
-def test_sample_conditional_matches_closed_form(uniform_gen):
-    xs = gm.sample_conditional(uniform_gen, 0, 2.0, 20_000, seed=5)
+def test_fixed_nuisance_draw_matches_closed_form():
+    xs = gm.sample_dataset(gm.analytic_config(0.0, gm.point_mass_prior(2.0)), 20_000, seed=5).x
     assert ks_distance_uniform(gm.cdf_class0(xs, 2.0)) < 0.02
-    xs1 = gm.sample_conditional(uniform_gen, 1, 2.0, 20_000, seed=5)
+    xs1 = gm.sample_dataset(gm.analytic_config(1.0, gm.point_mass_prior(2.0)), 20_000, seed=5).x
     assert ks_distance_uniform(gm.cdf_class1(xs1)) < 0.02
 
 
@@ -249,7 +250,7 @@ def test_truncated_gaussian_bit_identical_to_scipy(mean, sd):
         reference = truncnorm.ppf(u, a, b, loc=mean, scale=sd)
     assert np.array_equal(prior.ppf(u), reference, equal_nan=True)
     for q in edges:
-        assert np.array_equal(prior.quantile(q), float(truncnorm.ppf(q, a, b, loc=mean, scale=sd)), equal_nan=True)
+        assert np.array_equal(float(prior.ppf(q)), float(truncnorm.ppf(q, a, b, loc=mean, scale=sd)), equal_nan=True)
     nu = np.concatenate([rng.uniform(0.0, 11.0, 100_000), [1.0, 10.0, np.nextafter(1.0, 0.0), np.nan, -0.1, 1.1]])
     assert np.array_equal(prior.pdf(nu), truncnorm.pdf(nu, a, b, loc=mean, scale=sd), equal_nan=True)
     assert np.array_equal(prior.mean_value(), truncnorm.mean(a, b, loc=mean, scale=sd))
@@ -322,22 +323,22 @@ def toy_config():
 
 
 def test_discrete_toy_deterministic(toy_config):
-    a = naps.sample_discrete_toy(toy_config, 3000, seed=1)
-    b = naps.sample_discrete_toy(toy_config, 3000, seed=1)
+    a = naps.sample_dataset(toy_config, 3000, seed=1)
+    b = naps.sample_dataset(toy_config, 3000, seed=1)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.nu, b.nu)
 
 
 def test_discrete_toy_protocol_weights(toy_config):
     n = 80_000
-    ds = naps.sample_discrete_toy(toy_config, n, seed=2)
+    ds = naps.sample_dataset(toy_config, n, seed=2)
     for p, w in zip(range(4), (0.4, 0.3, 0.2, 0.1)):
         frac = np.mean(ds.nu == p)
         assert abs(frac - w) < 3.0 * math.sqrt(w * (1 - w) / n)
 
 
 def test_discrete_toy_count_means(toy_config):
-    ds = naps.sample_discrete_toy(toy_config, 120_000, seed=4)
+    ds = naps.sample_dataset(toy_config, 120_000, seed=4)
     for y in (0, 1):
         for p in range(4):
             sel = ds.x[(ds.y == y) & (ds.nu == p)]
@@ -347,7 +348,7 @@ def test_discrete_toy_count_means(toy_config):
 
 
 def test_discrete_toy_roundtrip_csv(tmp_path, toy_config):
-    ds = naps.sample_discrete_toy(toy_config, 200, seed=4)
+    ds = naps.sample_dataset(toy_config, 200, seed=4)
     path = tmp_path / "toy.csv"
     ds.save(path)
     assert path.read_text().splitlines()[0] == "y,protocol,x1,x2,x3,x4,x5,x6,x7,x8"
@@ -356,6 +357,44 @@ def test_discrete_toy_roundtrip_csv(tmp_path, toy_config):
     assert np.array_equal(loaded.nu, ds.nu)
 
 
-def test_discrete_toy_requires_discrete_scenario(uniform_gen):
-    with pytest.raises(ConfigError):
-        naps.sample_discrete_toy(uniform_gen, 10, seed=0)
+def _toy_config(class1_probability, prior):
+    return naps.GenerativeConfig(gm.SCENARIO_DISCRETE, class1_probability, prior, prior)
+
+
+# (config, seed, stream_base) -> (dtype, sha256 prefix) of y, nu and x over 1000 draws. The digests
+# were recorded with the earlier per-scenario and fixed-nuisance samplers, so any change to what is
+# drawn fails here.
+PINNED_DRAWS = [
+    (
+        lambda: naps.analytic_config(0.5, naps.uniform_prior()), 7, 1 << 8,
+        [("|i1", "0ae38580b440cacf"), ("<f8", "8c559dc3be3c1b9b"), ("<f8", "d4990a6ef2e4a494")],
+    ),
+    (
+        lambda: naps.analytic_config(0.5, naps.truncated_gaussian_prior(4.0, 0.1)), 7, 3 << 8,
+        [("|i1", "bc5857406618e243"), ("<f8", "245d9211c3a7bc35"), ("<f8", "24415a3f5947f674")],
+    ),
+    (
+        lambda: _toy_config(0.5, gm.discrete_prior((0.05, 0.05, 0.1, 0.8))), 11, 3 << 8,
+        [("|i1", "23d333e3f85970ca"), ("<i8", "a87c2199d50cec1d"), ("<i8", "7010f2026a4d043f")],
+    ),
+    # fixed (y, nu): analytic y = 0 at nu = 1, toy y = 1 at protocol 3
+    (
+        lambda: naps.analytic_config(0.0, gm.point_mass_prior(1.0)), 5, 0,
+        [("|i1", "541b3e9daa09b20b"), ("<f8", "e4190bf93e24bcf8"), ("<f8", "9dc4e25972a7c5a7")],
+    ),
+    (
+        lambda: _toy_config(1.0, gm.point_mass_prior(3, gm.DISCRETE_SPACE)), 5, 4,
+        [("|i1", "353c38352a855c80"), ("<i8", "e2a4c98d23f4b1e0"), ("<i8", "b3ba861b42bcf5eb")],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_config,seed,stream_base,expected",
+    PINNED_DRAWS,
+    ids=["uniform", "gaussian-4-0.1", "toy-target", "analytic-y0-nu1", "toy-y1-protocol3"],
+)
+def test_sampler_draws_are_pinned(make_config, seed, stream_base, expected):
+    ds = gm.sample_dataset(make_config(), 1000, seed, stream_base=stream_base)
+    got = [(c.dtype.str, hashlib.sha256(c.tobytes()).hexdigest()[:16]) for c in (ds.y, ds.nu, ds.x)]
+    assert got == expected

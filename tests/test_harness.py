@@ -178,9 +178,9 @@ def test_compute_metrics_matches_masked_reference():
     nu = rng.uniform(1.0, 7.0, n)  # the top report bins stay empty
     include0, include1 = rng.random(n) < 0.7, rng.random(n) < 0.5
     binning = NuBinning.equal_width(1.0, 10.0, 6)
-    got = harness.compute_metrics(y, nu, include0, include1, binning)
-    assert got["marginal"] == masked_segment(y, include0, include1, np.ones(n, dtype=bool))
     cells = binning.cell_index(nu)
+    got = harness.compute_metrics(y, cells, include0, include1, binning)
+    assert got["marginal"] == masked_segment(y, include0, include1, np.ones(n, dtype=bool))
     for label in (0, 1):
         assert got["by_class"][str(label)] == masked_segment(y, include0, include1, y == label)
         for cell, seg in enumerate(got["by_class_nu_bin"][str(label)]):

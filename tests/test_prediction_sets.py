@@ -228,7 +228,7 @@ def test_class_conditional_fails_at_nu_1(model, uniform_gen):
     # conditioning on the hardest nuisance value exposes the invalidity
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=35)
     baseline = ps.ClassConditionalBaseline.fit(score_dataset(model, cal))
-    xs = gm.sample_conditional(uniform_gen, 0, 1.0, 20_000, seed=36)
+    xs = gm.sample_dataset(gm.analytic_config(0.0, gm.point_mass_prior(1.0)), 20_000, seed=36).x
     i0, _ = baseline.include_batch(model.posterior1(xs), 0.1)
     cov = np.mean(i0)
     se = math.sqrt(0.1 * 0.9 / len(xs))
