@@ -9,14 +9,13 @@ perturbation.
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import naps
-from naps import harness
+from naps import files, harness
 
 
 def _fmt(distance) -> str:
@@ -62,11 +61,8 @@ def main() -> int:
     print(f"  max sup-distance: {_fmt(clean['max_sup_distance'])}")
     print(f"  with class-0 rate perturbation x1.5: {_fmt(broken['max_sup_distance'])}")
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "pit.json"), "w", encoding="utf-8") as fh:
-        json.dump(pit, fh, indent=2, sort_keys=True)
-    with open(os.path.join(args.out, "invariance.json"), "w", encoding="utf-8") as fh:
-        json.dump({"clean": clean, "perturbed": broken}, fh, indent=2, sort_keys=True)
+    files.write_json(os.path.join(args.out, "pit.json"), pit)
+    files.write_json(os.path.join(args.out, "invariance.json"), {"clean": clean, "perturbed": broken})
     print(f"\ntables written under {args.out}/")
     return 0
 

@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 import naps
-from naps import harness
+from naps import files, harness
 
 
 def main() -> int:
@@ -51,11 +51,7 @@ def main() -> int:
     print(f"\ncutoff-minimizing gamma: {result['minimizing_gamma']:.3e} "
           f"(x0* = {result['min_x0_star']:.5f})")
 
-    os.makedirs(args.out, exist_ok=True)
-    import json
-
-    with open(os.path.join(args.out, "gamma_sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
+    files.write_json(os.path.join(args.out, "gamma_sweep.json"), result)
     print(f"table written under {args.out}/")
     return 0
 

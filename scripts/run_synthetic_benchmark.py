@@ -58,7 +58,6 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=400)
     args = parser.parse_args()
 
-    os.makedirs(args.out, exist_ok=True)
     for setting, target in (("no_gls", "uniform"), ("gls", "shifted")):
         config = build_config(target, args)
         report = harness.run_experiment(config)

@@ -17,13 +17,12 @@ pipeline can also be exercised with a fitted model.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import genmodel
+from . import files, genmodel
 from .errors import ConfigError, DomainError, NumericError
 from .genmodel import SCENARIO_ANALYTIC, Dataset, GenerativeConfig, PriorSpec
 
@@ -115,14 +114,11 @@ class AnalyticMarginalClassifier:
 
     config: GenerativeConfig
     quad_tol: float = 1e-9
+    kind: str = field(default="analytic-marginal", init=False)
 
     def __post_init__(self):
         if not 0.0 < self.quad_tol < np.inf:
             raise ConfigError(f"quad_tol must be finite and > 0, got {self.quad_tol!r}")
-
-    @property
-    def kind(self) -> str:
-        return "analytic-marginal"
 
     @property
     def class1_prior(self) -> float:
@@ -201,9 +197,6 @@ class AnalyticMarginalClassifier:
         out = (p1 * f1 * m1 + (1.0 - p1) * nu_f0bar) / (p1 * f1 + (1.0 - p1) * f0bar)
         return float(out) if x.ndim == 0 else out
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "config": self.config.to_dict(), "quad_tol": self.quad_tol}
-
 
 @dataclass(frozen=True)
 class HistogramClassifier:
@@ -216,10 +209,7 @@ class HistogramClassifier:
     bin_edges: np.ndarray
     bin_posterior: np.ndarray
     class1_prior: float
-
-    @property
-    def kind(self) -> str:
-        return "histogram"
+    kind: str = field(default="histogram", init=False)
 
     def posterior1(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -227,14 +217,6 @@ class HistogramClassifier:
         idx = np.clip(idx, 0, len(self.bin_posterior) - 1)
         out = self.bin_posterior[idx]
         return float(out) if x.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bin_edges": self.bin_edges.tolist(),
-            "bin_posterior": self.bin_posterior.tolist(),
-            "class1_prior": self.class1_prior,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "HistogramClassifier":
@@ -265,9 +247,7 @@ def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifi
     )
 
 
-def load_classifier(path) -> AnalyticMarginalClassifier | HistogramClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+def _classifier_from_dict(d: dict) -> AnalyticMarginalClassifier | HistogramClassifier:
     if d["kind"] == "histogram":
         return HistogramClassifier.from_dict(d)
     if d["kind"] == "analytic-marginal":
@@ -277,9 +257,12 @@ def load_classifier(path) -> AnalyticMarginalClassifier | HistogramClassifier:
     raise ConfigError(f"unknown classifier kind {d['kind']!r}")
 
 
+def load_classifier(path) -> AnalyticMarginalClassifier | HistogramClassifier:
+    return files.read_json(path, _classifier_from_dict, "fitted artifact")
+
+
 def save_classifier(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
+    files.write_json(path, model)
 
 
 def bayes_factor_from_posterior(p_y: np.ndarray, prior_y: float):

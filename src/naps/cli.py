@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import harness
+from . import files, harness
 from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig, Pipeline
 
@@ -107,14 +106,8 @@ def _parse_float(text: str, flag: str) -> float:
         raise ConfigError(f"malformed {flag} value {text!r}: expected a number") from exc
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-
-
 def cmd_simulate(config: ExperimentConfig) -> None:
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     config.calibration_set().save(os.path.join(out, "calibration.csv"))
     config.evaluation_set().save(os.path.join(out, "evaluation.csv"))
     if config.classifier == "histogram":
@@ -131,7 +124,6 @@ def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions:
     pipeline = Pipeline.load(models) if models else None
     report, pipeline, evaluation = harness._run_scored(config, pipeline)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     report.to_json(os.path.join(out, "report.json"))
     report.write_long_table(os.path.join(out, "report_long.csv"))
     if dump_spec is not None:
@@ -151,16 +143,10 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
 def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
     result = harness.run_pit_diagnostics(config, n_param_bins=param_bins)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    _write_json(result, os.path.join(out, "pit.json"))
-    with open(os.path.join(out, "pit_bins.csv"), "w", encoding="utf-8") as fh:
-        fh.write("surface,bin,n,ks_distance,ks_band,within_band,skipped\n")
-        for name in ("nuisance_aware", "nuisance_ignoring"):
-            for row in result[name]:
-                fh.write(
-                    f"{name},{row['bin']},{row['n']},{row['ks_distance']},"
-                    f"{row['ks_band']},{row['within_band']},{row['skipped']}\n"
-                )
+    files.write_json(os.path.join(out, "pit.json"), result)
+    rows = [{"surface": name, **row} for name in ("nuisance_aware", "nuisance_ignoring") for row in result[name]]
+    header = ("surface", "bin", "n", "ks_distance", "ks_band", "within_band", "skipped")
+    files.write_table(os.path.join(out, "pit_bins.csv"), header, None, [[r[k] for r in rows] for k in header])
 
 
 def cmd_sweep_gamma(config: ExperimentConfig, alpha: float, grid_spec: str) -> None:
@@ -171,17 +157,11 @@ def cmd_sweep_gamma(config: ExperimentConfig, alpha: float, grid_spec: str) -> N
         raise ConfigError(f"malformed --gamma-grid {grid_spec!r}: expected lo:hi:count") from exc
     result = harness.gamma_sweep(config, alpha, grid)
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    _write_json(result, os.path.join(out, "gamma_sweep.json"))
-    with open(os.path.join(out, "gamma_sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("gamma,x0_star,x1_star,arg_nu,power_y1,power_y0\n")
-        for row in result["rows"]:
-            if row["skipped"]:
-                continue  # skipped entries are warned about and kept in the JSON
-            fh.write(
-                f"{row['gamma']!r},{row['x0_star']!r},{row['x1_star']!r},"
-                f"{row['arg_nu']!r},{row['power_y1']!r},{row['power_y0']!r}\n"
-            )
+    files.write_json(os.path.join(out, "gamma_sweep.json"), result)
+    # skipped entries are warned about and kept in the JSON
+    rows = [r for r in result["rows"] if not r["skipped"]]
+    header = ("gamma", "x0_star", "x1_star", "arg_nu", "power_y1", "power_y0")
+    files.write_table(os.path.join(out, "gamma_sweep.csv"), header, None, [[r[k] for r in rows] for k in header])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import files
 from .errors import ConfigError, DomainError
 
 E_MINUS_1 = math.e - 1.0
@@ -66,10 +67,6 @@ TOY_PROTOCOL_SHIFT = np.array(
         [0.35, -0.25, 0.30, -0.35, 0.25, -0.30, 0.20, -0.25],
     ]
 )
-
-_FLOAT_FMT = "%.17g"
-# Rows formatted per write of Dataset.save, so its text buffer stays a few MB.
-_SAVE_ROWS = 65536
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -114,11 +111,6 @@ class NuisanceSpace:
             lo, hi = self.bounds
             return (nu >= lo) & (nu <= hi)
         return np.isin(nu, np.asarray(self.categories))
-
-    def to_dict(self) -> dict:
-        if self.is_continuous:
-            return {"kind": self.kind, "bounds": list(self.bounds)}
-        return {"kind": self.kind, "categories": list(self.categories)}
 
     @staticmethod
     def from_dict(d: dict) -> "NuisanceSpace":
@@ -172,8 +164,8 @@ class PriorSpec:
         if self.kind in ("uniform", "truncated-gaussian") and not self.support.is_continuous:
             raise ConfigError(f"{self.kind} prior requires a continuous nuisance space")
         if self.kind == "truncated-gaussian":
-            if self.mean is None or self.sd is None or self.sd <= 0:
-                raise ConfigError("truncated-gaussian prior needs mean and sd > 0")
+            if self.mean is None or self.sd is None or not (math.isfinite(self.mean) and 0 < self.sd < math.inf):
+                raise ConfigError("truncated-gaussian prior needs a finite mean and a finite sd > 0")
         elif self.kind == "discrete-weights":
             if self.support.is_continuous:
                 raise ConfigError("discrete-weights prior requires a discrete nuisance space")
@@ -265,16 +257,6 @@ class PriorSpec:
             return float(self.value)
         return float(np.dot(self.weights, np.asarray(self.support.categories, dtype=float)))
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "support": self.support.to_dict()}
-        if self.kind == "truncated-gaussian":
-            d.update(mean=self.mean, sd=self.sd)
-        elif self.kind == "discrete-weights":
-            d.update(weights=list(self.weights))
-        elif self.kind == "point-mass":
-            d.update(value=self.value)
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "PriorSpec":
         support = NuisanceSpace.from_dict(d["support"])
@@ -332,14 +314,6 @@ class GenerativeConfig:
     @property
     def nuisance_space(self) -> NuisanceSpace:
         return self.nuisance_prior_class0.support
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "class1_probability": self.class1_probability,
-            "nuisance_prior_class0": self.nuisance_prior_class0.to_dict(),
-            "nuisance_prior_class1": self.nuisance_prior_class1.to_dict(),
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "GenerativeConfig":
@@ -501,17 +475,12 @@ class Dataset:
     def save(self, path) -> None:
         """Write delimited text; floats keep 17 significant digits."""
         if self.scenario == SCENARIO_ANALYTIC:
-            header, row = "y,nu,x\n", f"%d,{_FLOAT_FMT},{_FLOAT_FMT}\n"
+            header, row = ("y", "nu", "x"), f"%d,{files.FLOAT_FMT},{files.FLOAT_FMT}"
             columns = (self.y, self.nu, self.x)
         else:
-            cols = ",".join(f"x{j + 1}" for j in range(TOY_N_DIMS))
-            header, row = f"y,protocol,{cols}\n", ",".join(["%d"] * (2 + TOY_N_DIMS)) + "\n"
-            columns = (self.y, self.nu, *self.x.T)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            for start in range(0, len(self), _SAVE_ROWS):
-                chunk = (c[start : start + _SAVE_ROWS].tolist() for c in columns)
-                fh.write("".join(map(row.__mod__, zip(*chunk))))
+            header = ("y", "protocol", *(f"x{j + 1}" for j in range(TOY_N_DIMS)))
+            row, columns = ",".join(["%d"] * len(header)), (self.y, self.nu, *self.x.T)
+        files.write_table(path, header, row, columns)
 
     @staticmethod
     def load(path) -> "Dataset":

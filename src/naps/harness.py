@@ -15,7 +15,6 @@ with stable key order and full float precision.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import warnings
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import genmodel
+from . import files, genmodel
 from .classifier import (
     AnalyticMarginalClassifier,
     ScoredDataset,
@@ -87,9 +86,6 @@ class GammaRule:
             raise ConfigError(f"gamma rule yields gamma={g} >= alpha={alpha}")
         return g
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
     @staticmethod
     def from_dict(d) -> "GammaRule":
         if isinstance(d, (int, float)):
@@ -116,15 +112,6 @@ class MethodSpec:
             isinstance(c, (int, float)) and 0.0 < c < math.inf for c in self.costs
         ):
             raise ConfigError(f"costs must be two finite positive numbers, got {list(self.costs)!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "gamma_rule": self.gamma_rule.to_dict(),
-            "provider": self.provider,
-            "costs": list(self.costs),
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "MethodSpec":
@@ -223,27 +210,6 @@ class ExperimentConfig:
     def report_binning(self) -> NuBinning:
         return NuBinning.for_space(self.train_prior.support, self.report_nu_bins)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "class1_probability": self.class1_probability,
-            "train_prior": self.train_prior.to_dict(),
-            "target_prior": self.target_prior.to_dict(),
-            "n_train": self.n_train,
-            "n_calibration": self.n_calibration,
-            "n_evaluation": self.n_evaluation,
-            "alphas": list(self.alphas),
-            "methods": [m.to_dict() for m in self.methods],
-            "nu_bins": self.nu_bins,
-            "nu_bin_scheme": self.nu_bin_scheme,
-            "report_nu_bins": self.report_nu_bins,
-            "cutoff_grid_size": self.cutoff_grid_size,
-            "classifier": self.classifier,
-            "histogram_bins": self.histogram_bins,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         kwargs = dict(d)
@@ -260,13 +226,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_file(path) -> "ExperimentConfig":
-        if not os.path.exists(path):
-            raise ConfigError(f"configuration file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return ExperimentConfig.from_dict(json.load(fh))
-            except (ConfigError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed configuration {path}: {exc}") from exc
+        return files.read_json(path, ExperimentConfig.from_dict, "configuration")
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +241,14 @@ class Pipeline:
     surfaces: dict[int, RejectionSurface]
 
     def save(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
         save_classifier(self.model, os.path.join(out_dir, "classifier.json"))
         for y in (0, 1):
             self.surfaces[y].save(os.path.join(out_dir, f"surface_bf{y}.json"))
 
     @staticmethod
     def load(model_dir: str) -> "Pipeline":
-        def read(loader, name):
-            path = os.path.join(model_dir, name)
-            if not os.path.exists(path):
-                raise ConfigError(f"missing fitted artifact {name} in {model_dir}")
-            try:
-                return loader(path)
-            except (ConfigError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed fitted artifact {path}: {exc!r}") from exc
-
-        model = read(load_classifier, "classifier.json")
-        surfaces = {y: read(RejectionSurface.load, f"surface_bf{y}.json") for y in (0, 1)}
+        model = load_classifier(os.path.join(model_dir, "classifier.json"))
+        surfaces = {y: RejectionSurface.load(os.path.join(model_dir, f"surface_bf{y}.json")) for y in (0, 1)}
         return Pipeline(model=model, binning=surfaces[0].binning, surfaces=surfaces)
 
 
@@ -444,13 +394,11 @@ class MetricsReport:
         return self.data["methods"][method]["alphas"][_alpha_key(alpha)]
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True, allow_nan=False)
+        files.write_json(path, self.data)
 
     @staticmethod
     def from_json(path) -> "MetricsReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return MetricsReport(data=json.load(fh))
+        return files.read_json(path, MetricsReport, "report")
 
     def write_long_table(self, path) -> None:
         """Plot-ready long format: method, alpha, segment, metric, value, se, n."""
@@ -465,18 +413,13 @@ class MetricsReport:
                         segments.append((label, seg))
                 for seg_name, seg in segments:
                     for metric in ("coverage", "power", "ambiguity_rate", "empty_rate", "mean_set_size"):
-                        value = seg.get(metric)
-                        se = seg.get(metric + "_se", "")
-                        rows.append(
-                            (method, akey, seg_name, metric, value, se, seg["n"])
-                        )
+                        se = seg.get(metric + "_se")
+                        rows.append((method, akey, seg_name, metric, seg.get(metric), se, seg["n"]))
                 for c in ("0", "1"):
                     p = tables["precision"][c]
                     rows.append((method, akey, f"predicted={c}", "precision", p["value"], p["se"], p["n"]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("method,alpha,segment,metric,value,se,n\n")
-            for row in rows:
-                fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+        header = ("method", "alpha", "segment", "metric", "value", "se", "n")
+        files.write_table(path, header, None, [[row[i] for row in rows] for i in range(len(header))])
 
 
 def _alpha_key(alpha: float) -> str:
@@ -537,7 +480,7 @@ def _run_scored(
                     "gamma": clf.providers[0].gamma,
                     "cutoff0": None if table[0].saturated else table[0].cutoff,
                     "cutoff1": None if table[1].saturated else table[1].cutoff,
-                    "nuisance_regions": {str(y): table[y].region.to_dict() for y in (0, 1)},
+                    "nuisance_regions": {str(y): files.jsonable(table[y].region) for y in (0, 1)},
                     "saturated_labels": [y for y in (0, 1) if table[y].saturated],
                 }
             elif spec.kind in ("standard", "class-conditional"):
@@ -553,8 +496,8 @@ def _run_scored(
             alphas_out[_alpha_key(alpha)] = tables
         methods_out[spec.name] = {"kind": spec.kind, "alphas": alphas_out}
 
-    config_echo = config.to_dict()
-    config_echo.pop("output_dir")  # report content must not depend on its destination
+    config_echo = files.jsonable(config)
+    config_echo.pop("output_dir", None)  # report content must not depend on its destination
     report = MetricsReport(
         data={
             "schema_version": REPORT_SCHEMA_VERSION,

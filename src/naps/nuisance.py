@@ -64,9 +64,6 @@ class NuisanceRegion:
     def width(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
-    def to_dict(self) -> dict:
-        return {"intervals": [list(iv) for iv in self.intervals], "categories": list(self.categories)}
-
     @staticmethod
     def from_dict(d: dict) -> "NuisanceRegion":
         return NuisanceRegion(
@@ -127,6 +124,7 @@ class OracleQuantileProvider:
         lo, hi = self.distribution.ppf([g / 2.0, 1.0 - g / 2.0]).tolist()
         slo, shi = self.space.bounds
         lo, hi = max(lo, slo), min(hi, shi)
-        if not np.isfinite(lo) or not np.isfinite(hi) or hi - lo <= 0.0:
+        # A point mass gives the one-point region ((v, v),), which a cutoff can be inverted over.
+        if not np.isfinite(lo) or not np.isfinite(hi) or hi < lo:
             raise NumericError(f"quantile interval degenerated at gamma={g}: [{lo}, {hi}]")
         return NuisanceRegion(intervals=((float(lo), float(hi)),))

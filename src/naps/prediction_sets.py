@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import files
 from .classifier import bayes_factor_with_flags  # noqa: F401  (patched by perfbench/tracing.py)
 from .classifier import ScoredDataset, label_bayes_factors
 from .cutoffs import CutoffRequest, cutoff_for_region
@@ -29,8 +30,6 @@ from .errors import ConfigError, SaturationError
 from .genmodel import Dataset
 from .nuisance import NuisanceRegion
 from .rejection import NuBinning, RejectionSurface
-
-_FLOAT_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -208,33 +207,16 @@ class BatchPredictions:
         Vector observations (discrete-toy counts) take one column each,
         ``x1..xd``, as in ``Dataset.save``.
         """
-        members = self.members_column()
-        cutoffs = [_FLOAT_FMT % self.cutoff0, _FLOAT_FMT % self.cutoff1]
         x = self.x.reshape(len(self), -1)
-        x_header = "x" if self.x.ndim == 1 else ",".join(f"x{j + 1}" for j in range(x.shape[1]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{x_header},statistic0,statistic1,cutoff0,cutoff1,members,flags\n")
-            for i in range(len(self)):
-                flags = []
-                if self.saturated0 or self.saturated1:
-                    flags.append("saturated")
-                if self.clipped0[i] or self.clipped1[i]:
-                    flags.append("clipped")
-                if members[i] == "":
-                    flags.append("empty")
-                fh.write(
-                    ",".join(
-                        [
-                            *(_FLOAT_FMT % v for v in x[i]),
-                            _FLOAT_FMT % self.statistic0[i],
-                            _FLOAT_FMT % self.statistic1[i],
-                            *cutoffs,
-                            members[i],
-                            "|".join(flags),
-                        ]
-                    )
-                    + "\n"
-                )
+        x_header = ["x"] if self.x.ndim == 1 else [f"x{j + 1}" for j in range(x.shape[1])]
+        header = (*x_header, "statistic0", "statistic1", "cutoff0", "cutoff1", "members", "flags")
+        members = self.members_column()
+        saturated = "saturated" if self.saturated0 or self.saturated1 else ""
+        clipped = np.where(self.clipped0 | self.clipped1, "clipped", "").tolist()
+        flags = ["|".join(filter(None, (saturated, c, "" if m else "empty"))) for c, m in zip(clipped, members)]
+        cutoffs = ",".join(files.FLOAT_FMT % c for c in (self.cutoff0, self.cutoff1))
+        row = ",".join([files.FLOAT_FMT] * (x.shape[1] + 2) + [cutoffs, "%s", "%s"])
+        files.write_table(path, header, row, (*x.T, self.statistic0, self.statistic1, members, flags))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ draws is uniform within every parameter-space bin.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import files
 from .errors import BinningError, ConfigError, DomainError, SaturationError
 from .genmodel import Dataset, NuisanceSpace
 
@@ -161,11 +161,6 @@ class NuBinning:
             return np.nonzero(hit)[0]
         keep = [i for i, c in enumerate(self.categories) if c in region.categories]
         return np.asarray(keep, dtype=int)
-
-    def to_dict(self) -> dict:
-        if self.is_continuous:
-            return {"edges": np.asarray(self.edges).tolist()}
-        return {"categories": list(self.categories)}
 
     @staticmethod
     def from_dict(d: dict) -> "NuBinning":
@@ -304,18 +299,8 @@ class RejectionSurface:
             )
         return float(self.grid[pos])
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic_id": self.statistic_id,
-            "binning": self.binning.to_dict(),
-            "grid": np.asarray(self.grid).tolist(),
-            "values": np.asarray(self.values).tolist(),
-            "metadata": self.metadata,
-        }
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+        files.write_json(path, self, indent=None)
 
     @staticmethod
     def from_dict(d: dict) -> "RejectionSurface":
@@ -329,8 +314,7 @@ class RejectionSurface:
 
     @staticmethod
     def load(path) -> "RejectionSurface":
-        with open(path, "r", encoding="utf-8") as fh:
-            return RejectionSurface.from_dict(json.load(fh))
+        return files.read_json(path, RejectionSurface.from_dict, "fitted artifact")
 
 
 def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> RejectionSurface:

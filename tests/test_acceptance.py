@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import naps
-from naps import cli, genmodel as gm, harness
+from naps import cli, files, genmodel as gm, harness
 from naps.classifier import bayes_factor_from_posterior, score_dataset, x_at_bayes_factor
 from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
@@ -395,7 +395,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         seed=29,
     )
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+    config_path.write_text(json.dumps(files.jsonable(cfg), indent=2, sort_keys=True))
 
     def read_all(directory):
         return {

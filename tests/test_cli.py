@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import naps
-from naps import cli, harness
+from naps import cli, files, harness
 from naps.cutoffs import CutoffRequest, cutoff_for_region
 from naps.errors import NumericError
 from naps.nuisance import full_space_set
@@ -26,7 +28,7 @@ def config_path(tmp_path):
         seed=9,
     )
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+    path.write_text(json.dumps(files.jsonable(cfg), indent=2, sort_keys=True))
     return str(path)
 
 
@@ -220,6 +222,7 @@ def test_unknown_method_exits_2(config_path, tmp_path):
 
 
 WIDE_SPACE = {"kind": "continuous-interval", "bounds": [0.5, 20.0]}
+NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
 
 
 @pytest.mark.parametrize(
@@ -238,23 +241,75 @@ WIDE_SPACE = {"kind": "continuous-interval", "bounds": [0.5, 20.0]}
         (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": ["a", 1]}]}),
         (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": [1]}]}),
         (["evaluate"], {"methods": [{"kind": "bayes-point", "costs": [-1, 1]}]}),
+        (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": "1e400", "support": NU}}),
+        (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": math.nan, "support": NU}}),
+        (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": math.inf, "support": NU}}),
     ],
     ids=[
         "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
         "sweep-alpha", "simulate-wide-space", "fit-wide-space", "one-bound", "three-bounds",
-        "costs-string", "one-cost", "negative-cost",
+        "costs-string", "one-cost", "negative-cost", "sd-overflow", "sd-nan", "sd-infinity",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):
     cfg = json.loads(open(config_path).read())
     cfg.update(changes)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    # json.dumps writes NaN and Infinity literals; the string "1e400" stands for that number literal
+    path.write_text(json.dumps(cfg).replace('"1e400"', "1e400"))
     command = [sys.executable, "-m", "naps.cli", argv[0], "--config", str(path), "--out", str(tmp_path / "o")]
     proc = subprocess.run(command + argv[1:], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_point_mass_target_gives_one_point_region(config_path, tmp_path):
+    cfg = json.loads(open(config_path).read())
+    cfg["target_prior"] = {"kind": "point-mass", "value": 4.0, "support": NU}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["evaluate", "--config", str(path), "--out", str(out), "--method", "naps-oracle"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for table in report["methods"]["naps-oracle"]["alphas"].values():
+        assert table["nuisance_regions"]["0"] == {"categories": [], "intervals": [[4.0, 4.0]]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON literal {name}")
+
+
+def test_cli_files_are_well_formed(config_path, tmp_path):
+    # few evaluation points and many PIT bins: some report cells are empty and some PIT bins are skipped
+    cfg = json.loads(open(config_path).read())
+    cfg["n_evaluation"] = 200
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    commands = (["simulate"], ["evaluate", "--dump-predictions"], ["diagnose", "--param-bins", "200"], ["sweep-gamma"])
+    for argv in commands:
+        assert run([argv[0], "--config", str(path), "--out", str(out / argv[0]), *argv[1:]]) == 0
+    written = {os.path.relpath(os.path.join(d, f), out) for d, _, names in os.walk(out) for f in names}
+    assert written == {
+        "simulate/calibration.csv", "simulate/evaluation.csv", "evaluate/report.json", "evaluate/report_long.csv",
+        "evaluate/naps_predictions.csv", "diagnose/pit.json", "diagnose/pit_bins.csv",
+        "sweep-gamma/gamma_sweep.json", "sweep-gamma/gamma_sweep.csv",
+    }
+    tables = {}
+    for name in written:
+        text = (out / name).read_text()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        rows = list(csv.reader(text.splitlines()))
+        assert all(len(row) == len(rows[0]) for row in rows), name
+        tables[name] = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert {r["segment"] for r in tables["evaluate/report_long.csv"]} >= {"y=0,bin=9", "y=1,bin=0"}
+    assert any(r["value"] == "" for r in tables["evaluate/report_long.csv"])
+    skipped = [r for r in tables["diagnose/pit_bins.csv"] if r["skipped"] == "True"]
+    assert skipped and all(r["ks_distance"] == r["ks_band"] == r["within_band"] == "" for r in skipped)
+    assert tables["diagnose/pit_bins.csv"][0]["bin"] == "y=0,nu=[1,1.045)"
 
 
 def test_missing_model_artifacts_exit_2(config_path, tmp_path):
@@ -349,7 +404,7 @@ def run_cli_in_fresh_interpreter(tmp_path, cfg, commands, unloaded):
     """Run ``naps <command> --config ... --out tmp_path/<command>`` for each command in one
     new interpreter, then check that none of the ``unloaded`` modules was imported."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(files.jsonable(cfg)))
     code = "import sys\nimport naps.cli\n" + "".join(
         f"assert naps.cli.main([{c!r}, '--config', {str(path)!r}, '--out', {str(tmp_path / c)!r}]) == 0\n"
         for c in commands

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import truncnorm
 
 import naps
+from naps import files
 from naps import genmodel as gm
 from naps.errors import ConfigError, DomainError
 from naps.rejection import ks_distance_uniform
@@ -163,10 +164,10 @@ def test_dataset_roundtrip_csv(tmp_path, uniform_gen):
     assert np.array_equal(loaded.x, ds.x)
 
 
-@pytest.mark.parametrize("save_rows", [gm._SAVE_ROWS, 3])
+@pytest.mark.parametrize("save_rows", [files._TABLE_ROWS, 3])
 def test_dataset_save_bytes(tmp_path, monkeypatch, save_rows):
     # pinned text of both layouts, also when the rows are written in chunks of 3
-    monkeypatch.setattr(gm, "_SAVE_ROWS", save_rows)
+    monkeypatch.setattr(files, "_TABLE_ROWS", save_rows)
     y = np.array([0, 1, 1, 0], dtype=np.int8)
     analytic = naps.Dataset(gm.SCENARIO_ANALYTIC, y, np.array([1.0, 10.0, 4.1, 2.5]), np.array([0.0, 1.0, 0.1, 5e-324]))
     counts = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [12, 0, 0, 0, 0, 0, 0, 0], [0] * 8, [1, 1, 1, 1, 1, 1, 1, 123]])
@@ -268,6 +269,9 @@ def test_prior_validation():
         naps.NuisanceSpace(kind="continuous-interval", bounds=(3.0, 1.0))
     with pytest.raises(ConfigError):
         naps.PriorSpec(kind="truncated-gaussian", support=gm.ANALYTIC_SPACE, mean=4.0, sd=-1.0)
+    for mean, sd in [(float("nan"), 1.0), (4.0, float("nan")), (float("inf"), 1.0), (4.0, float("inf"))]:
+        with pytest.raises(ConfigError):
+            naps.truncated_gaussian_prior(mean, sd)
     with pytest.raises(ConfigError):
         naps.PriorSpec(kind="discrete-weights", support=gm.DISCRETE_SPACE, weights=(0.5, 0.5))
 

@@ -8,7 +8,7 @@ import pytest
 
 import naps
 from naps import genmodel as gm
-from naps import cli, harness
+from naps import cli, files, harness
 from naps import prediction_sets as ps
 from naps.errors import ConfigError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
@@ -32,10 +32,23 @@ def small_config(**overrides):
     return harness.ExperimentConfig(**defaults)
 
 
-def test_config_roundtrip():
-    cfg = small_config()
-    again = harness.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+def test_config_roundtrip(tmp_path):
+    # every prior kind, gamma-rule kind, provider and method kind, through the strict file format
+    methods = (
+        *harness.default_methods(),
+        harness.MethodSpec(name="plug-in", kind="plug-in"),
+        harness.MethodSpec(name="bayes-point", kind="bayes-point", costs=(1.0, 2.5)),
+    )
+    toy_prior = gm.discrete_prior((0.1, 0.2, 0.3, 0.4))
+    configs = [
+        small_config(),
+        small_config(methods=methods, train_prior=gm.point_mass_prior(2.5), nu_bin_scheme="geometric", output_dir="o"),
+        small_config(scenario=gm.SCENARIO_DISCRETE, train_prior=toy_prior, target_prior=toy_prior, methods=methods[2:]),
+    ]
+    for cfg in configs:
+        assert harness.ExperimentConfig.from_dict(files.jsonable(cfg)) == cfg
+        files.write_json(tmp_path / "config.json", cfg)
+        assert harness.ExperimentConfig.from_json_file(tmp_path / "config.json") == cfg
 
 
 def test_config_validation():
@@ -52,7 +65,7 @@ def test_config_validation():
             )
         )  # gamma >= smallest alpha
     with pytest.raises(ConfigError):
-        harness.ExperimentConfig.from_dict({**small_config().to_dict(), "bogus": 1})
+        harness.ExperimentConfig.from_dict({**files.jsonable(small_config()), "bogus": 1})
     with pytest.raises(ConfigError):
         harness.ExperimentConfig.from_json_file("/nonexistent/config.json")
 
@@ -72,13 +85,15 @@ def test_run_experiment_deterministic():
 
 
 def test_amortization_refit_vs_loaded(tmp_path):
-    cfg = small_config()
-    pipeline = harness.fit_pipeline(cfg)
-    fresh = harness.run_experiment(cfg)
-    pipeline.save(tmp_path)
-    loaded = harness.Pipeline.load(str(tmp_path))
-    reloaded = harness.run_experiment(cfg, pipeline=loaded)
-    assert json.dumps(fresh.data, sort_keys=True) == json.dumps(reloaded.data, sort_keys=True)
+    for cfg in (small_config(), small_config(classifier="histogram", n_train=20_000)):
+        pipeline = harness.fit_pipeline(cfg)
+        fresh = harness.run_experiment(cfg)
+        pipeline.save(tmp_path / cfg.classifier)
+        loaded = harness.Pipeline.load(str(tmp_path / cfg.classifier))
+        assert files.jsonable(loaded) == files.jsonable(pipeline)
+        assert type(loaded.model) is type(pipeline.model)
+        reloaded = harness.run_experiment(cfg, pipeline=loaded)
+        assert json.dumps(fresh.data, sort_keys=True) == json.dumps(reloaded.data, sort_keys=True)
 
 
 class PassCounter:
@@ -133,7 +148,7 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch):
 def test_evaluate_dump_draws_and_scores_each_dataset_once(tmp_path, monkeypatch, prefitted):
     cfg = small_config()
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(files.jsonable(cfg)))
     argv = ["evaluate", "--config", str(path), "--out", str(tmp_path / "r"), "--dump-predictions"]
     if prefitted:
         assert cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "m")]) == 0

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naps
+from naps import files
 from naps import genmodel as gm
 from naps import nuisance as nu
 from naps.errors import ConfigError, NumericError
@@ -66,10 +69,19 @@ def test_oracle_width_nonincreasing_in_gamma(g):
 
 
 def test_oracle_degenerate_interval_error():
-    dist = naps.PriorSpec(kind="point-mass", support=gm.ANALYTIC_SPACE, value=4.0)
-    provider = nu.OracleQuantileProvider(gamma=0.1, distribution=dist)
-    with pytest.raises(NumericError):
-        provider.region(0)
+    # only an interval with a non-finite or inverted end is degenerate
+    for ends in [(5.0, 4.0), (np.nan, 4.0), (4.0, np.nan)]:
+        dist = SimpleNamespace(kind="stub", support=gm.ANALYTIC_SPACE, ppf=lambda u, ends=ends: np.array(ends))
+        provider = nu.OracleQuantileProvider(gamma=0.1, distribution=dist)
+        with pytest.raises(NumericError):
+            provider.region(0)
+
+
+def test_oracle_point_mass_gives_one_point_region():
+    dist = gm.point_mass_prior(4.0)
+    region = nu.OracleQuantileProvider(gamma=0.1, distribution=dist).region(0)
+    assert region == nu.NuisanceRegion(intervals=((4.0, 4.0),))
+    assert region.contains(4.0) and not region.contains(np.nextafter(4.0, 5.0))
 
 
 def test_oracle_rejects_discrete_distribution():
@@ -81,8 +93,9 @@ def test_oracle_rejects_discrete_distribution():
 
 def test_region_validation_and_roundtrip():
     region = nu.NuisanceRegion(intervals=((1.5, 2.0), (3.0, 4.0)))
-    again = nu.NuisanceRegion.from_dict(region.to_dict())
-    assert again == region
+    point, protocols = nu.NuisanceRegion(intervals=((4.0, 4.0),)), nu.NuisanceRegion(categories=(0, 3))
+    for r in (region, point, protocols, nu.NuisanceRegion()):
+        assert nu.NuisanceRegion.from_dict(files.jsonable(r)) == r
     assert region.width() == pytest.approx(1.5)
     assert not region.contains(2.5)
     assert region.contains(np.array([1.7, 3.5])).all()

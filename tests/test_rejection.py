@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naps
+from naps import files
 from naps import genmodel as gm
 from naps import rejection as rj
 from naps.errors import BinningError, ConfigError, DomainError, SaturationError
@@ -298,14 +299,16 @@ def test_surface_is_read_only(pipeline):
 
 
 def test_surface_roundtrip_bit_exact(tmp_path, pipeline):
-    surface = pipeline.surfaces[0]
-    path = tmp_path / "surface.json"
-    surface.save(path)
-    loaded = rj.RejectionSurface.load(path)
-    assert np.array_equal(loaded.grid, surface.grid)
-    assert np.array_equal(loaded.values, surface.values)
-    assert loaded.statistic_id == surface.statistic_id
-    assert loaded.binning.to_dict() == surface.binning.to_dict()
+    values = np.linspace(0.0, 1.0, 3 * 2 * 4).reshape(2, 3, 4)
+    toy = rj.RejectionSurface("toy", rj.NuBinning.discrete((0, 2, 5)), np.array([0.5, 1.0, 2.0, 4.0]), values)
+    for surface in (pipeline.surfaces[0], toy):
+        path = tmp_path / "surface.json"
+        surface.save(path)
+        loaded = rj.RejectionSurface.load(path)
+        assert np.array_equal(loaded.grid, surface.grid)
+        assert np.array_equal(loaded.values, surface.values)
+        assert loaded.statistic_id == surface.statistic_id
+        assert files.jsonable(loaded) == files.jsonable(surface)
 
 
 def test_binning_cells():
@@ -355,9 +358,11 @@ def test_binning_region_intersection():
 
 
 def test_binning_roundtrip():
-    for binning in (rj.NuBinning.equal_width(1.0, 10.0, 7), rj.NuBinning.discrete((0, 1, 3))):
-        again = rj.NuBinning.from_dict(binning.to_dict())
-        assert again.to_dict() == binning.to_dict()
+    for binning in (
+        rj.NuBinning.equal_width(1.0, 10.0, 7), rj.NuBinning.geometric(1.0, 10.0, 5), rj.NuBinning.discrete((0, 1, 3))
+    ):
+        again = rj.NuBinning.from_dict(files.jsonable(binning))
+        assert files.jsonable(again) == files.jsonable(binning)
 
 
 # --- PIT diagnostics ---------------------------------------------------------
