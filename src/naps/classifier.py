@@ -211,20 +211,20 @@ class HistogramClassifier:
     class1_prior: float
     kind: str = field(default="histogram", init=False)
 
+    def __post_init__(self):
+        edges, posterior = np.asarray(self.bin_edges, dtype=float), np.asarray(self.bin_posterior, dtype=float)
+        if posterior.ndim != 1 or posterior.size < 1 or edges.shape != (posterior.size + 1,):
+            raise ConfigError("a histogram needs at least one bin and one more edge than bin posteriors")
+        increasing = np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)
+        if not (increasing and np.all((posterior >= 0) & (posterior <= 1)) and 0 <= self.class1_prior <= 1):
+            raise ConfigError("histogram edges must be finite and increasing; posteriors and class1_prior in [0, 1]")
+
     def posterior1(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.bin_edges, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.bin_posterior) - 1)
         out = self.bin_posterior[idx]
         return float(out) if x.ndim == 0 else out
-
-    @staticmethod
-    def from_dict(d: dict) -> "HistogramClassifier":
-        return HistogramClassifier(
-            bin_edges=np.asarray(d["bin_edges"], dtype=float),
-            bin_posterior=np.asarray(d["bin_posterior"], dtype=float),
-            class1_prior=float(d["class1_prior"]),
-        )
 
 
 def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifier:
@@ -247,18 +247,16 @@ def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifi
     )
 
 
-def _classifier_from_dict(d: dict) -> AnalyticMarginalClassifier | HistogramClassifier:
-    if d["kind"] == "histogram":
-        return HistogramClassifier.from_dict(d)
-    if d["kind"] == "analytic-marginal":
-        return AnalyticMarginalClassifier(
-            config=GenerativeConfig.from_dict(d["config"]), quad_tol=float(d["quad_tol"])
-        )
-    raise ConfigError(f"unknown classifier kind {d['kind']!r}")
+def _parse_classifier(d) -> AnalyticMarginalClassifier | HistogramClassifier:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    for cls in (AnalyticMarginalClassifier, HistogramClassifier):
+        if kind == cls.kind:
+            return files.parse(cls, d)
+    raise ConfigError(f"unknown classifier kind {kind!r}")
 
 
 def load_classifier(path) -> AnalyticMarginalClassifier | HistogramClassifier:
-    return files.read_json(path, _classifier_from_dict, "fitted artifact")
+    return files.read_json(path, _parse_classifier, "fitted artifact")
 
 
 def save_classifier(model, path) -> None:

@@ -3,6 +3,10 @@
 JSON is strict both ways: ``write_json`` refuses ``NaN`` and ``Infinity``,
 and ``read_json`` rejects their literals and any number that overflows to
 them. Keys are sorted, so a payload always writes the same bytes.
+``jsonable`` turns a config or artifact dataclass into JSON's types, and
+``parse`` is its inverse: the dataclass's field annotations are the schema,
+so an unknown key, a missing field or a value of the wrong type is one
+``ConfigError`` naming the key path, and no class parses its own fields.
 Delimited text (``write_table``) is RFC 4180: ``field`` quotes text that
 holds a comma, a quote or a line break, and writes ``None`` as an empty
 field. Both writers create the parent directory.
@@ -11,9 +15,14 @@ field. Both writers create the parent directory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import reprlib
+import sys
+import types
+import typing
 
 import numpy as np
 
@@ -42,6 +51,72 @@ def jsonable(value):
     return value
 
 
+def parse(cls, data):
+    """The inverse of ``jsonable``: the ``cls`` dataclass built from ``data``, typed by its annotations.
+
+    A field left out takes its default, and an ``init=False`` one may appear only with its own value.
+    A mismatch is a ``ConfigError`` naming the key path, e.g. ``ExperimentConfig.methods[0].gamma_rule``.
+    """
+    return _parse(cls, data, cls.__name__)
+
+
+# What each plain annotation takes, as an error names it; a dataclass takes an object.
+_EXPECTED = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Each field's name -> (annotation, field); ``get_type_hints`` is too slow to run per read."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f) for f in dataclasses.fields(cls)}
+
+
+def _mismatch(path: str, expected: str, data) -> ConfigError:
+    return ConfigError(f"{path} must be {expected}, got {reprlib.repr(data)}")
+
+
+def _parse(tp, data, path: str):
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        (tp,) = set(typing.get_args(tp)) - {type(None)}
+        return None if data is None else _parse(tp, data, path)
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(data, list) or args[-1] is not Ellipsis and len(data) != len(args):
+            raise _mismatch(path, "a list" if args[-1] is Ellipsis else f"a list of {len(args)} entries", data)
+        args = args[:1] * len(data) if args[-1] is Ellipsis else args
+        return tuple(_parse(arg, v, f"{path}[{i}]") for i, (arg, v) in enumerate(zip(args, data)))
+    if tp is np.ndarray:
+        try:
+            array = np.array(data if isinstance(data, list) else None)
+        except ValueError:  # ragged nesting
+            array = np.array(None)
+        if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+            raise _mismatch(path, "a list of finite numbers", data)
+        return array.astype(float, copy=False)
+    accepted = (int, float) if tp is float else dict if dataclasses.is_dataclass(tp) else tp
+    # a bool is no number; abs(x) <= max is False for NaN and infinities, and compares a huge int without overflow
+    if not isinstance(data, accepted) or isinstance(data, bool) or tp is float and not abs(data) <= sys.float_info.max:
+        raise _mismatch(path, _EXPECTED.get(tp, "an object"), data)
+    if not dataclasses.is_dataclass(tp):
+        return float(data) if tp is float else data
+    unknown = [f"{path}.{key}" for key in data if key not in _schema(tp)]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)}")
+    kwargs = {}
+    for name, (hint, f) in _schema(tp).items():
+        if name not in data:
+            if f.init and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"missing key {path}.{name}")
+        elif not f.init and data[name] != f.default:
+            raise _mismatch(f"{path}.{name}", repr(f.default), data[name])
+        elif f.init:
+            kwargs[name] = _parse(hint, data[name], f"{path}.{name}")
+    try:
+        return tp(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parent_dir(path) -> None:
     parent = os.path.dirname(path)
     if parent:
@@ -62,22 +137,21 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_json(path, parse, what: str):
-    """``parse`` of the strict JSON in ``path``.
+def read_json(path, build, what: str):
+    """``build`` of the strict JSON in ``path``.
 
-    A file that cannot be read, bad or non-finite JSON, and a ``ConfigError``,
-    ``KeyError``, ``TypeError``, ``ValueError`` or ``OverflowError`` from
-    ``parse`` all raise one ``ConfigError`` naming the file; ``what`` says
-    what the file holds.
+    A file that cannot be read, bad or non-finite JSON, and a ``ConfigError``
+    or ``ValueError`` from ``build`` all raise one ``ConfigError`` naming the
+    file; ``what`` says what the file holds.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_finite, parse_constant=_finite)
-        return parse(data)
+        return build(data)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
 
 
 def field(value) -> str:

@@ -90,15 +90,13 @@ class NuisanceSpace:
     categories: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "continuous-interval":
-            if self.bounds is None or len(self.bounds) != 2 or not self.bounds[0] < self.bounds[1]:
-                raise ConfigError(f"continuous nuisance space needs two bounds lo < hi, got {self.bounds}")
-        elif self.kind == "discrete-set":
-            if not self.categories:
-                raise ConfigError("discrete nuisance space needs a nonempty category list")
-            if len(set(self.categories)) != len(self.categories):
-                raise ConfigError("discrete nuisance categories must be unique")
-        else:
+        interval = self.bounds is not None and len(self.bounds) == 2 and self.bounds[0] < self.bounds[1]
+        if self.kind == "continuous-interval" and not (interval and self.categories is None):
+            raise ConfigError(f"a continuous nuisance space takes two bounds lo < hi and no categories, got {self}")
+        unique = bool(self.categories) and len(set(self.categories)) == len(self.categories)
+        if self.kind == "discrete-set" and not (unique and self.bounds is None):
+            raise ConfigError(f"a discrete nuisance space takes unique categories and no bounds, got {self}")
+        if self.kind not in ("continuous-interval", "discrete-set"):
             raise ConfigError(f"unknown nuisance space kind {self.kind!r}")
 
     @property
@@ -111,12 +109,6 @@ class NuisanceSpace:
             lo, hi = self.bounds
             return (nu >= lo) & (nu <= hi)
         return np.isin(nu, np.asarray(self.categories))
-
-    @staticmethod
-    def from_dict(d: dict) -> "NuisanceSpace":
-        if d["kind"] == "continuous-interval":
-            return NuisanceSpace(kind=d["kind"], bounds=tuple(float(b) for b in d["bounds"]))
-        return NuisanceSpace(kind=d["kind"], categories=tuple(int(c) for c in d["categories"]))
 
 
 ANALYTIC_SPACE = NuisanceSpace(kind="continuous-interval", bounds=(1.0, 10.0))
@@ -145,6 +137,12 @@ def _std_normal_pdf(z, log_mass):
     return np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - log_mass)
 
 
+# The parameters each prior kind takes; a prior given any other one is refused.
+_PRIOR_PARAMETERS = {
+    "uniform": (), "truncated-gaussian": ("mean", "sd"), "discrete-weights": ("weights",), "point-mass": ("value",)
+}
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Distribution over the nuisance space.
@@ -161,24 +159,25 @@ class PriorSpec:
     value: float | None = None
 
     def __post_init__(self):
-        if self.kind in ("uniform", "truncated-gaussian") and not self.support.is_continuous:
-            raise ConfigError(f"{self.kind} prior requires a continuous nuisance space")
-        if self.kind == "truncated-gaussian":
-            if self.mean is None or self.sd is None or not (math.isfinite(self.mean) and 0 < self.sd < math.inf):
-                raise ConfigError("truncated-gaussian prior needs a finite mean and a finite sd > 0")
-        elif self.kind == "discrete-weights":
-            if self.support.is_continuous:
-                raise ConfigError("discrete-weights prior requires a discrete nuisance space")
-            w = self.weights
-            if w is None or len(w) != len(self.support.categories):
-                raise ConfigError("discrete-weights prior needs one weight per category")
-            if any(wi < 0 for wi in w) or abs(sum(w) - 1.0) > 1e-12:
-                raise ConfigError("discrete weights must be nonnegative and sum to 1")
-        elif self.kind == "point-mass":
-            if self.value is None or not bool(np.all(self.support.contains(self.value))):
-                raise ConfigError("point-mass prior needs a value inside the support")
-        elif self.kind != "uniform":
+        if self.kind not in _PRIOR_PARAMETERS:
             raise ConfigError(f"unknown prior kind {self.kind!r}")
+        given = tuple(p for p in ("mean", "sd", "weights", "value") if getattr(self, p) is not None)
+        if given != _PRIOR_PARAMETERS[self.kind]:
+            expected = ", ".join(_PRIOR_PARAMETERS[self.kind]) or "no parameter"
+            raise ConfigError(f"a {self.kind} prior takes {expected}, got {', '.join(given) or 'none'}")
+        if self.kind != "point-mass" and self.support.is_continuous == (self.kind == "discrete-weights"):
+            raise ConfigError(f"a {self.kind} prior does not apply to a {self.support.kind} nuisance space")
+        if self.kind == "truncated-gaussian" and not (math.isfinite(self.mean) and 0 < self.sd < math.inf):
+            raise ConfigError("truncated-gaussian prior needs a finite mean and a finite sd > 0")
+        w = self.weights
+        if self.kind == "discrete-weights" and not (
+            len(w) == len(self.support.categories)
+            and all(math.isfinite(wi) and wi >= 0 for wi in w)
+            and abs(sum(w) - 1.0) <= 1e-12
+        ):
+            raise ConfigError(f"discrete weights must be finite, nonnegative, one per category and sum to 1, got {w}")
+        if self.kind == "point-mass" and not bool(np.all(self.support.contains(self.value))):
+            raise ConfigError("point-mass prior needs a value inside the support")
 
     def _tn(self):
         lo, hi = self.support.bounds
@@ -257,18 +256,6 @@ class PriorSpec:
             return float(self.value)
         return float(np.dot(self.weights, np.asarray(self.support.categories, dtype=float)))
 
-    @staticmethod
-    def from_dict(d: dict) -> "PriorSpec":
-        support = NuisanceSpace.from_dict(d["support"])
-        kind = d["kind"]
-        if kind == "truncated-gaussian":
-            return PriorSpec(kind=kind, support=support, mean=float(d["mean"]), sd=float(d["sd"]))
-        if kind == "discrete-weights":
-            return PriorSpec(kind=kind, support=support, weights=tuple(float(w) for w in d["weights"]))
-        if kind == "point-mass":
-            return PriorSpec(kind=kind, support=support, value=float(d["value"]))
-        return PriorSpec(kind=kind, support=support)
-
 
 def uniform_prior(space: NuisanceSpace = ANALYTIC_SPACE) -> PriorSpec:
     return PriorSpec(kind="uniform", support=space)
@@ -314,15 +301,6 @@ class GenerativeConfig:
     @property
     def nuisance_space(self) -> NuisanceSpace:
         return self.nuisance_prior_class0.support
-
-    @staticmethod
-    def from_dict(d: dict) -> "GenerativeConfig":
-        return GenerativeConfig(
-            scenario=d["scenario"],
-            class1_probability=float(d["class1_probability"]),
-            nuisance_prior_class0=PriorSpec.from_dict(d["nuisance_prior_class0"]),
-            nuisance_prior_class1=PriorSpec.from_dict(d["nuisance_prior_class1"]),
-        )
 
 
 def analytic_config(class1_probability: float, nuisance_prior: PriorSpec) -> GenerativeConfig:

@@ -86,44 +86,26 @@ class GammaRule:
             raise ConfigError(f"gamma rule yields gamma={g} >= alpha={alpha}")
         return g
 
-    @staticmethod
-    def from_dict(d) -> "GammaRule":
-        if isinstance(d, (int, float)):
-            return GammaRule(kind="fixed", value=float(d))
-        if not isinstance(d, dict):
-            raise ConfigError(f"a gamma rule is a number or an object, got {d!r}")
-        return GammaRule(kind=d.get("kind", "fixed"), value=float(d.get("value", 0.0)))
-
 
 @dataclass(frozen=True)
 class MethodSpec:
-    name: str
+    """One set-valued method of a report; its ``name`` defaults to its ``kind``."""
+
     kind: str
+    name: str | None = None
     gamma_rule: GammaRule = field(default_factory=GammaRule)
     provider: str = "full-space"  # "full-space" | "oracle-quantile"
     costs: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        if self.name is None:
+            object.__setattr__(self, "name", self.kind)
         if self.kind not in METHOD_KINDS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         if self.provider not in ("full-space", "oracle-quantile"):
             raise ConfigError(f"unknown provider {self.provider!r}")
-        if len(self.costs) != 2 or not all(
-            isinstance(c, (int, float)) and 0.0 < c < math.inf for c in self.costs
-        ):
+        if len(self.costs) != 2 or not all(0.0 < c < math.inf for c in self.costs):
             raise ConfigError(f"costs must be two finite positive numbers, got {list(self.costs)!r}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "MethodSpec":
-        if not isinstance(d, dict):
-            raise ConfigError(f"a method is an object, got {d!r}")
-        return MethodSpec(
-            name=d.get("name", d["kind"]),
-            kind=d["kind"],
-            gamma_rule=GammaRule.from_dict(d.get("gamma_rule", 0.0)),
-            provider=d.get("provider", "full-space"),
-            costs=tuple(d.get("costs", (1.0, 1.0))),
-        )
 
 
 def default_methods() -> tuple[MethodSpec, ...]:
@@ -172,8 +154,8 @@ class ExperimentConfig:
         if self.classifier not in ("analytic-marginal", "histogram"):
             raise ConfigError(f"unknown classifier {self.classifier!r}")
         names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            raise ConfigError("method names must be unique")
+        if not names or len(set(names)) != len(names):
+            raise ConfigError(f"methods must be at least one, with unique names, got {names}")
         # Gamma rules must stay feasible across the whole alpha grid.
         for m in self.methods:
             if m.kind == "naps":
@@ -212,17 +194,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        kwargs["train_prior"] = PriorSpec.from_dict(d["train_prior"])
-        kwargs["target_prior"] = PriorSpec.from_dict(d["target_prior"])
-        kwargs["alphas"] = tuple(float(a) for a in d["alphas"])
-        if "methods" in d:
-            kwargs["methods"] = tuple(MethodSpec.from_dict(m) for m in d["methods"])
-        known = set(ExperimentConfig.__dataclass_fields__)
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        return ExperimentConfig(**kwargs)
+        return files.parse(ExperimentConfig, d)
 
     @staticmethod
     def from_json_file(path) -> "ExperimentConfig":

@@ -64,13 +64,6 @@ class NuisanceRegion:
     def width(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
-    @staticmethod
-    def from_dict(d: dict) -> "NuisanceRegion":
-        return NuisanceRegion(
-            intervals=tuple((float(a), float(b)) for a, b in d.get("intervals", [])),
-            categories=tuple(int(c) for c in d.get("categories", [])),
-        )
-
     def cache_key(self) -> tuple:
         return (self.intervals, self.categories)
 

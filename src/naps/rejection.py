@@ -162,12 +162,6 @@ class NuBinning:
         keep = [i for i, c in enumerate(self.categories) if c in region.categories]
         return np.asarray(keep, dtype=int)
 
-    @staticmethod
-    def from_dict(d: dict) -> "NuBinning":
-        if "edges" in d:
-            return NuBinning(edges=np.asarray(d["edges"], dtype=float))
-        return NuBinning(categories=tuple(int(c) for c in d["categories"]))
-
 
 @dataclass(frozen=True)
 class CutoffGrid:
@@ -303,18 +297,8 @@ class RejectionSurface:
         files.write_json(path, self, indent=None)
 
     @staticmethod
-    def from_dict(d: dict) -> "RejectionSurface":
-        return RejectionSurface(
-            statistic_id=d["statistic_id"],
-            binning=NuBinning.from_dict(d["binning"]),
-            grid=np.asarray(d["grid"], dtype=float),
-            values=np.asarray(d["values"], dtype=float),
-            metadata=d.get("metadata", {}),
-        )
-
-    @staticmethod
     def load(path) -> "RejectionSurface":
-        return files.read_json(path, RejectionSurface.from_dict, "fitted artifact")
+        return files.read_json(path, lambda d: files.parse(RejectionSurface, d), "fitted artifact")
 
 
 def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> RejectionSurface:

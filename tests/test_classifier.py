@@ -117,6 +117,25 @@ def test_histogram_all_class1():
     assert np.all(fitted.bin_posterior < 1.0)
 
 
+@pytest.mark.parametrize(
+    "edges, posterior, prior",
+    [
+        ([0.0, 0.5, 1.0], [2.0, 0.5], 0.5),
+        ([0.0, 0.5, 1.0], [-0.1, 0.5], 0.5),
+        ([0.0, 1.0], [0.5, 0.5], 0.5),
+        ([0.0, 0.5, 0.5], [0.5, 0.5], 0.5),
+        ([0.0, 0.5, np.inf], [0.5, 0.5], 0.5),
+        ([0.0], [], 0.5),
+        ([0.0, 1.0], [0.5], 1.5),
+    ],
+    ids=["posterior-above-1", "negative-posterior", "one-edge-short", "repeated-edge", "infinite-edge", "no-bin",
+         "prior-above-1"],
+)
+def test_histogram_validation(edges, posterior, prior):
+    with pytest.raises(ConfigError):
+        naps.HistogramClassifier(np.array(edges), np.array(posterior), prior)
+
+
 def test_histogram_single_bin():
     y = np.array([1, 1, 0, 1], dtype=np.int8)
     ds = naps.Dataset(gm.SCENARIO_ANALYTIC, y, np.full(4, 2.0), np.array([0.1, 0.4, 0.6, 0.9]))

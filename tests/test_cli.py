@@ -244,11 +244,26 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
         (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": "1e400", "support": NU}}),
         (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": math.nan, "support": NU}}),
         (["evaluate"], {"target_prior": {"kind": "truncated-gaussian", "mean": 4.0, "sd": math.inf, "support": NU}}),
+        (["evaluate"], {"n_calibration": 4000.0}),
+        (["evaluate"], {"n_evaluation": True}),
+        (["evaluate"], {"nu_bins": "20"}),
+        (["evaluate"], {"nu_bins": 20.0}),
+        (["evaluate"], {"class1_probability": "0.5"}),
+        (["evaluate"], {"cutoff_grid_size": "200"}),
+        (["evaluate"], {"seed": 1.5}),
+        (["evaluate"], {"methods": [{"kind": "naps", "gama_rule": 0.01}]}),
+        (["evaluate"], {"methods": [{"kind": "naps", "gamma_rule": 0.01}]}),
+        (["evaluate"], {"train_prior": {"kind": "uniform", "sd": 3, "support": NU}}),
+        (["evaluate"], {"methods": {}}),
+        (["evaluate"], {"methods": []}),
     ],
     ids=[
         "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
         "sweep-alpha", "simulate-wide-space", "fit-wide-space", "one-bound", "three-bounds",
         "costs-string", "one-cost", "negative-cost", "sd-overflow", "sd-nan", "sd-infinity",
+        "float-size", "bool-size", "string-bins", "float-bins", "string-probability", "string-grid-size",
+        "float-seed", "misspelt-key", "gamma-rule-number", "foreign-prior-parameter", "methods-object",
+        "no-methods",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):
@@ -355,6 +370,26 @@ def test_malformed_model_artifact_exits_2(config_path, tmp_path, capsys, corrupt
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "surface_bf0.json" in err
+
+
+@pytest.mark.parametrize(
+    "change", [{"bin_posterior": [2.0]}, {"class1_prior": "0.5"}, {"kind": "analytic-marginal"}, {"bogus": 1}],
+    ids=["posterior-above-1", "string-prior", "wrong-kind", "unknown-key"],
+)
+def test_malformed_histogram_artifact_exits_2(config_path, tmp_path, capsys, change):
+    cfg = json.loads(open(config_path).read())
+    cfg.update(classifier="histogram", n_train=20_000)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    models = tmp_path / "models"
+    assert run(["fit", "--config", str(path), "--out", str(models)]) == 0
+    artifact = models / "classifier.json"
+    artifact.write_text(json.dumps({**json.loads(artifact.read_text()), **change}))
+    capsys.readouterr()
+    code = run(["evaluate", "--config", str(path), "--out", str(tmp_path / "o"), "--models", str(models)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "classifier.json" in err
 
 
 def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):

@@ -276,6 +276,35 @@ def test_prior_validation():
         naps.PriorSpec(kind="discrete-weights", support=gm.DISCRETE_SPACE, weights=(0.5, 0.5))
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 0.5, 0.25, 0.25), (math.inf, 0.5, 0.25, 0.25), (-0.5, 1.0, 0.25, 0.25)])
+def test_discrete_prior_rejects_nonfinite_or_negative_weights(weights):
+    # a NaN weight used to pass, and its ppf([0.1, 0.9]) gave [0, 0]
+    with pytest.raises(ConfigError, match="finite, nonnegative"):
+        gm.discrete_prior(weights)
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("uniform", {"sd": 3.0}),
+        ("uniform", {"mean": 4.0}),
+        ("truncated-gaussian", {"mean": 4.0, "sd": 1.0, "weights": (1.0,)}),
+        ("truncated-gaussian", {"mean": 4.0, "sd": 1.0, "value": 4.0}),
+        ("point-mass", {"value": 4.0, "sd": 1.0}),
+    ],
+)
+def test_prior_rejects_a_parameter_of_another_kind(kind, extra):
+    with pytest.raises(ConfigError, match="takes"):
+        naps.PriorSpec(kind=kind, support=gm.ANALYTIC_SPACE, **extra)
+
+
+def test_nuisance_space_rejects_a_parameter_of_the_other_kind():
+    with pytest.raises(ConfigError, match="no categories"):
+        naps.NuisanceSpace(kind="continuous-interval", bounds=(1.0, 10.0), categories=(0, 1))
+    with pytest.raises(ConfigError, match="no bounds"):
+        naps.NuisanceSpace(kind="discrete-set", bounds=(1.0, 10.0), categories=(0, 1))
+
+
 def test_generative_config_validation():
     with pytest.raises(ConfigError):
         naps.analytic_config(1.5, naps.uniform_prior())

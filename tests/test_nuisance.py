@@ -95,7 +95,7 @@ def test_region_validation_and_roundtrip():
     region = nu.NuisanceRegion(intervals=((1.5, 2.0), (3.0, 4.0)))
     point, protocols = nu.NuisanceRegion(intervals=((4.0, 4.0),)), nu.NuisanceRegion(categories=(0, 3))
     for r in (region, point, protocols, nu.NuisanceRegion()):
-        assert nu.NuisanceRegion.from_dict(files.jsonable(r)) == r
+        assert files.parse(nu.NuisanceRegion, files.jsonable(r)) == r
     assert region.width() == pytest.approx(1.5)
     assert not region.contains(2.5)
     assert region.contains(np.array([1.7, 3.5])).all()

@@ -361,7 +361,7 @@ def test_binning_roundtrip():
     for binning in (
         rj.NuBinning.equal_width(1.0, 10.0, 7), rj.NuBinning.geometric(1.0, 10.0, 5), rj.NuBinning.discrete((0, 1, 3))
     ):
-        again = rj.NuBinning.from_dict(files.jsonable(binning))
+        again = files.parse(rj.NuBinning, files.jsonable(binning))
         assert files.jsonable(again) == files.jsonable(binning)
 
 
