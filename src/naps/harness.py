@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("train_prior and target_prior are required")
         if min(self.n_train, self.n_calibration, self.n_evaluation) < 1:
             raise ConfigError("dataset sizes must be >= 1")
+        if not 0.0 < self.class1_probability < 1.0:
+            raise ConfigError("class1_probability must lie strictly inside (0, 1): both labels need a Bayes factor")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ConfigError("alphas must lie strictly inside (0, 1)")
         if self.nu_bin_scheme not in ("equal", "geometric"):
@@ -219,7 +221,10 @@ class Pipeline:
 
     @staticmethod
     def load(model_dir: str) -> "Pipeline":
-        model = load_classifier(os.path.join(model_dir, "classifier.json"))
+        path = os.path.join(model_dir, "classifier.json")
+        model = load_classifier(path)
+        if not 0.0 < model.class1_prior < 1.0:
+            raise ConfigError(f"malformed fitted artifact {path}: class prior {model.class1_prior} not in (0, 1)")
         surfaces = {y: RejectionSurface.load(os.path.join(model_dir, f"surface_bf{y}.json")) for y in (0, 1)}
         return Pipeline(model=model, binning=surfaces[0].binning, surfaces=surfaces)
 

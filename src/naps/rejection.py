@@ -1,12 +1,12 @@
 """Estimating the rejection probability of a test statistic.
 
-The target object is W(C; y, nu) = P(lambda(X) <= C | y, nu), estimated from
-calibration data by:
-
-1. augmenting each calibration point i with indicator records
-   Z_{i,j} = 1{lambda(x_i) <= C_j} over a fixed cutoff grid C_1 < ... < C_K;
-2. within each (label, nuisance-bin) cell, isotonic least-squares regression
-   of Z on C via pool-adjacent-violators.
+The target object is W(C; y, nu) = P(lambda(X) <= C | y, nu) on a cutoff
+grid C_1 < ... < C_K of the statistic's calibration quantiles. The paper's
+estimate augments each calibration point i with indicator records
+Z_{i,j} = 1{lambda(x_i) <= C_j} and, within each (label, nuisance-bin) cell,
+regresses Z on C by isotonic least squares (``augment`` and
+``fit_rejection_surface``). That fit is each cell's empirical CDF, which
+``fit_surface`` counts in one pass without building the records.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -183,12 +183,12 @@ def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
     """Cutoff grid from the empirical distribution of the statistic's values.
 
     Uses the K mid-quantile levels (j - 0.5) / K with linear interpolation,
-    de-duplicated. Deterministic.
+    de-duplicated and deterministic; sorting first makes the partition cheap.
     """
     if grid_size < 2:
         raise ConfigError("grid_size must be >= 2")
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0 or np.min(values) == np.max(values):
+    values = np.sort(np.asarray(values, dtype=float))
+    if len(values) == 0 or values[0] == values[-1]:
         raise ConfigError("statistic is degenerate: cannot build a cutoff grid")
     levels = (np.arange(grid_size) + 0.5) / grid_size
     grid = np.unique(np.quantile(values, levels, method="linear"))
@@ -352,31 +352,26 @@ def fit_surface(
     records: within a cell, the per-cutoff mean of the indicators is the
     cell's empirical CDF of the statistic, which is already nondecreasing
     and inside [0, 1], so the isotonic fit is the identity on it and is
-    skipped. ``values`` are checked as ``augment`` checks its statistic.
+    skipped. One counting pass fills every CDF: after one argsort, each
+    sample's column is the first cutoff at or above it (K past the last);
+    a ``bincount`` of (label, cell, column), cumulated along the columns
+    and divided by each cell's size, gives the exact CDFs; an absent label
+    keeps a zero slice. ``values`` are checked as ``augment`` checks them.
     """
     lam = _calibration_values(calibration, values)
-    cells = binning.cell_index(calibration.nu)
-    K = len(grid)
-    fitted = np.zeros((2, binning.n_cells, K))
+    n_cells, K = binning.n_cells, len(grid)
+    code = (calibration.y.astype(np.intp) * n_cells + binning.cell_index(calibration.nu)) * (K + 1)
+    order = np.argsort(lam)
+    bounds = np.searchsorted(lam[order], grid.values, side="right")
+    code[order] += np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(lam)))  # each sample's column
+    counts = np.bincount(code, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
+    n = counts.sum(axis=-1)
     for y in (0, 1):
-        mask = calibration.y == y
-        if not np.any(mask):
-            continue
-        lam_y = lam[mask]
-        cells_y = cells[mask]
-        for cell in range(binning.n_cells):
-            sel = np.sort(lam_y[cells_y == cell])
-            if len(sel) == 0:
-                raise BinningError(f"no calibration samples in cell (y={y}, bin={cell})")
-            fitted[y, cell] = np.searchsorted(sel, grid.values, side="right") / len(sel)
-    metadata = {
-        "n_calibration": len(calibration),
-        "grid_size": K,
-        "seed": seed,
-    }
-    return RejectionSurface(
-        statistic_id=statistic_id, binning=binning, grid=grid.values.copy(), values=fitted, metadata=metadata
-    )
+        if n[y].any() and not n[y].all():
+            raise BinningError(f"no calibration samples in cell (y={y}, bin={int(np.argmin(n[y]))})")
+    fitted = np.cumsum(counts[..., :K], axis=-1) / np.maximum(n, 1)[..., None]
+    metadata = {"n_calibration": len(calibration), "grid_size": K, "seed": seed}
+    return RejectionSurface(statistic_id, binning, grid.values.copy(), fitted, metadata)
 
 
 # ---------------------------------------------------------------------------

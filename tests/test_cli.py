@@ -256,6 +256,8 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
         (["evaluate"], {"train_prior": {"kind": "uniform", "sd": 3, "support": NU}}),
         (["evaluate"], {"methods": {}}),
         (["evaluate"], {"methods": []}),
+        (["evaluate"], {"class1_probability": 1.0}),
+        (["fit"], {"class1_probability": 0.0}),
     ],
     ids=[
         "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
@@ -263,7 +265,7 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
         "costs-string", "one-cost", "negative-cost", "sd-overflow", "sd-nan", "sd-infinity",
         "float-size", "bool-size", "string-bins", "float-bins", "string-probability", "string-grid-size",
         "float-seed", "misspelt-key", "gamma-rule-number", "foreign-prior-parameter", "methods-object",
-        "no-methods",
+        "no-methods", "one-class-1", "one-class-0",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):
@@ -373,8 +375,12 @@ def test_malformed_model_artifact_exits_2(config_path, tmp_path, capsys, corrupt
 
 
 @pytest.mark.parametrize(
-    "change", [{"bin_posterior": [2.0]}, {"class1_prior": "0.5"}, {"kind": "analytic-marginal"}, {"bogus": 1}],
-    ids=["posterior-above-1", "string-prior", "wrong-kind", "unknown-key"],
+    "change",
+    [
+        {"bin_posterior": [2.0]}, {"class1_prior": "0.5"}, {"kind": "analytic-marginal"}, {"bogus": 1},
+        {"class1_prior": 0.0},
+    ],
+    ids=["posterior-above-1", "string-prior", "wrong-kind", "unknown-key", "one-class-prior"],
 )
 def test_malformed_histogram_artifact_exits_2(config_path, tmp_path, capsys, change):
     cfg = json.loads(open(config_path).read())
@@ -390,6 +396,21 @@ def test_malformed_histogram_artifact_exits_2(config_path, tmp_path, capsys, cha
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "classifier.json" in err
+
+
+def test_one_class_analytic_artifact_exits_2_without_traceback(config_path, tmp_path):
+    # 1 is a valid generative probability, but both labels' Bayes factors need a class prior inside (0, 1)
+    models = tmp_path / "models"
+    assert run(["fit", "--config", config_path, "--out", str(models)]) == 0
+    artifact = models / "classifier.json"
+    data = json.loads(artifact.read_text())
+    data["config"]["class1_probability"] = 1.0
+    artifact.write_text(json.dumps(data))
+    command = [sys.executable, "-m", "naps.cli", "evaluate", "--config", config_path, "--out", str(tmp_path / "o")]
+    proc = subprocess.run(command + ["--models", str(models)], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and "classifier.json" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):

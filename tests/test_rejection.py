@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import naps
 from naps import files
 from naps import genmodel as gm
+from naps import harness
 from naps import rejection as rj
 from naps.errors import BinningError, ConfigError, DomainError, SaturationError
 
@@ -168,6 +171,90 @@ def test_fit_surface_equals_records_path(uniform_gen):
     from_records = rj.fit_rejection_surface(rj.augment(ds, identity_statistic, grid), binning)
     assert np.array_equal(fused.values, from_records.values)
     assert np.array_equal(fused.grid, from_records.grid)
+
+
+def brute_force_cdfs(ds, lam, grid, binning):
+    """Each (label, cell)'s empirical CDF on the grid, one cell at a time; absent labels stay zero."""
+    cells = binning.cell_index(ds.nu)
+    out = np.zeros((2, binning.n_cells, len(grid)))
+    for y in (0, 1):
+        for cell in range(binning.n_cells):
+            lam_cell = lam[(ds.y == y) & (cells == cell)]
+            if len(lam_cell):
+                out[y, cell] = np.mean(lam_cell[:, None] <= grid.values, axis=0)
+    return out
+
+
+def toy_dataset(n, seed, class1_probability=0.5):
+    prior = gm.discrete_prior((0.1, 0.2, 0.3, 0.4))
+    return gm.sample_dataset(naps.GenerativeConfig(gm.SCENARIO_DISCRETE, class1_probability, prior, prior), n, seed)
+
+
+def test_fit_surface_counts_atoms_on_grid_values():
+    # total Poisson counts: integer atoms, and the mid-quantile grid lands on many of them
+    ds = toy_dataset(5000, seed=21)
+    lam = ds.x.sum(axis=1).astype(float)
+    grid = rj.cutoff_grid_from_values(lam, 64)
+    assert np.isin(grid.values, lam).sum() >= 5
+    binning = rj.NuBinning.discrete((2, 0, 3, 1))
+    surface = rj.fit_surface(ds, lam, grid, binning)
+    assert np.array_equal(surface.values, brute_force_cdfs(ds, lam, grid, binning))
+
+
+def test_fit_surface_absent_label_keeps_zero_slice():
+    ds = toy_dataset(3000, seed=23, class1_probability=0.0)
+    lam = ds.x[:, 0].astype(float)
+    grid = rj.cutoff_grid_from_values(lam, 20)
+    binning = rj.NuBinning.discrete((0, 1, 2, 3))
+    surface = rj.fit_surface(ds, lam, grid, binning)
+    assert not np.any(surface.values[1])
+    assert np.array_equal(surface.values, brute_force_cdfs(ds, lam, grid, binning))
+
+
+@pytest.mark.parametrize(
+    "y, nu, message",
+    [
+        ([0, 0, 0, 1, 1, 1], [1.5, 3.5, 8.0, 1.5, 1.6, 1.7], r"\(y=0, bin=2\)"),
+        ([0, 0, 0, 0, 1, 1], [1.5, 3.5, 5.5, 8.0, 1.5, 5.5], r"\(y=1, bin=1\)"),
+    ],
+    ids=["label-0", "label-1"],
+)
+def test_fit_surface_names_first_empty_cell(y, nu, message):
+    # cells [1, 3), [3, 5), [5, 7), [7, 10]; label 0's cells are checked before label 1's
+    ds = _tiny_dataset([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], y=y, nu=nu)
+    binning = rj.NuBinning(edges=np.array([1.0, 3.0, 5.0, 7.0, 10.0]))
+    with pytest.raises(BinningError, match=message):
+        rj.fit_surface(ds, ds.x, rj.CutoffGrid(values=np.array([0.2, 0.4])), binning)
+
+
+README_20K = dict(
+    train_prior=naps.uniform_prior(), target_prior=naps.truncated_gaussian_prior(4.0, 0.1),
+    n_train=20_000, n_calibration=20_000, n_evaluation=1, seed=7,
+)
+TOY_20K = dict(
+    scenario=gm.SCENARIO_DISCRETE, train_prior=gm.discrete_prior((0.25,) * 4),
+    target_prior=gm.discrete_prior((0.05, 0.05, 0.1, 0.8)), n_calibration=20_000, n_evaluation=1, seed=11,
+)
+
+# config -> sha256 prefixes of (values, grid) of the label-0 and label-1 surfaces from fit_pipeline.
+# The digests were recorded with the per-cell sort-and-search fit, so any change to a fitted bit fails here.
+PINNED_SURFACES = {
+    "readme": (README_20K, [("6b511b20a520ca16", "224a9fbafa95337c"), ("7088681e4861614a", "a5d796fa912570d7")]),
+    "discrete-toy": (TOY_20K, [("6d40c2da9c8127b7", "b65a3bdc68acd077"), ("ea2909be18e8a8a2", "7b042f0bebc71043")]),
+    "histogram": (
+        dict(README_20K, classifier="histogram"),
+        [("701881cc671a3f94", "dfda770837626438"), ("e91bd4987c54b288", "06ba044cf75e8c20")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SURFACES))
+def test_fitted_surfaces_are_pinned(name):
+    config, expected = PINNED_SURFACES[name]
+    pipeline = harness.fit_pipeline(harness.ExperimentConfig(**config))
+    surfaces = [pipeline.surfaces[y] for y in (0, 1)]
+    digest = [tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (s.values, s.grid)) for s in surfaces]
+    assert digest == expected
 
 
 @pytest.mark.parametrize(
