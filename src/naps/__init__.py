@@ -36,16 +36,6 @@ from .nuisance import (
     full_space_set,
 )
 from .prediction_sets import NapsSetClassifier, PredictionSet
-from .rejection import (
-    AugmentedRecords,
-    CutoffGrid,
-    NuBinning,
-    RejectionSurface,
-    augment,
-    fit_rejection_surface,
-    fit_surface,
-    pit_diagnostics,
-    pool_adjacent_violators,
-)
+from .rejection import CutoffGrid, NuBinning, RejectionSurface, fit_surface, pit_diagnostics
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """File formats: every file the package writes or reads goes through here.
 
 JSON is strict both ways: ``write_json`` refuses ``NaN`` and ``Infinity``,
-and ``read_json`` rejects their literals and any number that overflows to
-them. Keys are sorted, so a payload always writes the same bytes.
+``read_json`` rejects their literals, and ``parse`` rejects any number that
+overflows to them. Keys are sorted, so a payload always writes the same bytes.
 ``jsonable`` turns a config or artifact dataclass into JSON's types, and
 ``parse`` is its inverse: the dataclass's field annotations are the schema,
 so an unknown key, a missing field or a value of the wrong type is one
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,7 +62,7 @@ def parse(cls, data):
 
 
 # What each plain annotation takes, as an error names it; a dataclass takes an object.
-_EXPECTED = {str: "a string", int: "an integer", float: "a finite number"}
+_EXPECTED = {str: "a string", int: "an integer", float: "a finite number", dict: "an object of finite numbers"}
 
 
 @functools.cache
@@ -90,13 +91,16 @@ def _parse(tp, data, path: str):
             array = np.array(data if isinstance(data, list) else None)
         except ValueError:  # ragged nesting
             array = np.array(None)
-        if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+        # np.array reads [true, 0.5] as [1.0, 0.5]: a bool is no number here either
+        if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)) or _holds_bool(data, array.ndim):
             raise _mismatch(path, "a list of finite numbers", data)
         return array.astype(float, copy=False)
     accepted = (int, float) if tp is float else dict if dataclasses.is_dataclass(tp) else tp
     # a bool is no number; abs(x) <= max is False for NaN and infinities, and compares a huge int without overflow
     if not isinstance(data, accepted) or isinstance(data, bool) or tp is float and not abs(data) <= sys.float_info.max:
         raise _mismatch(path, _EXPECTED.get(tp, "an object"), data)
+    if tp is dict and not _all_finite(data):
+        raise _mismatch(path, _EXPECTED[dict], data)
     if not dataclasses.is_dataclass(tp):
         return float(data) if tp is float else data
     unknown = [f"{path}.{key}" for key in data if key not in _schema(tp)]
@@ -117,6 +121,20 @@ def _parse(tp, data, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _holds_bool(data: list, ndim: int) -> bool:
+    """Whether a rectangular list nested ``ndim`` deep holds a bool."""
+    for _ in range(ndim - 1):
+        data = itertools.chain.from_iterable(data)
+    return bool in map(type, data)
+
+
+def _all_finite(data) -> bool:
+    """Whether every number in a JSON value is finite, at any depth; an untyped ``dict`` field gets no other check."""
+    if isinstance(data, (dict, list)):
+        return all(map(_all_finite, data.values() if isinstance(data, dict) else data))
+    return not isinstance(data, float) or math.isfinite(data)
+
+
 def _parent_dir(path) -> None:
     parent = os.path.dirname(path)
     if parent:
@@ -130,23 +148,22 @@ def write_json(path, payload, indent: int | None = 2) -> None:
         json.dump(jsonable(payload), fh, indent=indent, sort_keys=True, allow_nan=False)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} is not strict JSON")
-    return value
+def _reject_constant(text: str):
+    raise ValueError(f"non-finite number {text} is not strict JSON")
 
 
 def read_json(path, build, what: str):
     """``build`` of the strict JSON in ``path``.
 
-    A file that cannot be read, bad or non-finite JSON, and a ``ConfigError``
-    or ``ValueError`` from ``build`` all raise one ``ConfigError`` naming the
-    file; ``what`` says what the file holds.
+    A file that cannot be read, bad JSON or a ``NaN`` or ``Infinity`` literal,
+    and a ``ConfigError`` or ``ValueError`` from ``build`` all raise one
+    ``ConfigError`` naming the file; ``what`` says what the file holds. An
+    overflowing number such as ``1e999`` reads as infinite, and ``parse``
+    refuses it wherever it lands.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            data = json.load(fh, parse_constant=_reject_constant)
         return build(data)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc

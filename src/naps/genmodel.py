@@ -27,8 +27,7 @@ scipy's own truncnorm algorithm (log-mass in the nearer tail, quantiles by
 tail rounds to mass 1 is inverted from the upper tail instead) without
 importing ``scipy.stats``, which would add about half a second to every
 command-line start-up. ``scipy.special`` itself is imported only by the
-functions that call it (the truncated Gaussian and the discrete toy), so a run
-on uniform priors never loads it.
+truncated Gaussian's functions, so a run on uniform priors never loads it.
 """
 
 from __future__ import annotations
@@ -410,19 +409,6 @@ def toy_rates(y: int, protocol) -> np.ndarray:
     return np.exp(log_rate)
 
 
-def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:
-    """Log-probability of count vectors x (n, 8) under (y, protocol)."""
-    from scipy import special
-
-    x = np.asarray(x, dtype=float)
-    rates = toy_rates(y, protocol)
-    if x.ndim == 1:
-        x = x[None, :]
-    if rates.ndim == 1:
-        rates = rates[None, :]
-    return np.sum(x * np.log(rates) - rates - special.gammaln(x + 1.0), axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Datasets and sampling.
 # ---------------------------------------------------------------------------
@@ -447,9 +433,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.y)
 
-    def subset(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.scenario, self.y[mask].copy(), self.nu[mask].copy(), self.x[mask].copy(), self.seed)
-
     def save(self, path) -> None:
         """Write delimited text; floats keep 17 significant digits."""
         if self.scenario == SCENARIO_ANALYTIC:
@@ -459,23 +442,6 @@ class Dataset:
             header = ("y", "protocol", *(f"x{j + 1}" for j in range(TOY_N_DIMS)))
             row, columns = ",".join(["%d"] * len(header)), (self.y, self.nu, *self.x.T)
         files.write_table(path, header, row, columns)
-
-    @staticmethod
-    def load(path) -> "Dataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if header == "y,nu,x":
-            y = np.array([int(r[0]) for r in rows], dtype=np.int8)
-            nu = np.array([float(r[1]) for r in rows], dtype=float)
-            x = np.array([float(r[2]) for r in rows], dtype=float)
-            return Dataset(SCENARIO_ANALYTIC, y, nu, x)
-        if header.startswith("y,protocol,"):
-            y = np.array([int(r[0]) for r in rows], dtype=np.int8)
-            nu = np.array([int(r[1]) for r in rows], dtype=np.int64)
-            x = np.array([[int(c) for c in r[2:]] for r in rows], dtype=np.int64)
-            return Dataset(SCENARIO_DISCRETE, y, nu, x)
-        raise ConfigError(f"unrecognized dataset header {header!r} in {path}")
 
 
 def _draw_nuisance(config: GenerativeConfig, y: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -225,7 +225,16 @@ class Pipeline:
         model = load_classifier(path)
         if not 0.0 < model.class1_prior < 1.0:
             raise ConfigError(f"malformed fitted artifact {path}: class prior {model.class1_prior} not in (0, 1)")
-        surfaces = {y: RejectionSurface.load(os.path.join(model_dir, f"surface_bf{y}.json")) for y in (0, 1)}
+        surfaces = {}
+        for y in (0, 1):
+            path = os.path.join(model_dir, f"surface_bf{y}.json")
+            surfaces[y] = RejectionSurface.load(path)
+            if surfaces[y].statistic_id != f"bayes-factor-{y}":
+                found = surfaces[y].statistic_id
+                raise ConfigError(f"malformed fitted artifact {path}: statistic {found!r}, not 'bayes-factor-{y}'")
+        # both labels' surfaces are fitted on one binning, which the pipeline takes from label 0's
+        if files.jsonable(surfaces[1].binning) != files.jsonable(surfaces[0].binning):
+            raise ConfigError(f"malformed fitted artifact {path}: its binning differs from surface_bf0.json's")
         return Pipeline(model=model, binning=surfaces[0].binning, surfaces=surfaces)
 
 
@@ -372,10 +381,6 @@ class MetricsReport:
 
     def to_json(self, path) -> None:
         files.write_json(path, self.data)
-
-    @staticmethod
-    def from_json(path) -> "MetricsReport":
-        return files.read_json(path, MetricsReport, "report")
 
     def write_long_table(self, path) -> None:
         """Plot-ready long format: method, alpha, segment, metric, value, se, n."""
@@ -648,7 +653,7 @@ def run_pit_diagnostics(
     flat = pit_diagnostics(flat_surface, eval_ds, tau0, binning)
     return {
         "n_evaluation": int(config.n_evaluation),
-        "bins": [r.bin_label for r in aware],
-        "nuisance_aware": [r.to_dict() for r in aware],
-        "nuisance_ignoring": [r.to_dict() for r in flat],
+        "bins": [r["bin"] for r in aware],
+        "nuisance_aware": aware,
+        "nuisance_ignoring": flat,
     }

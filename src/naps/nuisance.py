@@ -61,9 +61,6 @@ class NuisanceRegion:
             out |= (nu >= lo) & (nu <= hi)
         return out
 
-    def width(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
-
     def cache_key(self) -> tuple:
         return (self.intervals, self.categories)
 

@@ -48,14 +48,6 @@ class PredictionSet:
     members: tuple[int, ...]
     decisions: tuple[LabelDecision, LabelDecision]
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.members) == 0
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return len(self.members) == 2
-
     def __contains__(self, label: int) -> bool:
         return label in self.members
 

@@ -4,9 +4,10 @@ The target object is W(C; y, nu) = P(lambda(X) <= C | y, nu) on a cutoff
 grid C_1 < ... < C_K of the statistic's calibration quantiles. The paper's
 estimate augments each calibration point i with indicator records
 Z_{i,j} = 1{lambda(x_i) <= C_j} and, within each (label, nuisance-bin) cell,
-regresses Z on C by isotonic least squares (``augment`` and
-``fit_rejection_surface``). That fit is each cell's empirical CDF, which
-``fit_surface`` counts in one pass without building the records.
+regresses Z on C by isotonic least squares. That fit is each cell's
+empirical CDF, which ``fit_surface`` counts in one pass without building the
+records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
+tests' reference.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -30,45 +31,6 @@ from .errors import BinningError, ConfigError, DomainError, SaturationError
 from .genmodel import Dataset, NuisanceSpace
 
 KS_BAND_COEFFICIENT = 1.36  # asymptotic two-sided 95% Kolmogorov-Smirnov band
-
-
-def pool_adjacent_violators(values, weights=None) -> np.ndarray:
-    """Weighted least-squares isotonic (nondecreasing) regression.
-
-    Classic pool-adjacent-violators: scan left to right, merging adjacent
-    blocks whose means violate monotonicity into weighted averages.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) == 0:
-        raise ConfigError("pool_adjacent_violators needs a nonempty 1-d array")
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != values.shape or np.any(weights <= 0):
-            raise ConfigError("weights must be positive and match the values")
-
-    # Blocks as (mean, weight, count) triples on a stack.
-    means: list[float] = []
-    wsum: list[float] = []
-    count: list[int] = []
-    for v, w in zip(values, weights):
-        means.append(float(v))
-        wsum.append(float(w))
-        count.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wsum.pop(), count.pop()
-            m1, w1, c1 = means.pop(), wsum.pop(), count.pop()
-            w = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / w)
-            wsum.append(w)
-            count.append(c1 + c2)
-    out = np.empty_like(values)
-    pos = 0
-    for m, c in zip(means, count):
-        out[pos : pos + c] = m
-        pos += c
-    return out
 
 
 @dataclass(frozen=True)
@@ -137,12 +99,6 @@ class NuBinning:
             raise DomainError(f"unknown nuisance category {nu[unknown][0]}")
         return order[pos]
 
-    def representatives(self) -> np.ndarray:
-        """One representative nuisance value per cell (interval midpoints)."""
-        if self.is_continuous:
-            return 0.5 * (self.edges[:-1] + self.edges[1:])
-        return np.asarray(self.categories)
-
     def cell_bounds(self, i: int) -> tuple[float, float]:
         if not self.is_continuous:
             raise ConfigError("cell_bounds applies to continuous binnings")
@@ -150,7 +106,7 @@ class NuBinning:
 
     def cells_intersecting(self, region) -> np.ndarray:
         """Indices of cells with nonempty intersection with a nuisance region."""
-        if getattr(region, "is_empty", False):
+        if region.is_empty:
             return np.array([], dtype=int)
         if self.is_continuous:
             hit = np.zeros(self.n_cells, dtype=bool)
@@ -208,36 +164,6 @@ def _calibration_values(calibration: Dataset, values) -> np.ndarray:
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
         raise ConfigError(f"statistic evaluation failed at calibration sample {bad}")
     return lam
-
-
-@dataclass(frozen=True)
-class AugmentedRecords:
-    """Columnar (y, nu, cutoff, z) records; one row per (sample, grid point)."""
-
-    y: np.ndarray
-    nu: np.ndarray
-    cutoff: np.ndarray
-    z: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-
-def augment(calibration: Dataset, statistic, grid: CutoffGrid) -> AugmentedRecords:
-    """Expand calibration data into indicator records over the cutoff grid.
-
-    Produces exactly B * K records; record (i, j) carries
-    Z = 1{lambda(x_i) <= C_j}.
-    """
-    lam = _calibration_values(calibration, statistic(calibration.x))
-    K = len(grid)
-    z = (lam[:, None] <= grid.values[None, :]).astype(np.int8).ravel()
-    return AugmentedRecords(
-        y=np.repeat(calibration.y, K),
-        nu=np.repeat(calibration.nu, K),
-        cutoff=np.tile(grid.values, len(calibration)),
-        z=z,
-    )
 
 
 @dataclass(frozen=True)
@@ -301,42 +227,6 @@ class RejectionSurface:
         return files.read_json(path, lambda d: files.parse(RejectionSurface, d), "fitted artifact")
 
 
-def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> RejectionSurface:
-    """Isotonic fit of the augmented records, cell by cell.
-
-    Every (label, bin) cell that appears must carry records at every grid
-    cutoff (augmentation guarantees this); any populated label with an empty
-    cell is a binning error.
-    """
-    grid = np.unique(records.cutoff)
-    if len(grid) < 2:
-        raise ConfigError("records carry fewer than 2 distinct cutoffs")
-    K = len(grid)
-    n_cells = binning.n_cells
-    cells = binning.cell_index(records.nu)
-    col = np.searchsorted(grid, records.cutoff)
-
-    values = np.zeros((2, n_cells, K))
-    for y in (0, 1):
-        mask = records.y == y
-        if not np.any(mask):
-            # Label absent from the records entirely: leave a flat-zero slice.
-            continue
-        flat = cells[mask] * K + col[mask]
-        counts = np.bincount(flat, minlength=n_cells * K).reshape(n_cells, K)
-        sums = np.bincount(flat, weights=records.z[mask].astype(float), minlength=n_cells * K).reshape(
-            n_cells, K
-        )
-        for cell in range(n_cells):
-            if counts[cell].sum() == 0:
-                raise BinningError(f"no records in cell (y={y}, bin={cell})")
-            if np.any(counts[cell] == 0):
-                raise BinningError(f"cell (y={y}, bin={cell}) is missing grid cutoffs")
-            means = sums[cell] / counts[cell]
-            values[y, cell] = np.clip(pool_adjacent_violators(means, counts[cell]), 0.0, 1.0)
-    return RejectionSurface("statistic", binning, grid, values, metadata={"n_records": len(records)})
-
-
 def fit_surface(
     calibration: Dataset,
     values,
@@ -347,16 +237,16 @@ def fit_surface(
 ) -> RejectionSurface:
     """Fit the surface from the statistic's ``values`` on calibration data.
 
-    Equivalent to ``fit_rejection_surface(augment(...), ...)``, the
-    paper-literal reference, but never materializes the B * K augmented
-    records: within a cell, the per-cutoff mean of the indicators is the
-    cell's empirical CDF of the statistic, which is already nondecreasing
-    and inside [0, 1], so the isotonic fit is the identity on it and is
-    skipped. One counting pass fills every CDF: after one argsort, each
+    Equivalent to the paper-literal isotonic fit of the B * K augmented
+    records, which ``tests/reference_fit.py`` keeps as the tests' reference,
+    but never materializes the records: within a cell, the per-cutoff mean
+    of the indicators is the cell's empirical CDF of the statistic, which is
+    already nondecreasing and inside [0, 1], so the isotonic fit is the
+    identity on it and is skipped. One counting pass fills every CDF: after one argsort, each
     sample's column is the first cutoff at or above it (K past the last);
     a ``bincount`` of (label, cell, column), cumulated along the columns
     and divided by each cell's size, gives the exact CDFs; an absent label
-    keeps a zero slice. ``values`` are checked as ``augment`` checks them.
+    keeps a zero slice. ``values`` must hold one finite value per sample.
     """
     lam = _calibration_values(calibration, values)
     n_cells, K = binning.n_cells, len(grid)
@@ -390,43 +280,23 @@ def ks_distance_uniform(pit: np.ndarray) -> float:
     return float(max(hi, lo))
 
 
-@dataclass(frozen=True)
-class PitBinResult:
-    bin_label: str
-    n: int
-    ks_distance: float | None
-    ks_band: float | None
-    within_band: bool | None
-    cdf_grid: np.ndarray | None
-    skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "bin": self.bin_label,
-            "n": self.n,
-            "ks_distance": self.ks_distance,
-            "ks_band": self.ks_band,
-            "within_band": self.within_band,
-            "skipped": self.skipped,
-            "cdf_grid": None if self.cdf_grid is None else np.asarray(self.cdf_grid).tolist(),
-        }
-
-
 def pit_diagnostics(
     surface: RejectionSurface, eval_dataset: Dataset, values, binning: NuBinning
-) -> list[PitBinResult]:
+) -> list[dict]:
     """Per-(label, cell) PIT table of the statistic's ``values`` on ``eval_dataset``.
 
     The bins are the cells of ``binning`` crossed with the two labels, so
     they partition the binning's support; a nuisance value outside it
-    raises ``DomainError``. KS distances are taken against Uniform(0, 1).
-    Empty bins are flagged and skipped rather than raising; the 95% KS band
-    1.36 / sqrt(n) is reported per bin but never enforced here.
+    raises ``DomainError``. Each bin is one row: ``bin`` (its label), ``n``,
+    ``skipped``, ``ks_distance`` against Uniform(0, 1), the 95% KS band
+    ``ks_band`` = 1.36 / sqrt(n), ``within_band`` (reported, never enforced
+    here) and ``cdf_grid``, the bin's PIT cdf on 100 levels. An empty bin is
+    flagged and skipped rather than raising, with ``None`` statistics.
     """
     lam = np.asarray(values, dtype=float)
     pit = surface.rejection_probability_batch(lam, eval_dataset.y, eval_dataset.nu)
     cells = binning.cell_index(eval_dataset.nu)
-    levels = np.linspace(0.0, 1.0, 100)  # each bin's PIT cdf on 100 points
+    levels = np.linspace(0.0, 1.0, 100)
     results = []
     for y in (0, 1):
         for cell in range(binning.n_cells):
@@ -436,13 +306,15 @@ def pit_diagnostics(
                 label = f"y={y},protocols=[{binning.categories[cell]}]"
             mask = (eval_dataset.y == y) & (cells == cell)
             n = int(np.sum(mask))
+            row = {"bin": label, "n": n, "skipped": n == 0}
+            results.append(row)
             if n == 0:
                 warnings.warn(f"PIT bin {label} is empty; skipped")
-                results.append(PitBinResult(label, 0, None, None, None, None, skipped=True))
+                row.update(ks_distance=None, ks_band=None, within_band=None, cdf_grid=None)
                 continue
             sample = pit[mask]
             ks = ks_distance_uniform(sample)
-            band = KS_BAND_COEFFICIENT / np.sqrt(n)
+            band = float(KS_BAND_COEFFICIENT / np.sqrt(n))
             cdf = np.searchsorted(np.sort(sample), levels, side="right") / n
-            results.append(PitBinResult(label, n, ks, float(band), bool(ks <= band), cdf))
+            row.update(ks_distance=ks, ks_band=band, within_band=ks <= band, cdf_grid=cdf.tolist())
     return results

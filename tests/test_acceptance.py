@@ -20,7 +20,8 @@ from naps import cli, files, genmodel as gm, harness
 from naps.classifier import bayes_factor_from_posterior, score_dataset, x_at_bayes_factor
 from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
-from naps.rejection import NuBinning, augment, cutoff_grid_from_values, fit_rejection_surface, pool_adjacent_violators
+from naps.rejection import NuBinning, cutoff_grid_from_values
+from reference_fit import augment, fit_rejection_surface, pool_adjacent_violators
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

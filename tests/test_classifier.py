@@ -11,6 +11,7 @@ import naps
 from naps import classifier as clf
 from naps import genmodel as gm
 from naps.errors import ConfigError, DomainError
+from reference_fit import toy_log_pmf
 from test_genmodel import TRUNCATED_GAUSSIANS
 
 POSTERIOR1_AT_1 = 0.9426053577545077  # 30-digit quadrature of the marginal posterior
@@ -365,12 +366,12 @@ def test_discrete_toy_posterior_matches_direct_mixture():
     w0, w1 = (0.05, 0.05, 0.1, 0.8), (0.0, 0.5, 0.5, 0.0)
     m = toy_model(w0, w1, 0.4)
     x = naps.sample_dataset(m.config, 3000, seed=8).x
-    num1 = sum(0.4 * w * np.exp(gm.toy_log_pmf(x, 1, k)) for k, w in enumerate(w1))
-    num0 = sum(0.6 * w * np.exp(gm.toy_log_pmf(x, 0, k)) for k, w in enumerate(w0))
+    num1 = sum(0.4 * w * np.exp(toy_log_pmf(x, 1, k)) for k, w in enumerate(w1))
+    num0 = sum(0.6 * w * np.exp(toy_log_pmf(x, 0, k)) for k, w in enumerate(w0))
     np.testing.assert_allclose(m.posterior1(x), num1 / (num1 + num0), rtol=0, atol=1e-12)
     for k in range(4):
-        num1 = 0.4 * np.exp(gm.toy_log_pmf(x, 1, k))
-        num0 = 0.6 * np.exp(gm.toy_log_pmf(x, 0, k))
+        num1 = 0.4 * np.exp(toy_log_pmf(x, 1, k))
+        num0 = 0.6 * np.exp(toy_log_pmf(x, 0, k))
         np.testing.assert_allclose(m.posterior1_given_nu(x, k), num1 / (num1 + num0), rtol=0, atol=1e-12)
     assert isinstance(m.posterior1(x[0]), float) and m.posterior1(x[0]) == m.posterior1(x[:1])[0]
 
@@ -393,6 +394,6 @@ def test_discrete_toy_ties_are_exact():
         np.maximum.at(hi, group, p)
         assert np.array_equal(lo, hi)
     # the same values as the log-space mixture of the full log-pmfs, to rounding
-    log1 = logsumexp([np.log(0.5 * w) + gm.toy_log_pmf(x, 1, k) for k, w in enumerate(w1)], axis=0)
-    log0 = logsumexp([np.log(0.5 * w) + gm.toy_log_pmf(x, 0, k) for k, w in enumerate(w0)], axis=0)
+    log1 = logsumexp([np.log(0.5 * w) + toy_log_pmf(x, 1, k) for k, w in enumerate(w1)], axis=0)
+    log0 = logsumexp([np.log(0.5 * w) + toy_log_pmf(x, 0, k) for k, w in enumerate(w0)], axis=0)
     np.testing.assert_allclose(m.posterior1(x), expit(log1 - log0), rtol=0, atol=1e-12)

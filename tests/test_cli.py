@@ -398,6 +398,15 @@ def test_malformed_histogram_artifact_exits_2(config_path, tmp_path, capsys, cha
     assert "configuration error" in err and "classifier.json" in err
 
 
+def assert_evaluate_refuses(config_path, tmp_path, models, named):
+    """``naps evaluate --models`` in a new interpreter exits 2 naming the file ``named``, with no traceback."""
+    command = [sys.executable, "-m", "naps.cli", "evaluate", "--config", config_path, "--out", str(tmp_path / "o")]
+    proc = subprocess.run(command + ["--models", str(models)], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_one_class_analytic_artifact_exits_2_without_traceback(config_path, tmp_path):
     # 1 is a valid generative probability, but both labels' Bayes factors need a class prior inside (0, 1)
     models = tmp_path / "models"
@@ -406,11 +415,29 @@ def test_one_class_analytic_artifact_exits_2_without_traceback(config_path, tmp_
     data = json.loads(artifact.read_text())
     data["config"]["class1_probability"] = 1.0
     artifact.write_text(json.dumps(data))
-    command = [sys.executable, "-m", "naps.cli", "evaluate", "--config", config_path, "--out", str(tmp_path / "o")]
-    proc = subprocess.run(command + ["--models", str(models)], capture_output=True, text=True, env=src_env())
-    assert proc.returncode == 2, proc.stderr
-    assert "configuration error" in proc.stderr and "classifier.json" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_evaluate_refuses(config_path, tmp_path, models, "classifier.json")
+
+
+def test_swapped_surfaces_exit_2(config_path, tmp_path):
+    models = tmp_path / "models"
+    assert run(["fit", "--config", config_path, "--out", str(models)]) == 0
+    bf0, bf1 = models / "surface_bf0.json", models / "surface_bf1.json"
+    label0 = bf0.read_text()
+    bf0.write_text(bf1.read_text())
+    bf1.write_text(label0)
+    assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf0.json")
+
+
+def test_surfaces_on_different_binnings_exit_2(config_path, tmp_path):
+    models, coarse = tmp_path / "models", tmp_path / "coarse"
+    assert run(["fit", "--config", config_path, "--out", str(models)]) == 0
+    cfg = json.loads(open(config_path).read())
+    cfg["nu_bins"] = 5
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["fit", "--config", str(path), "--out", str(coarse)]) == 0
+    (models / "surface_bf1.json").write_text((coarse / "surface_bf1.json").read_text())
+    assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf1.json")
 
 
 def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from naps.classifier import bayes_factor_from_posterior, x_at_bayes_factor
 from naps.errors import ConfigError, DomainError, NumericError, SaturationError
 from naps.nuisance import FullSpaceProvider, NuisanceRegion, OracleQuantileProvider, full_space_set
 from naps.rejection import NuBinning, RejectionSurface
+from test_rejection import midpoints
 
 # Frozen closed-form values (30-digit arithmetic):
 # x0*(alpha) = sup_nu -(1/nu) log(alpha (1 - e^-nu) + e^-nu) over [1, 10],
@@ -44,7 +45,7 @@ def point_region(nu0):
 
 
 def arg_nu(surface, result):
-    return tuple(float(v) for v in surface.binning.representatives()[list(result.cells)])
+    return tuple(float(v) for v in midpoints(surface.binning)[list(result.cells)])
 
 
 def test_request_validation():
@@ -92,7 +93,7 @@ def test_uniform_cutoff_is_min_over_fixed(fine_pipeline):
     request = full_request(0.05)
     uniform = co.cutoff_for_region(surface, FULL_SPACE, request)
     fixed = []
-    for rep in surface.binning.representatives():
+    for rep in midpoints(surface.binning):
         fixed.append(co.cutoff_for_region(surface, point_region(float(rep)), request).cutoff)
     assert uniform.cutoff == min(fixed)
     assert uniform.cutoff <= min(fixed) + 1e-15
@@ -327,7 +328,7 @@ def test_cutoff_for_region_is_the_per_cell_optimum(case):
 def test_one_point_region_is_the_cell_inverse(fine_pipeline):
     surface = fine_pipeline.surfaces[0]
     request = full_request(0.1)
-    reps = surface.binning.representatives()
+    reps = midpoints(surface.binning)
     for cell, nu0 in enumerate(reps):
         result = co.cutoff_for_region(surface, point_region(float(nu0)), request)
         assert result.cutoff == surface.invert_cell(request.beta, 0, cell)

@@ -78,11 +78,41 @@ def test_parse_names_the_key_path(change, message):
 
 def test_parse_checks_arrays_and_fixed_fields():
     data = files.jsonable(HISTOGRAM)
-    for change in ({"bin_posterior": [0.5, None]}, {"bin_edges": [[0.0, 1.0], [2.0]]}, {"bin_edges": ["0", "1"]}):
+    changes = (
+        {"bin_posterior": [0.5, None]}, {"bin_edges": [[0.0, 1.0], [2.0]]}, {"bin_edges": ["0", "1"]},
+        {"bin_posterior": [True, *data["bin_posterior"][1:]]},  # np.array would read it as 1.0
+    )
+    for change in changes:
         with pytest.raises(ConfigError, match="must be a list of finite numbers"):
             files.parse(naps.HistogramClassifier, {**data, **change})
+    surface = files.jsonable(small_surface(NuBinning.equal_width(1.0, 10.0, 2)))
+    surface["values"][1][1][2] = True
+    with pytest.raises(ConfigError, match=re.escape("RejectionSurface.values must be a list of finite numbers")):
+        files.parse(RejectionSurface, surface)
     with pytest.raises(ConfigError, match="HistogramClassifier.kind must be 'histogram'"):
         files.parse(naps.HistogramClassifier, {**data, "kind": "analytic-marginal"})
+
+
+OVERFLOW = "1e999"  # a JSON number that reads as infinite
+SURFACE = files.jsonable(small_surface(NuBinning.equal_width(1.0, 10.0, 2)))
+CONFIG = files.jsonable(small_config())
+
+
+@pytest.mark.parametrize(
+    "load, data, message",
+    [
+        (RejectionSurface.load, {**SURFACE, "metadata": {"seed": OVERFLOW}}, "RejectionSurface.metadata"),
+        (RejectionSurface.load, {**SURFACE, "metadata": {"runs": [{"seed": OVERFLOW}]}}, "RejectionSurface.metadata"),
+        (harness.ExperimentConfig.from_json_file, {**CONFIG, "class1_probability": OVERFLOW}, "class1_probability"),
+        (harness.ExperimentConfig.from_json_file, {**CONFIG, "alphas": [0.1, OVERFLOW]}, "ExperimentConfig.alphas[1]"),
+    ],
+    ids=["surface-metadata", "nested-surface-metadata", "config-float", "config-float-list"],
+)
+def test_overflowing_number_raises_config_error(tmp_path, load, data, message):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data).replace(f'"{OVERFLOW}"', OVERFLOW))
+    with pytest.raises(ConfigError, match=re.escape(message) + ".* must be .*finite number"):
+        load(str(path))
 
 
 # --- malformed input: a ConfigError or DomainError, never a bare KeyError, IndexError or TypeError --------

@@ -63,8 +63,9 @@ def test_oracle_center_always_covered():
 def test_oracle_width_nonincreasing_in_gamma(g):
     g1, g2 = sorted(g)
     dist = naps.truncated_gaussian_prior(4.0, 0.1)
-    w1 = nu.OracleQuantileProvider(gamma=g1, distribution=dist).region(0).width()
-    w2 = nu.OracleQuantileProvider(gamma=g2, distribution=dist).region(0).width()
+    ((lo1, hi1),) = nu.OracleQuantileProvider(gamma=g1, distribution=dist).region(0).intervals
+    ((lo2, hi2),) = nu.OracleQuantileProvider(gamma=g2, distribution=dist).region(0).intervals
+    w1, w2 = hi1 - lo1, hi2 - lo2
     assert w2 <= w1 + 1e-12
 
 
@@ -96,7 +97,7 @@ def test_region_validation_and_roundtrip():
     point, protocols = nu.NuisanceRegion(intervals=((4.0, 4.0),)), nu.NuisanceRegion(categories=(0, 3))
     for r in (region, point, protocols, nu.NuisanceRegion()):
         assert files.parse(nu.NuisanceRegion, files.jsonable(r)) == r
-    assert region.width() == pytest.approx(1.5)
+    assert sum(hi - lo for lo, hi in region.intervals) == pytest.approx(1.5)
     assert not region.contains(2.5)
     assert region.contains(np.array([1.7, 3.5])).all()
     with pytest.raises(ConfigError):

