@@ -2,10 +2,12 @@
 
 The analytic classifier evaluates P(Y=1 | x) exactly, marginalizing the
 class-0 nuisance parameter over its training prior with one Gauss-Legendre
-rule, chosen once per classifier from 16, 32 and 64 nodes: the 64-node rule
-is checked against the 128-node one to the classifier's ``quad_tol``, and the
-coarsest rule that differs from its double by no more than any finer pair
-does (so its own difference is rounding) is the one used. The rule's
+rule, chosen once per classifier from 16, 32 and 64 nodes (each size's
+Gauss-Legendre nodes and weights are computed once per process, read-only,
+and shared by every classifier): the 64-node rule is checked against the
+128-node one to the classifier's ``quad_tol``, and the coarsest rule that
+differs from its double by no more than any finer pair does (so its own
+difference is rounding) is the one used. The rule's
 weights carry the class-0 normalizer nu / (1 - e^{-nu}), so x is read in
 blocks of 1024 rows with one exponential per (x, node) and one stacked
 one-row product per x: a point's posterior is bit-identical whether it is
@@ -18,7 +20,7 @@ pipeline can also be exercised with a fitted model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,6 +36,15 @@ _LADDER = (16, 32, 64, 128)
 _BLOCK = 1024
 
 
+@cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre nodes and weights on [-1, 1], computed once per process, read-only."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _nuisance_rule(prior: PriorSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """An n-node rule against the prior, for the moments 1 and nu of the class-0 density.
 
@@ -46,7 +57,7 @@ def _nuisance_rule(prior: PriorSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     if prior.kind == "point-mass":
         nodes, w = np.array([prior.value]), np.array([1.0])
     else:
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _legendre(n)
         u = np.array([1e-16, 1.0 - 1e-16])  # the window that holds the prior's mass
         if prior.kind == "truncated-gaussian":
             lo, hi = prior.standardized_ppf(u)

@@ -121,7 +121,10 @@ def cmd_fit(config: ExperimentConfig) -> None:
 
 def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions: bool) -> None:
     dump_spec = _first_naps_method(config) if dump_predictions else None
-    pipeline = Pipeline.load(models) if models else None
+    pipeline = None
+    if models:
+        pipeline = Pipeline.load(models)
+        _check_fitted_under(config, pipeline, models)
     report, pipeline, evaluation = harness._run_scored(config, pipeline)
     out = config.output_dir
     report.to_json(os.path.join(out, "report.json"))
@@ -131,6 +134,26 @@ def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions:
         alpha = config.alphas[0]
         clf = harness.naps_cutoffs_for_alpha(pipeline, config, dump_spec, alpha)
         clf.decide(evaluation.data.x, evaluation.statistics, alpha).save(os.path.join(out, "naps_predictions.csv"))
+
+
+def _check_fitted_under(config: ExperimentConfig, pipeline: Pipeline, models: str) -> None:
+    """Refuse artifacts fitted under another binning or classifier than ``config`` names.
+
+    The report echoes ``config``, so it must also be what the artifacts were fitted under.
+    """
+    if files.jsonable(pipeline.binning) != files.jsonable(config.binning()):
+        path = os.path.join(models, "surface_bf0.json")
+        raise ConfigError(f"fitted artifact {path} holds another nuisance binning than the configuration's")
+    model = pipeline.model
+    if model.kind != config.classifier:
+        mismatch = f"a {model.kind} classifier, not {config.classifier}"
+    elif model.kind == "histogram" and len(model.bin_posterior) != config.histogram_bins:
+        mismatch = f"{len(model.bin_posterior)} histogram bins, not {config.histogram_bins}"
+    elif model.kind == "analytic-marginal" and model.config != config.generative("train"):
+        mismatch = "another training distribution than the configuration's"
+    else:
+        return
+    raise ConfigError(f"fitted artifact {os.path.join(models, 'classifier.json')} holds {mismatch}")
 
 
 def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:

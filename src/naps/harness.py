@@ -254,15 +254,32 @@ def _fit_scored(config: ExperimentConfig) -> tuple[Pipeline, ScoredDataset]:
     model = build_model(config)
     calibration = score_dataset(model, config.calibration_set())
     binning = config.binning()
-    surfaces = {y: _label_surface(config, calibration, y, binning) for y in (0, 1)}
+    surfaces = _fit_surfaces(config, calibration, binning)
     return Pipeline(model=model, binning=binning, surfaces=surfaces), calibration
 
 
-def _label_surface(config: ExperimentConfig, calibration: ScoredDataset, y: int, binning: NuBinning):
-    """Label y's Bayes-factor rejection surface on a grid from its calibration quantiles."""
-    tau = calibration.statistics[y][0]
-    grid = cutoff_grid_from_values(tau, config.cutoff_grid_size)
-    return fit_surface(calibration.data, tau, grid, binning, f"bayes-factor-{y}", config.seed)
+def _fit_surfaces(
+    config: ExperimentConfig, calibration: ScoredDataset, binning: NuBinning
+) -> dict[int, RejectionSurface]:
+    """Both labels' Bayes-factor rejection surfaces, ``{y: surface}``, from one pass over ``calibration``.
+
+    The calibration cells are computed once for both labels. One argsort of
+    ``p1`` orders both statistics: ``label_bayes_factors`` builds label 1's
+    from ``p1`` and label 0's from ``1 - p1`` by monotone rounded operations,
+    so ``order`` sorts label 1's and ``order[::-1]`` label 0's, up to ties,
+    which counting does not see. Each label's grid takes its quantiles from
+    its sorted statistic.
+    """
+    cells = binning.cell_index(calibration.data.nu)
+    order = np.argsort(calibration.p1)
+    surfaces = {}
+    for y, order_y in ((0, order[::-1]), (1, order)):
+        tau = calibration.statistics[y][0]
+        grid = cutoff_grid_from_values(tau[order_y], config.cutoff_grid_size)
+        surfaces[y] = fit_surface(
+            calibration.data, tau, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
+        )
+    return surfaces
 
 
 def naps_cutoffs_for_alpha(
@@ -646,7 +663,7 @@ def run_pit_diagnostics(
     space = config.train_prior.support
     lo, hi = space.bounds if space.is_continuous else (min(space.categories), max(space.categories))
     one_cell = NuBinning(edges=np.array([lo, hi], dtype=float)) if lo < hi else NuBinning.for_space(space, 1)
-    flat_surface = _label_surface(config, calibration, 0, one_cell)
+    flat_surface = _fit_surfaces(config, calibration, one_cell)[0]
 
     binning = NuBinning.for_space(space, n_param_bins)
     aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, binning)

@@ -7,7 +7,10 @@ Z_{i,j} = 1{lambda(x_i) <= C_j} and, within each (label, nuisance-bin) cell,
 regresses Z on C by isotonic least squares. That fit is each cell's
 empirical CDF, which ``fit_surface`` counts in one pass without building the
 records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
-tests' reference.
+tests' reference. Both labels' surfaces are fitted on one calibration set, so
+``fit_surface`` takes the calibration cells and the statistic's sorting order
+from its caller: ``harness._fit_surfaces`` computes the cells once and sorts
+both labels' statistics with one argsort of the posterior.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -49,8 +52,8 @@ class NuBinning:
             raise ConfigError("binning needs either edges or categories, not both")
         if self.edges is not None:
             e = np.asarray(self.edges, dtype=float)
-            if e.ndim != 1 or len(e) < 2 or np.any(np.diff(e) <= 0):
-                raise ConfigError("bin edges must be strictly increasing with >= 2 entries")
+            if e.ndim != 1 or len(e) < 2 or not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0):
+                raise ConfigError("bin edges must be finite and strictly increasing with >= 2 entries")
             e.flags.writeable = False
 
     @classmethod
@@ -83,14 +86,17 @@ class NuBinning:
         return len(self.edges) - 1 if self.is_continuous else len(self.categories)
 
     def cell_index(self, nu) -> np.ndarray:
-        """Cell index per nuisance value; raises if any value is out of support."""
-        nu = np.asarray(nu)
+        """Cell index per nuisance value; raises if any value (or a NaN) is out of support.
+
+        A continuous cell holds the values from its lower edge up to, not
+        including, its upper edge; the support's top end is in the last cell.
+        """
         if self.is_continuous:
-            nu = nu.astype(float)
-            if np.any(nu < self.edges[0]) or np.any(nu > self.edges[-1]):
+            nu = np.asarray(nu, dtype=float)
+            if nu.size and not (self.edges[0] <= nu.min() and nu.max() <= self.edges[-1]):  # a NaN fails both
                 raise DomainError("nuisance value outside the binning support")
-            idx = np.searchsorted(self.edges, nu, side="right") - 1
-            return np.minimum(idx, self.n_cells - 1)
+            return np.minimum(np.searchsorted(self.edges, nu, side="right") - 1, self.n_cells - 1)
+        nu = np.asarray(nu)
         order = np.argsort(self.categories)
         ranked = np.asarray(self.categories)[order]
         pos = np.minimum(np.searchsorted(ranked, nu), len(ranked) - 1)
@@ -139,16 +145,19 @@ def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
     """Cutoff grid from the empirical distribution of the statistic's values.
 
     Uses the K mid-quantile levels (j - 0.5) / K with linear interpolation,
-    de-duplicated and deterministic; sorting first makes the partition cheap.
+    de-duplicated and deterministic. The quantiles are the same bits in any
+    order of ``values``; sorted values make their partition cheap.
     """
     if grid_size < 2:
         raise ConfigError("grid_size must be >= 2")
-    values = np.sort(np.asarray(values, dtype=float))
-    if len(values) == 0 or values[0] == values[-1]:
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0:
         raise ConfigError("statistic is degenerate: cannot build a cutoff grid")
     levels = (np.arange(grid_size) + 0.5) / grid_size
     grid = np.unique(np.quantile(values, levels, method="linear"))
     if len(grid) < 2:
+        if values.min() == values.max():
+            raise ConfigError("statistic is degenerate: cannot build a cutoff grid")
         raise ConfigError("statistic is too discrete: fewer than 2 distinct grid cutoffs")
     return CutoffGrid(values=grid)
 
@@ -234,6 +243,9 @@ def fit_surface(
     binning: NuBinning,
     statistic_id: str = "statistic",
     seed: int | None = None,
+    *,
+    cells: np.ndarray,
+    order: np.ndarray,
 ) -> RejectionSurface:
     """Fit the surface from the statistic's ``values`` on calibration data.
 
@@ -242,19 +254,28 @@ def fit_surface(
     but never materializes the records: within a cell, the per-cutoff mean
     of the indicators is the cell's empirical CDF of the statistic, which is
     already nondecreasing and inside [0, 1], so the isotonic fit is the
-    identity on it and is skipped. One counting pass fills every CDF: after one argsort, each
-    sample's column is the first cutoff at or above it (K past the last);
-    a ``bincount`` of (label, cell, column), cumulated along the columns
-    and divided by each cell's size, gives the exact CDFs; an absent label
-    keeps a zero slice. ``values`` must hold one finite value per sample.
+    identity on it and is skipped. One counting pass fills every CDF: in the
+    statistic's sorted order, each sample's column is the first cutoff at or
+    above it (K past the last); a ``bincount`` of (label, cell, column),
+    cumulated along the columns and divided by each cell's size, gives the
+    exact CDFs; an absent label keeps a zero slice. ``values`` must hold one
+    finite value per sample.
+
+    ``cells`` is ``binning.cell_index`` of the calibration ``nu``, and
+    ``order`` an ordering of the samples that sorts ``values`` (ties in any
+    order; any other is a ``ValueError``). The caller computes both because
+    a fit of both labels on one calibration set (``harness._fit_surfaces``)
+    shares them.
     """
     lam = _calibration_values(calibration, values)
     n_cells, K = binning.n_cells, len(grid)
-    code = (calibration.y.astype(np.intp) * n_cells + binning.cell_index(calibration.nu)) * (K + 1)
-    order = np.argsort(lam)
-    bounds = np.searchsorted(lam[order], grid.values, side="right")
-    code[order] += np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(lam)))  # each sample's column
-    counts = np.bincount(code, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
+    ranked = lam[order]
+    if np.any(ranked[1:] < ranked[:-1]):
+        raise ValueError("order does not sort the statistic's values")
+    code = (calibration.y.astype(np.intp) * n_cells + cells) * (K + 1)
+    bounds = np.searchsorted(ranked, grid.values, side="right")
+    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(lam)))  # per sample, sorted order
+    counts = np.bincount(code[order] + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
     n = counts.sum(axis=-1)
     for y in (0, 1):
         if n[y].any() and not n[y].all():

@@ -7,6 +7,9 @@ Z_{i,j} = 1{lambda(x_i) <= C_j} over the cutoff grid, and
 the paper's estimate of W(C; y, nu); ``naps.rejection.fit_surface`` computes
 the same surface by counting, without building the B * K records.
 
+``lone_fit`` is ``fit_surface`` for one statistic by itself: it computes the
+calibration cells and the sorting order that a two-label fit shares.
+
 ``toy_log_pmf`` is the discrete toy's Poisson log-likelihood, the independent
 reference for the toy posterior.
 """
@@ -21,7 +24,7 @@ from scipy import special
 from naps import genmodel as gm
 from naps.errors import BinningError, ConfigError
 from naps.genmodel import Dataset
-from naps.rejection import CutoffGrid, NuBinning, RejectionSurface, _calibration_values
+from naps.rejection import CutoffGrid, NuBinning, RejectionSurface, _calibration_values, fit_surface
 
 
 def pool_adjacent_violators(values, weights=None) -> np.ndarray:
@@ -128,6 +131,12 @@ def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> Reje
             means = sums[cell] / counts[cell]
             values[y, cell] = np.clip(pool_adjacent_violators(means, counts[cell]), 0.0, 1.0)
     return RejectionSurface("statistic", binning, grid, values, metadata={"n_records": len(records)})
+
+
+def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning) -> RejectionSurface:
+    """``fit_surface`` of one statistic, with its own calibration cells and sorting order."""
+    order = np.argsort(np.asarray(values, dtype=float))
+    return fit_surface(calibration, values, grid, binning, cells=binning.cell_index(calibration.nu), order=order)
 
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
@@ -84,6 +86,43 @@ def test_bayes_factor_monotone_in_posterior():
     assert np.all(np.diff(tau) > 0)
     tau_vs_other, _ = clf.bayes_factor_from_posterior(1.0 - p, 0.5)
     assert np.all(np.diff(tau_vs_other) < 0)
+
+
+CLIP = clf.POSTERIOR_CLIP
+# 0, 1, the clip bounds, values inside them and their float neighbours
+EDGE_POSTERIORS = [0.0, 1.0, CLIP, 1.0 - CLIP, CLIP / 2, 1.0 - CLIP / 2, 5e-324, 1.0 - 2**-53]
+EDGE_POSTERIORS += [np.nextafter(v, d) for v in (CLIP, 1.0 - CLIP) for d in (0.0, 1.0)]
+
+
+@given(
+    p1=st.lists(
+        st.one_of(
+            st.sampled_from(EDGE_POSTERIORS), st.floats(0.0, 1.0), st.floats(0.0, 1e-10), st.floats(1 - 1e-10, 1.0)
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    repeats=st.integers(1, 3),
+    class1_prior=st.floats(0.01, 0.99),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_argsort_of_p1_sorts_both_statistics(p1, repeats, class1_prior):
+    # the fit argsorts p1 once: that order sorts label 1's Bayes factor and its reverse label 0's
+    p1 = np.repeat(np.array(p1), repeats)  # ties
+    np.random.default_rng(len(p1)).shuffle(p1)
+    order = np.argsort(p1)
+    stats = clf.label_bayes_factors(p1, class1_prior)
+    assert np.all(np.diff(stats[1][0][order]) >= 0)
+    assert np.all(np.diff(stats[0][0][order[::-1]]) >= 0)
+
+
+def test_legendre_rule_computed_once_and_read_only():
+    for n in clf._LADDER:
+        nodes, weights = clf._legendre(n)
+        assert clf._legendre(n)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        expected = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
 
 
 def test_histogram_posterior_strictly_inside_unit_interval(uniform_gen):

@@ -440,6 +440,42 @@ def test_surfaces_on_different_binnings_exit_2(config_path, tmp_path):
     assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf1.json")
 
 
+def test_models_fitted_under_another_config_exit_2(config_path, tmp_path):
+    # fitted on 5 nu bins under a N(5, 2) training prior, evaluated under 10 bins and a uniform prior
+    cfg = json.loads(open(config_path).read())
+    cfg.update(nu_bins=5, train_prior=files.jsonable(naps.truncated_gaussian_prior(5.0, 2.0)))
+    path, models = tmp_path / "other.json", tmp_path / "models"
+    path.write_text(json.dumps(cfg))
+    assert run(["fit", "--config", str(path), "--out", str(models)]) == 0
+    assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf0.json")
+
+
+@pytest.mark.parametrize(
+    "fitted, evaluated",
+    [
+        ({"train_prior": files.jsonable(naps.truncated_gaussian_prior(5.0, 2.0))}, {}),
+        ({"classifier": "histogram", "n_train": 20_000}, {}),
+        ({}, {"classifier": "histogram", "n_train": 20_000}),
+        ({"classifier": "histogram", "n_train": 20_000, "histogram_bins": 32}, {"classifier": "histogram"}),
+    ],
+    ids=["training-prior", "histogram-not-analytic", "analytic-not-histogram", "histogram-bins"],
+)
+def test_classifier_fitted_under_another_config_exits_2(config_path, tmp_path, capsys, fitted, evaluated):
+    base = json.loads(open(config_path).read())
+    paths = {}
+    for name, changes in (("fitted", fitted), ("evaluated", evaluated)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**base, **changes}))
+    models = str(tmp_path / "models")
+    assert run(["fit", "--config", str(paths["fitted"]), "--out", models]) == 0
+    capsys.readouterr()
+    code = run(["evaluate", "--config", str(paths["evaluated"]), "--out", str(tmp_path / "o"), "--models", models])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "classifier.json" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_numeric_error_exits_3(config_path, tmp_path, monkeypatch, capsys):
     def boom(config, pipeline=None):
         raise NumericError("synthetic numeric failure")

@@ -12,6 +12,7 @@ from naps.classifier import bayes_factor_from_posterior, x_at_bayes_factor
 from naps.errors import ConfigError, DomainError, NumericError, SaturationError
 from naps.nuisance import FullSpaceProvider, NuisanceRegion, OracleQuantileProvider, full_space_set
 from naps.rejection import NuBinning, RejectionSurface
+from reference_fit import lone_fit
 from test_rejection import midpoints
 
 # Frozen closed-form values (30-digit arithmetic):
@@ -100,13 +101,13 @@ def test_uniform_cutoff_is_min_over_fixed(fine_pipeline):
 
 
 def test_uniform_cutoff_single_bin_equals_fixed(base_config, calibration, model):
-    from naps.rejection import cutoff_grid_from_values, fit_surface
+    from naps.rejection import cutoff_grid_from_values
 
     p1 = model.posterior1(calibration.x)
     tau0 = bayes_factor_from_posterior(1.0 - p1, 0.5)[0]
     grid = cutoff_grid_from_values(tau0, 100)
     binning = NuBinning.equal_width(1.0, 10.0, 1)
-    surface = fit_surface(calibration, tau0, grid, binning)
+    surface = lone_fit(calibration, tau0, grid, binning)
     uniform = co.cutoff_for_region(surface, FULL_SPACE, full_request(0.1))
     fixed = co.cutoff_for_region(surface, point_region(7.0), full_request(0.1))
     assert uniform.cutoff == fixed.cutoff

@@ -399,16 +399,16 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
         seed=11,
     )
     binnings = []
-    label_surface = harness._label_surface
+    fit_surfaces = harness._fit_surfaces
 
-    def spy(config, calibration, y, binning):
+    def spy(config, calibration, binning):
         binnings.append(binning)
-        return label_surface(config, calibration, y, binning)
+        return fit_surfaces(config, calibration, binning)
 
-    monkeypatch.setattr(harness, "_label_surface", spy)
+    monkeypatch.setattr(harness, "_fit_surfaces", spy)
     result = harness.run_pit_diagnostics(cfg, n_param_bins=2)
-    # fitted surfaces for y = 0 and 1, then the control
-    assert [b.n_cells for b in binnings] == [4, 4, 1]
+    # the fitted surfaces of both labels, then the control
+    assert [b.n_cells for b in binnings] == [4, 1]
     cats = gm.DISCRETE_SPACE.categories
     assert result["bins"] == [f"y={y},protocols=[{c}]" for y in (0, 1) for c in cats]
     aware = [r["ks_distance"] for r in result["nuisance_aware"]]

@@ -11,7 +11,7 @@ from naps import genmodel as gm
 from naps import harness
 from naps import rejection as rj
 from naps.errors import BinningError, ConfigError, DomainError, SaturationError
-from reference_fit import AugmentedRecords, augment, fit_rejection_surface, pool_adjacent_violators
+from reference_fit import AugmentedRecords, augment, fit_rejection_surface, lone_fit, pool_adjacent_violators
 
 UQ0_005_NU1 = 0.9175778871209889
 
@@ -173,7 +173,7 @@ def test_fit_surface_equals_records_path(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 3000, seed=4)
     grid = rj.cutoff_grid_from_values(ds.x, 32)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 5)
-    fused = rj.fit_surface(ds, ds.x, grid, binning)
+    fused = lone_fit(ds, ds.x, grid, binning)
     from_records = fit_rejection_surface(augment(ds, identity_statistic, grid), binning)
     assert np.array_equal(fused.values, from_records.values)
     assert np.array_equal(fused.grid, from_records.grid)
@@ -203,7 +203,7 @@ def test_fit_surface_counts_atoms_on_grid_values():
     grid = rj.cutoff_grid_from_values(lam, 64)
     assert np.isin(grid.values, lam).sum() >= 5
     binning = rj.NuBinning.discrete((2, 0, 3, 1))
-    surface = rj.fit_surface(ds, lam, grid, binning)
+    surface = lone_fit(ds, lam, grid, binning)
     assert np.array_equal(surface.values, brute_force_cdfs(ds, lam, grid, binning))
 
 
@@ -212,7 +212,7 @@ def test_fit_surface_absent_label_keeps_zero_slice():
     lam = ds.x[:, 0].astype(float)
     grid = rj.cutoff_grid_from_values(lam, 20)
     binning = rj.NuBinning.discrete((0, 1, 2, 3))
-    surface = rj.fit_surface(ds, lam, grid, binning)
+    surface = lone_fit(ds, lam, grid, binning)
     assert not np.any(surface.values[1])
     assert np.array_equal(surface.values, brute_force_cdfs(ds, lam, grid, binning))
 
@@ -230,7 +230,7 @@ def test_fit_surface_names_first_empty_cell(y, nu, message):
     ds = _tiny_dataset([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], y=y, nu=nu)
     binning = rj.NuBinning(edges=np.array([1.0, 3.0, 5.0, 7.0, 10.0]))
     with pytest.raises(BinningError, match=message):
-        rj.fit_surface(ds, ds.x, rj.CutoffGrid(values=np.array([0.2, 0.4])), binning)
+        lone_fit(ds, ds.x, rj.CutoffGrid(values=np.array([0.2, 0.4])), binning)
 
 
 README_20K = dict(
@@ -263,6 +263,28 @@ def test_fitted_surfaces_are_pinned(name):
     assert digest == expected
 
 
+def test_shared_fit_equals_reference_on_discrete_toy():
+    # one cell pass and one argsort of p1 for both labels; the toy's statistics have atoms and ties
+    config = harness.ExperimentConfig(**dict(TOY_20K, n_calibration=4000, cutoff_grid_size=64))
+    pipeline, calibration = harness._fit_scored(config)
+    for y in (0, 1):
+        tau = calibration.statistics[y][0]
+        assert len(np.unique(tau)) < len(tau)  # ties
+        surface = pipeline.surfaces[y]
+        grid = rj.cutoff_grid_from_values(np.sort(tau), config.cutoff_grid_size)
+        assert np.array_equal(surface.grid, grid.values)
+        reference = fit_rejection_surface(augment(calibration.data, lambda x: tau, grid), pipeline.binning)
+        assert np.array_equal(surface.values, reference.values)
+
+
+def test_fit_surface_refuses_an_order_that_does_not_sort(uniform_gen):
+    ds = gm.sample_dataset(uniform_gen, 200, seed=13)
+    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    with pytest.raises(ValueError, match="does not sort"):
+        binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
+        rj.fit_surface(ds, ds.x, grid, binning, cells=binning.cell_index(ds.nu), order=np.arange(len(ds)))
+
+
 @pytest.mark.parametrize(
     "bad", [lambda x: np.where(x > 0.5, np.nan, x), lambda x: np.where(x > 0.5, np.inf, x), lambda x: x[:-1]],
     ids=["nan", "inf", "short"],
@@ -272,7 +294,7 @@ def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
     grid = rj.cutoff_grid_from_values(ds.x, 8)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
     with pytest.raises(ConfigError):
-        rj.fit_surface(ds, bad(ds.x), grid, binning)
+        lone_fit(ds, bad(ds.x), grid, binning)
     with pytest.raises(ConfigError):
         augment(ds, bad, grid)
 
@@ -289,7 +311,7 @@ def test_single_bin_fit_reproduces_ecdf(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=5)
     grid = rj.cutoff_grid_from_values(ds.x, 200)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
-    surface = rj.fit_surface(ds, ds.x, grid, binning)
+    surface = lone_fit(ds, ds.x, grid, binning)
     for y in (0, 1):
         lams = ds.x[ds.y == y]
         assert sup_distance_to_ecdf(surface, y, 0, lams) <= 0.01
@@ -366,7 +388,7 @@ def test_w_matches_closed_form_cdf(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2_000_000, seed=6)
     grid = rj.cutoff_grid_from_values(ds.x, 200)
     binning = rj.NuBinning(edges=np.array([1.0, 1.95, 2.05, 10.0]))
-    surface = rj.fit_surface(ds, ds.x, grid, binning)
+    surface = lone_fit(ds, ds.x, grid, binning)
     for x0 in np.linspace(0.05, 0.95, 10):
         expected = 1.0 - gm.survival_class0(x0, 2.0)
         got = surface.rejection_probability_batch([x0], [0], [2.0])[0]
@@ -377,7 +399,7 @@ def test_invert_recovers_upper_quantile(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 1_000_000, seed=7)
     grid = rj.cutoff_grid_from_values(ds.x, 400)
     binning = rj.NuBinning(edges=np.array([1.0, 1.1, 10.0]))
-    surface = rj.fit_surface(ds, ds.x, grid, binning)
+    surface = lone_fit(ds, ds.x, grid, binning)
     # beta = 0.95 on the CDF scale is the alpha = 0.05 upper tail in x
     cut = surface.invert_cell(0.95, 0, int(binning.cell_index(1.02)))
     assert abs(cut - UQ0_005_NU1) <= 0.02
@@ -419,6 +441,54 @@ def test_binning_cells():
     assert disc.cell_index(np.array([2, 0])).tolist() == [2, 0]
     with pytest.raises(DomainError):
         disc.cell_index(np.array([5]))
+
+
+def searchsorted_cells(binning, nu):
+    """The defining continuous cell index: the last edge at or below nu, the top end in the last cell."""
+    return np.minimum(np.searchsorted(binning.edges, nu, side="right") - 1, binning.n_cells - 1)
+
+
+def edge_probes(edges):
+    """Every edge and its float neighbours both ways, inside the support."""
+    probes = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return probes[(probes >= edges[0]) & (probes <= edges[-1])]
+
+
+CONTINUOUS_BINNINGS = {
+    **{f"equal-{n}": rj.NuBinning.equal_width(1.0, 10.0, n) for n in (1, 2, 5, 20, 200)},
+    **{f"geometric-{n}": rj.NuBinning.geometric(1.0, 10.0, n) for n in (1, 2, 5, 20, 200)},
+    # cells from 1e-9 wide to 5 wide, one edge one ulp above a round value
+    "irregular": rj.NuBinning(
+        edges=np.array([1.0, 1.0 + 1e-9, 1.5, np.nextafter(2.125, 3.0), 2.2, 7.25, 9.9, 10.0])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_BINNINGS))
+def test_continuous_cell_index_is_searchsorted_exactly(name):
+    binning = CONTINUOUS_BINNINGS[name]
+    lo, hi = binning.edges[0], binning.edges[-1]
+    probes = edge_probes(binning.edges)
+    rng = np.random.default_rng(17)
+    for nu in (probes, rng.permutation(probes), rng.uniform(lo, hi, 20_000), probes.reshape(-1, 1)):
+        cells = binning.cell_index(nu)
+        assert cells.dtype == np.intp and cells.shape == nu.shape
+        assert np.array_equal(cells, searchsorted_cells(binning, nu))
+    for end in (lo, hi):
+        cell = binning.cell_index(end)
+        assert np.ndim(cell) == 0 and cell == searchsorted_cells(binning, end)
+    assert binning.cell_index(hi) == binning.n_cells - 1
+    assert binning.cell_index(np.array([])).shape == (0,)
+    for outside in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan):
+        for nu in (outside, np.array([lo, outside, hi])):
+            with pytest.raises(DomainError):
+                binning.cell_index(nu)
+
+
+@pytest.mark.parametrize("edges", [[1.0, np.inf], [-np.inf, 1.0], [1.0, np.nan, 2.0]], ids=["inf", "-inf", "nan"])
+def test_binning_refuses_non_finite_edges(edges):
+    with pytest.raises(ConfigError, match="finite"):
+        rj.NuBinning(edges=np.array(edges))
 
 
 def test_discrete_cell_index_matches_lookup():
