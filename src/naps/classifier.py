@@ -214,12 +214,15 @@ class HistogramClassifier:
     """Per-bin class-1 frequency with add-one smoothing.
 
     Evaluation clamps x into the nearest bin, so the posterior is defined on
-    the whole real line and stays strictly inside (0, 1).
+    the whole real line and stays strictly inside (0, 1). ``config`` is the
+    training configuration the histogram was fitted under, recorded so that
+    a saved histogram is not evaluated under another one.
     """
 
     bin_edges: np.ndarray
     bin_posterior: np.ndarray
     class1_prior: float
+    config: GenerativeConfig
     kind: str = field(default="histogram", init=False)
 
     def __post_init__(self):
@@ -238,8 +241,8 @@ class HistogramClassifier:
         return float(out) if x.ndim == 0 else out
 
 
-def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifier:
-    """Fit per-bin smoothed class-1 frequencies on [0, 1]."""
+def fit_histogram_classifier(dataset: Dataset, n_bins: int, config: GenerativeConfig) -> HistogramClassifier:
+    """Fit per-bin smoothed class-1 frequencies on [0, 1] to ``dataset``, drawn under ``config``."""
     if len(dataset) == 0:
         raise ConfigError("cannot fit a histogram classifier on an empty dataset")
     if n_bins < 1:
@@ -255,6 +258,7 @@ def fit_histogram_classifier(dataset: Dataset, n_bins: int) -> HistogramClassifi
         bin_edges=edges,
         bin_posterior=posterior,
         class1_prior=float(np.mean(dataset.y == 1)),
+        config=config,
     )
 
 

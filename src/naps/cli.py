@@ -149,7 +149,7 @@ def _check_fitted_under(config: ExperimentConfig, pipeline: Pipeline, models: st
         mismatch = f"a {model.kind} classifier, not {config.classifier}"
     elif model.kind == "histogram" and len(model.bin_posterior) != config.histogram_bins:
         mismatch = f"{len(model.bin_posterior)} histogram bins, not {config.histogram_bins}"
-    elif model.kind == "analytic-marginal" and model.config != config.generative("train"):
+    elif model.config != config.generative("train"):
         mismatch = "another training distribution than the configuration's"
     else:
         return

@@ -210,9 +210,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Pipeline:
+    """The classifier and both labels' rejection surfaces, fitted once and reused.
+
+    ``calibration_posterior`` is the ``(p1, y)`` of the calibration set the
+    surfaces were fitted on, the posterior P(Y=1 | x) and the label per
+    sample: what the standard and class-conditional baselines are fitted
+    from. ``fit_pipeline`` keeps it in memory; it is never saved, so a
+    loaded or hand-built pipeline has ``None`` there.
+    """
+
     model: object
     binning: NuBinning
     surfaces: dict[int, RejectionSurface]
+    calibration_posterior: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def save(self, out_dir: str) -> None:
         save_classifier(self.model, os.path.join(out_dir, "classifier.json"))
@@ -241,7 +251,7 @@ class Pipeline:
 def build_model(config: ExperimentConfig):
     if config.classifier == "analytic-marginal":
         return AnalyticMarginalClassifier(config.generative("train"))
-    return fit_histogram_classifier(config.train_set(), config.histogram_bins)
+    return fit_histogram_classifier(config.train_set(), config.histogram_bins, config.generative("train"))
 
 
 def fit_pipeline(config: ExperimentConfig) -> Pipeline:
@@ -255,7 +265,8 @@ def _fit_scored(config: ExperimentConfig) -> tuple[Pipeline, ScoredDataset]:
     calibration = score_dataset(model, config.calibration_set())
     binning = config.binning()
     surfaces = _fit_surfaces(config, calibration, binning)
-    return Pipeline(model=model, binning=binning, surfaces=surfaces), calibration
+    posterior = (calibration.p1, calibration.data.y)
+    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=posterior), calibration
 
 
 def _fit_surfaces(
@@ -267,17 +278,17 @@ def _fit_surfaces(
     ``p1`` orders both statistics: ``label_bayes_factors`` builds label 1's
     from ``p1`` and label 0's from ``1 - p1`` by monotone rounded operations,
     so ``order`` sorts label 1's and ``order[::-1]`` label 0's, up to ties,
-    which counting does not see. Each label's grid takes its quantiles from
-    its sorted statistic.
+    which counting does not see. Each label's statistic is gathered into
+    that order once; its grid and its counting both read the sorted values.
     """
     cells = binning.cell_index(calibration.data.nu)
     order = np.argsort(calibration.p1)
     surfaces = {}
     for y, order_y in ((0, order[::-1]), (1, order)):
-        tau = calibration.statistics[y][0]
-        grid = cutoff_grid_from_values(tau[order_y], config.cutoff_grid_size)
+        ranked = calibration.statistics[y][0][order_y]
+        grid = cutoff_grid_from_values(ranked, config.cutoff_grid_size)
         surfaces[y] = fit_surface(
-            calibration.data, tau, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
+            calibration.data, ranked, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
         )
     return surfaces
 
@@ -430,10 +441,14 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
 
     Passing a pre-fitted pipeline skips refitting entirely; results are
     bit-identical either way because evaluation data depend only on the
-    seed, not on the fitting stage. Each dataset is drawn and scored once.
-    Every baseline is fitted from one scored calibration set: the fit's own,
-    or, with a pre-fitted pipeline, one drawn only if a baseline needs it.
-    Each NAPS method's provider carries the gamma its rule gives at alpha.
+    seed, not on the fitting stage. Each dataset is drawn and scored at most
+    once. The baselines are calibrated on the pipeline's own calibration
+    set, the one its NAPS surfaces were fitted on: the standard and
+    class-conditional ones from the ``calibration_posterior`` it keeps, and
+    the plug-in one from the set redrawn, which it scores its own way. A
+    pipeline without a calibration posterior, one loaded from disk, draws
+    and scores that set once if a baseline needs it. Each NAPS method's
+    provider carries the gamma its rule gives at alpha.
     """
     return _run_scored(config, pipeline)[0]
 
@@ -442,25 +457,31 @@ def _run_scored(
     config: ExperimentConfig, pipeline: Pipeline | None = None
 ) -> tuple[MetricsReport, Pipeline, ScoredDataset]:
     """The report together with the pipeline and the scored evaluation set it used."""
-    calibration = None
+    calibration = None  # the calibration Dataset, once at hand
     if pipeline is None:
-        pipeline, calibration = _fit_scored(config)
+        pipeline, scored = _fit_scored(config)
+        calibration = scored.data
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
+    posterior = pipeline.calibration_posterior
     baselines: dict[str, object] = {}
     for spec in config.methods:
         if spec.kind in ("naps", "bayes-point"):
             continue
-        if calibration is None:
-            # A prefitted pipeline does not keep its calibration set.
-            calibration = score_dataset(model, config.calibration_set())
+        if posterior is None:
+            # A loaded pipeline keeps no calibration posterior: its calibration set is drawn and scored here.
+            scored = score_dataset(model, config.calibration_set())
+            posterior, calibration = (scored.p1, scored.data.y), scored.data
         if spec.kind == "plug-in":
-            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration.data, pipeline.binning)
+            if calibration is None:
+                # plug-in scores the set its own way, so it is drawn but not scored
+                calibration = config.calibration_set()
+            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration, pipeline.binning)
         elif spec.kind == "standard":
-            baselines[spec.name] = StandardSetsBaseline.fit(calibration)
+            baselines[spec.name] = StandardSetsBaseline.fit(*posterior)
         else:
-            baselines[spec.name] = ClassConditionalBaseline.fit(calibration)
+            baselines[spec.name] = ClassConditionalBaseline.fit(*posterior)
 
     report_binning = config.report_binning()
     cells = report_binning.cell_index(evaluation.data.nu)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import files
 from .classifier import bayes_factor_with_flags  # noqa: F401  (patched by perfbench/tracing.py)
-from .classifier import ScoredDataset, label_bayes_factors
+from .classifier import label_bayes_factors
 from .cutoffs import CutoffRequest, cutoff_for_region
 from .errors import ConfigError, SaturationError
 from .genmodel import Dataset
@@ -223,11 +223,11 @@ class StandardSetsBaseline:
     sorted_scores: np.ndarray
 
     @classmethod
-    def fit(cls, calibration: ScoredDataset) -> "StandardSetsBaseline":
-        if len(calibration.data) == 0:
+    def fit(cls, p1: np.ndarray, y: np.ndarray) -> "StandardSetsBaseline":
+        """From the calibration set's posterior P(Y=1 | x) ``p1`` and labels ``y``."""
+        if len(y) == 0:
             raise ConfigError("standard sets need a nonempty calibration set")
-        p1 = calibration.p1
-        scores = np.where(calibration.data.y == 1, p1, 1.0 - p1)
+        scores = np.where(y == 1, p1, 1.0 - p1)
         return cls(sorted_scores=np.sort(scores))
 
     def cutoff(self, alpha: float) -> float:
@@ -246,10 +246,10 @@ class ClassConditionalBaseline:
     sorted_scores1: np.ndarray
 
     @classmethod
-    def fit(cls, calibration: ScoredDataset) -> "ClassConditionalBaseline":
-        p1 = calibration.p1
-        m0 = calibration.data.y == 0
-        m1 = calibration.data.y == 1
+    def fit(cls, p1: np.ndarray, y: np.ndarray) -> "ClassConditionalBaseline":
+        """From the calibration set's posterior P(Y=1 | x) ``p1`` and labels ``y``."""
+        m0 = y == 0
+        m1 = y == 1
         if not np.any(m0) or not np.any(m1):
             raise ConfigError("class-conditional sets need calibration samples of both classes")
         return cls(

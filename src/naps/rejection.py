@@ -8,9 +8,10 @@ regresses Z on C by isotonic least squares. That fit is each cell's
 empirical CDF, which ``fit_surface`` counts in one pass without building the
 records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
 tests' reference. Both labels' surfaces are fitted on one calibration set, so
-``fit_surface`` takes the calibration cells and the statistic's sorting order
-from its caller: ``harness._fit_surfaces`` computes the cells once and sorts
-both labels' statistics with one argsort of the posterior.
+``fit_surface`` takes the calibration cells, the statistic's sorting order
+and its sorted values from its caller: ``harness._fit_surfaces`` computes the
+cells once, sorts both labels' statistics with one argsort of the posterior,
+and takes each label's cutoff grid from the same sorted values.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -141,29 +142,44 @@ class CutoffGrid:
         return len(self.values)
 
 
-def cutoff_grid_from_values(values: np.ndarray, grid_size: int) -> CutoffGrid:
-    """Cutoff grid from the empirical distribution of the statistic's values.
+def cutoff_grid_from_values(ranked: np.ndarray, grid_size: int) -> CutoffGrid:
+    """Cutoff grid from the empirical distribution of the statistic's sorted values.
 
     Uses the K mid-quantile levels (j - 0.5) / K with linear interpolation,
-    de-duplicated and deterministic. The quantiles are the same bits in any
-    order of ``values``; sorted values make their partition cheap.
+    de-duplicated and deterministic. ``ranked`` must be in ascending order
+    (any other is a ``ValueError``), so each quantile interpolates between
+    the two values either side of its position (n - 1) * level, as
+    ``np.quantile(..., method="linear")`` does, bit for bit, without its
+    partition of the values.
     """
     if grid_size < 2:
         raise ConfigError("grid_size must be >= 2")
-    values = np.asarray(values, dtype=float)
-    if len(values) == 0:
+    ranked = np.asarray(ranked, dtype=float)
+    n = len(ranked)
+    if n == 0:
         raise ConfigError("statistic is degenerate: cannot build a cutoff grid")
-    levels = (np.arange(grid_size) + 0.5) / grid_size
-    grid = np.unique(np.quantile(values, levels, method="linear"))
+    if np.any(ranked[1:] < ranked[:-1]):
+        raise ValueError("cutoff grid values are not in ascending order")
+    position = (n - 1) * ((np.arange(grid_size) + 0.5) / grid_size)
+    lo = np.floor(position)
+    g = position - lo
+    lo = lo.astype(np.intp)
+    a, b = ranked[lo], ranked[np.minimum(lo + 1, n - 1)]
+    # from the nearer neighbour, as np.quantile interpolates: that keeps its bits
+    grid = np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
     if len(grid) < 2:
-        if values.min() == values.max():
+        if ranked[0] == ranked[-1]:
             raise ConfigError("statistic is degenerate: cannot build a cutoff grid")
         raise ConfigError("statistic is too discrete: fewer than 2 distinct grid cutoffs")
     return CutoffGrid(values=grid)
 
 
-def _calibration_values(calibration: Dataset, values) -> np.ndarray:
-    """The statistic on a calibration set: one finite value per sample."""
+def _calibration_values(calibration: Dataset, values, order=None) -> np.ndarray:
+    """The statistic on a calibration set: one finite value per sample.
+
+    ``values[i]`` belongs to sample ``order[i]`` if an ``order`` is given,
+    else to sample ``i``; an error names the sample.
+    """
     if len(calibration) == 0:
         raise ConfigError("calibration dataset is empty")
     lam = np.asarray(values, dtype=float)
@@ -171,6 +187,7 @@ def _calibration_values(calibration: Dataset, values) -> np.ndarray:
         raise ConfigError("statistic must return one value per calibration sample")
     if np.any(~np.isfinite(lam)):
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
+        bad = bad if order is None else int(order[bad])
         raise ConfigError(f"statistic evaluation failed at calibration sample {bad}")
     return lam
 
@@ -238,7 +255,7 @@ class RejectionSurface:
 
 def fit_surface(
     calibration: Dataset,
-    values,
+    ranked,
     grid: CutoffGrid,
     binning: NuBinning,
     statistic_id: str = "statistic",
@@ -247,7 +264,7 @@ def fit_surface(
     cells: np.ndarray,
     order: np.ndarray,
 ) -> RejectionSurface:
-    """Fit the surface from the statistic's ``values`` on calibration data.
+    """Fit the surface from the statistic's values on calibration data, ``ranked`` in sorted order.
 
     Equivalent to the paper-literal isotonic fit of the B * K augmented
     records, which ``tests/reference_fit.py`` keeps as the tests' reference,
@@ -258,23 +275,24 @@ def fit_surface(
     statistic's sorted order, each sample's column is the first cutoff at or
     above it (K past the last); a ``bincount`` of (label, cell, column),
     cumulated along the columns and divided by each cell's size, gives the
-    exact CDFs; an absent label keeps a zero slice. ``values`` must hold one
+    exact CDFs; an absent label keeps a zero slice. ``ranked`` must hold one
     finite value per sample.
 
-    ``cells`` is ``binning.cell_index`` of the calibration ``nu``, and
-    ``order`` an ordering of the samples that sorts ``values`` (ties in any
-    order; any other is a ``ValueError``). The caller computes both because
-    a fit of both labels on one calibration set (``harness._fit_surfaces``)
-    shares them.
+    ``order`` is an ordering of the samples that sorts the statistic (ties
+    in any order), ``ranked`` the statistic's values in that order, which
+    must be ascending (any other is a ``ValueError``), and ``cells`` is
+    ``binning.cell_index`` of the calibration ``nu``. The caller computes
+    them because the grid is taken from the same ``ranked`` values, and a
+    fit of both labels on one calibration set (``harness._fit_surfaces``)
+    shares the cells and one argsort.
     """
-    lam = _calibration_values(calibration, values)
+    ranked = _calibration_values(calibration, ranked, order)
     n_cells, K = binning.n_cells, len(grid)
-    ranked = lam[order]
     if np.any(ranked[1:] < ranked[:-1]):
         raise ValueError("order does not sort the statistic's values")
     code = (calibration.y.astype(np.intp) * n_cells + cells) * (K + 1)
     bounds = np.searchsorted(ranked, grid.values, side="right")
-    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(lam)))  # per sample, sorted order
+    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(ranked)))  # per sample, sorted order
     counts = np.bincount(code[order] + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
     n = counts.sum(axis=-1)
     for y in (0, 1):

@@ -8,7 +8,8 @@ the paper's estimate of W(C; y, nu); ``naps.rejection.fit_surface`` computes
 the same surface by counting, without building the B * K records.
 
 ``lone_fit`` is ``fit_surface`` for one statistic by itself: it computes the
-calibration cells and the sorting order that a two-label fit shares.
+calibration cells and the sorting order that a two-label fit shares, and
+the statistic's values in that order.
 
 ``toy_log_pmf`` is the discrete toy's Poisson log-likelihood, the independent
 reference for the toy posterior.
@@ -135,8 +136,10 @@ def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> Reje
 
 def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning) -> RejectionSurface:
     """``fit_surface`` of one statistic, with its own calibration cells and sorting order."""
-    order = np.argsort(np.asarray(values, dtype=float))
-    return fit_surface(calibration, values, grid, binning, cells=binning.cell_index(calibration.nu), order=order)
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values)
+    cells = binning.cell_index(calibration.nu)
+    return fit_surface(calibration, values[order], grid, binning, cells=cells, order=order)
 
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:

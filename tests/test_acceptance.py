@@ -17,7 +17,7 @@ import pytest
 
 import naps
 from naps import cli, files, genmodel as gm, harness
-from naps.classifier import bayes_factor_from_posterior, score_dataset, x_at_bayes_factor
+from naps.classifier import bayes_factor_from_posterior, x_at_bayes_factor
 from naps.cutoffs import CutoffRequest, analytic_oracle_cutoffs, cutoff_for_region
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider, full_space_set
 from naps.rejection import NuBinning, cutoff_grid_from_values
@@ -232,12 +232,12 @@ def test_criterion_6_algorithm_unit_suite():
 
     gen = naps.analytic_config(0.5, naps.uniform_prior())
     small = gm.sample_dataset(gen, 50, seed=61)
-    grid_small = cutoff_grid_from_values(small.x, 6)
+    grid_small = cutoff_grid_from_values(np.sort(small.x), 6)
     records_small = augment(small, lambda xs: xs, grid_small)
     count_ok = len(records_small) == 50 * len(grid_small)
 
     big = gm.sample_dataset(gen, 100_000, seed=64)
-    grid = cutoff_grid_from_values(big.x, 200)
+    grid = cutoff_grid_from_values(np.sort(big.x), 200)
     records = augment(big, lambda xs: xs, grid)
     count_ok = count_ok and len(records) == 100_000 * 200
     surface = fit_rejection_surface(records, NuBinning.equal_width(1.0, 10.0, 1))
@@ -300,7 +300,7 @@ def test_criterion_8_baseline_failure_reproduction():
     ev = gm.sample_dataset(gen, cfg.n_evaluation, cfg.seed, stream_base=harness.STREAM_EVALUATION)
 
     alpha = 0.1
-    cc = ClassConditionalBaseline.fit(score_dataset(model, cal))
+    cc = ClassConditionalBaseline.fit(*pipeline.calibration_posterior)  # the posterior of cal
     p1_ev = model.posterior1(ev.x)
     i0, i1 = cc.include_batch(p1_ev, alpha)
     cov0 = float(np.mean(i0[ev.y == 0]))

@@ -127,7 +127,7 @@ def test_legendre_rule_computed_once_and_read_only():
 
 def test_histogram_posterior_strictly_inside_unit_interval(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 3000, seed=24)
-    fitted = naps.fit_histogram_classifier(ds, 32)
+    fitted = naps.fit_histogram_classifier(ds, 32, uniform_gen)
     assert np.all(fitted.bin_posterior > 0.0)
     assert np.all(fitted.bin_posterior < 1.0)
 
@@ -149,10 +149,10 @@ def test_statistic_is_monotone_link_in_x(model, uniform_gen):
     assert rho == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_histogram_all_class1():
+def test_histogram_all_class1(uniform_gen):
     x = np.linspace(0.0, 1.0, 1000)
     ds = naps.Dataset(gm.SCENARIO_ANALYTIC, np.ones(1000, dtype=np.int8), np.full(1000, 5.0), x)
-    fitted = naps.fit_histogram_classifier(ds, 8)
+    fitted = naps.fit_histogram_classifier(ds, 8, uniform_gen)
     assert np.all(fitted.bin_posterior > 0.5)
     assert np.all(fitted.bin_posterior < 1.0)
 
@@ -171,15 +171,15 @@ def test_histogram_all_class1():
     ids=["posterior-above-1", "negative-posterior", "one-edge-short", "repeated-edge", "infinite-edge", "no-bin",
          "prior-above-1"],
 )
-def test_histogram_validation(edges, posterior, prior):
+def test_histogram_validation(edges, posterior, prior, uniform_gen):
     with pytest.raises(ConfigError):
-        naps.HistogramClassifier(np.array(edges), np.array(posterior), prior)
+        naps.HistogramClassifier(np.array(edges), np.array(posterior), prior, uniform_gen)
 
 
-def test_histogram_single_bin():
+def test_histogram_single_bin(uniform_gen):
     y = np.array([1, 1, 0, 1], dtype=np.int8)
     ds = naps.Dataset(gm.SCENARIO_ANALYTIC, y, np.full(4, 2.0), np.array([0.1, 0.4, 0.6, 0.9]))
-    fitted = naps.fit_histogram_classifier(ds, 1)
+    fitted = naps.fit_histogram_classifier(ds, 1, uniform_gen)
     expected = (3 + 1) / (4 + 2)
     assert fitted.posterior1(0.123) == pytest.approx(expected)
     # evaluation clamps out-of-range points into the nearest bin
@@ -188,7 +188,7 @@ def test_histogram_single_bin():
 
 def test_histogram_tracks_analytic_posterior(model, uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=22)
-    fitted = naps.fit_histogram_classifier(ds, 64)
+    fitted = naps.fit_histogram_classifier(ds, 64, uniform_gen)
     centers = 0.5 * (fitted.bin_edges[:-1] + fitted.bin_edges[1:])
     exact = model.posterior1(centers)
     assert np.max(np.abs(fitted.bin_posterior - exact)) <= 0.05
@@ -196,20 +196,22 @@ def test_histogram_tracks_analytic_posterior(model, uniform_gen):
 
 def test_histogram_roundtrip(tmp_path, uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 2000, seed=23)
-    fitted = naps.fit_histogram_classifier(ds, 16)
+    fitted = naps.fit_histogram_classifier(ds, 16, uniform_gen)
     path = tmp_path / "clf.json"
     clf.save_classifier(fitted, path)
     loaded = clf.load_classifier(path)
     assert np.array_equal(loaded.bin_edges, fitted.bin_edges)
     assert np.array_equal(loaded.bin_posterior, fitted.bin_posterior)
     assert loaded.class1_prior == fitted.class1_prior
+    assert loaded.config == fitted.config == uniform_gen
 
 
-def test_histogram_rejects_empty():
+def test_histogram_rejects_empty(uniform_gen):
     with pytest.raises(ConfigError):
         naps.fit_histogram_classifier(
             naps.Dataset(gm.SCENARIO_ANALYTIC, np.array([], dtype=np.int8), np.array([]), np.array([])),
             4,
+            uniform_gen,
         )
 
 

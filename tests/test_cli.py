@@ -457,8 +457,14 @@ def test_models_fitted_under_another_config_exit_2(config_path, tmp_path):
         ({"classifier": "histogram", "n_train": 20_000}, {}),
         ({}, {"classifier": "histogram", "n_train": 20_000}),
         ({"classifier": "histogram", "n_train": 20_000, "histogram_bins": 32}, {"classifier": "histogram"}),
+        (
+            {"classifier": "histogram", "n_train": 20_000,
+             "train_prior": files.jsonable(naps.truncated_gaussian_prior(5.0, 2.0))},
+            {"classifier": "histogram", "n_train": 20_000},
+        ),
     ],
-    ids=["training-prior", "histogram-not-analytic", "analytic-not-histogram", "histogram-bins"],
+    ids=["training-prior", "histogram-not-analytic", "analytic-not-histogram", "histogram-bins",
+         "histogram-training-prior"],
 )
 def test_classifier_fitted_under_another_config_exits_2(config_path, tmp_path, capsys, fitted, evaluated):
     base = json.loads(open(config_path).read())

@@ -105,7 +105,7 @@ def test_uniform_cutoff_single_bin_equals_fixed(base_config, calibration, model)
 
     p1 = model.posterior1(calibration.x)
     tau0 = bayes_factor_from_posterior(1.0 - p1, 0.5)[0]
-    grid = cutoff_grid_from_values(tau0, 100)
+    grid = cutoff_grid_from_values(np.sort(tau0), 100)
     binning = NuBinning.equal_width(1.0, 10.0, 1)
     surface = lone_fit(calibration, tau0, grid, binning)
     uniform = co.cutoff_for_region(surface, FULL_SPACE, full_request(0.1))

@@ -27,7 +27,8 @@ def small_surface(binning):
 
 
 ANALYTIC = naps.AnalyticMarginalClassifier(naps.analytic_config(0.3, naps.truncated_gaussian_prior(5.0, 2.0)), 1e-8)
-HISTOGRAM = naps.fit_histogram_classifier(gm.sample_dataset(naps.analytic_config(0.5, gm.uniform_prior()), 2000, 5), 8)
+UNIFORM = naps.analytic_config(0.5, gm.uniform_prior())
+HISTOGRAM = naps.fit_histogram_classifier(gm.sample_dataset(UNIFORM, 2000, 5), 8, UNIFORM)
 ARTIFACTS = [
     naps.uniform_prior(),
     naps.truncated_gaussian_prior(4.0, 0.1),

@@ -8,7 +8,6 @@ import naps
 from naps import genmodel as gm
 from naps import harness
 from naps import prediction_sets as ps
-from naps.classifier import score_dataset
 from naps.cutoffs import CutoffRequest, cutoff_for_region
 from naps.errors import ConfigError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
@@ -180,7 +179,7 @@ def linear_calibration(n, seed):
 def test_standard_sets_quantile_limit():
     model = LinearModel()
     cal = linear_calibration(500, seed=0)
-    baseline = ps.StandardSetsBaseline.fit(score_dataset(model, cal))
+    baseline = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
     cutoff = baseline.cutoff(1e-9)
     assert cutoff == baseline.sorted_scores[0]
     # any point whose both-label scores exceed the smallest score gets both labels
@@ -191,7 +190,7 @@ def test_standard_sets_quantile_limit():
 def test_standard_sets_marginal_coverage_no_shift(model, uniform_gen):
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=31)
     ev = gm.sample_dataset(uniform_gen, 20_000, seed=32)
-    baseline = ps.StandardSetsBaseline.fit(score_dataset(model, cal))
+    baseline = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
     p1 = model.posterior1(ev.x)
     for alpha in (0.1, 0.2):
         i0, i1 = baseline.include_batch(p1, alpha)
@@ -203,7 +202,7 @@ def test_standard_sets_marginal_coverage_no_shift(model, uniform_gen):
 def test_class_conditional_symmetric_cutoffs():
     model = LinearModel()
     cal = linear_calibration(40_000, seed=1)
-    baseline = ps.ClassConditionalBaseline.fit(score_dataset(model, cal))
+    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
     c0, c1 = baseline.cutoffs(0.1)
     # the construction is label-symmetric, so the two cutoffs agree up to noise
     assert abs(c0 - c1) < 0.02
@@ -212,7 +211,7 @@ def test_class_conditional_symmetric_cutoffs():
 def test_class_conditional_per_class_coverage(model, uniform_gen):
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=33)
     ev = gm.sample_dataset(uniform_gen, 20_000, seed=34)
-    baseline = ps.ClassConditionalBaseline.fit(score_dataset(model, cal))
+    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
     p1 = model.posterior1(ev.x)
     alpha = 0.1
     i0, i1 = baseline.include_batch(p1, alpha)
@@ -226,7 +225,7 @@ def test_class_conditional_per_class_coverage(model, uniform_gen):
 def test_class_conditional_fails_at_nu_1(model, uniform_gen):
     # conditioning on the hardest nuisance value exposes the invalidity
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=35)
-    baseline = ps.ClassConditionalBaseline.fit(score_dataset(model, cal))
+    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
     xs = gm.sample_dataset(gm.analytic_config(0.0, gm.point_mass_prior(1.0)), 20_000, seed=36).x
     i0, _ = baseline.include_batch(model.posterior1(xs), 0.1)
     cov = np.mean(i0)
@@ -240,7 +239,12 @@ def test_class_conditional_requires_both_classes():
     keep = cal.y == 1
     one_class = naps.Dataset(cal.scenario, cal.y[keep], cal.nu[keep], cal.x[keep])
     with pytest.raises(ConfigError):
-        ps.ClassConditionalBaseline.fit(score_dataset(model, one_class))
+        ps.ClassConditionalBaseline.fit(model.posterior1(one_class.x), one_class.y)
+
+
+def test_standard_sets_require_a_calibration_set():
+    with pytest.raises(ConfigError, match="nonempty calibration set"):
+        ps.StandardSetsBaseline.fit(np.array([]), np.array([], dtype=np.int8))
 
 
 def test_bayes_point_thresholds(model):
@@ -286,7 +290,7 @@ def test_plug_in_point_mass_reduces_to_class_conditional():
             return self.base.posterior1_given_nu(x, self.nu0)
 
     known = KnownNuModel(model, 3.8)
-    cc = ps.ClassConditionalBaseline.fit(score_dataset(known, cal))
+    cc = ps.ClassConditionalBaseline.fit(known.posterior1(cal.x), cal.y)
     ev = np.linspace(0.0, 1.0, 301)
     for alpha in (0.05, 0.2):
         pi0, pi1 = plug.include_batch(model, ev, alpha)
@@ -316,8 +320,8 @@ def test_baselines_single_point_matches_batch(model, uniform_gen):
     # baselines are fitted once; one point is a batch of one
     cal = gm.sample_dataset(uniform_gen, 5000, seed=42)
     xs = np.array([0.05, 0.5, 0.95])
-    std = ps.StandardSetsBaseline.fit(score_dataset(model, cal))
-    cc = ps.ClassConditionalBaseline.fit(score_dataset(model, cal))
+    std = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
+    cc = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
     plug = ps.PlugInConditionalBaseline.fit(model, cal, NuBinning.equal_width(1.0, 10.0, 5))
     for include in (
         lambda x: std.include_batch(model.posterior1(x), 0.1),

@@ -94,10 +94,31 @@ def test_cutoff_grid_degenerate_statistic():
         rj.cutoff_grid_from_values(np.full(10, 3.0), 4)
 
 
+@given(
+    values=st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False), min_size=1, max_size=60),
+    grid_size=st.sampled_from([2, 3, 7, 200, 1000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cutoff_grid_matches_numpy_quantile_bit_for_bit(values, grid_size):
+    ranked = np.sort(np.array(values))
+    levels = (np.arange(grid_size) + 0.5) / grid_size
+    expected = np.unique(np.quantile(ranked, levels, method="linear"))
+    if len(expected) < 2:
+        with pytest.raises(ConfigError):
+            rj.cutoff_grid_from_values(ranked, grid_size)
+    else:
+        assert rj.cutoff_grid_from_values(ranked, grid_size).values.tobytes() == expected.tobytes()
+
+
+def test_cutoff_grid_refuses_unsorted_values():
+    with pytest.raises(ValueError, match="not in ascending order"):
+        rj.cutoff_grid_from_values(np.array([1.0, 3.0, 2.0, 4.0]), 2)
+
+
 def test_cutoff_grid_from_values_deterministic(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 500, seed=1)
-    a = rj.cutoff_grid_from_values(ds.x, 16)
-    b = rj.cutoff_grid_from_values(ds.x, 16)
+    a = rj.cutoff_grid_from_values(np.sort(ds.x), 16)
+    b = rj.cutoff_grid_from_values(np.sort(ds.x), 16)
     assert np.array_equal(a.values, b.values)
 
 
@@ -129,7 +150,7 @@ def test_augment_count_contract():
 
 def test_augment_rows_monotone_along_grid(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 50, seed=2)
-    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     records = augment(ds, identity_statistic, grid)
     z = records.z.reshape(len(ds), len(grid))
     assert np.all(np.diff(z.astype(int), axis=1) >= 0)
@@ -161,7 +182,7 @@ def test_fit_records_all_zero_cell():
 
 def test_fit_records_empty_cell_raises(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 200, seed=3)
-    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     records = augment(ds, identity_statistic, grid)
     # Binning extends past the sampled support, so the top cell is empty.
     binning = rj.NuBinning(edges=np.array([1.0, 10.0, 20.0]))
@@ -171,7 +192,7 @@ def test_fit_records_empty_cell_raises(uniform_gen):
 
 def test_fit_surface_equals_records_path(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 3000, seed=4)
-    grid = rj.cutoff_grid_from_values(ds.x, 32)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 32)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 5)
     fused = lone_fit(ds, ds.x, grid, binning)
     from_records = fit_rejection_surface(augment(ds, identity_statistic, grid), binning)
@@ -200,7 +221,7 @@ def test_fit_surface_counts_atoms_on_grid_values():
     # total Poisson counts: integer atoms, and the mid-quantile grid lands on many of them
     ds = toy_dataset(5000, seed=21)
     lam = ds.x.sum(axis=1).astype(float)
-    grid = rj.cutoff_grid_from_values(lam, 64)
+    grid = rj.cutoff_grid_from_values(np.sort(lam), 64)
     assert np.isin(grid.values, lam).sum() >= 5
     binning = rj.NuBinning.discrete((2, 0, 3, 1))
     surface = lone_fit(ds, lam, grid, binning)
@@ -210,7 +231,7 @@ def test_fit_surface_counts_atoms_on_grid_values():
 def test_fit_surface_absent_label_keeps_zero_slice():
     ds = toy_dataset(3000, seed=23, class1_probability=0.0)
     lam = ds.x[:, 0].astype(float)
-    grid = rj.cutoff_grid_from_values(lam, 20)
+    grid = rj.cutoff_grid_from_values(np.sort(lam), 20)
     binning = rj.NuBinning.discrete((0, 1, 2, 3))
     surface = lone_fit(ds, lam, grid, binning)
     assert not np.any(surface.values[1])
@@ -279,7 +300,7 @@ def test_shared_fit_equals_reference_on_discrete_toy():
 
 def test_fit_surface_refuses_an_order_that_does_not_sort(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 200, seed=13)
-    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     with pytest.raises(ValueError, match="does not sort"):
         binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
         rj.fit_surface(ds, ds.x, grid, binning, cells=binning.cell_index(ds.nu), order=np.arange(len(ds)))
@@ -291,7 +312,7 @@ def test_fit_surface_refuses_an_order_that_does_not_sort(uniform_gen):
 )
 def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
     ds = gm.sample_dataset(uniform_gen, 200, seed=13)
-    grid = rj.cutoff_grid_from_values(ds.x, 8)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
     with pytest.raises(ConfigError):
         lone_fit(ds, bad(ds.x), grid, binning)
@@ -309,7 +330,7 @@ def sup_distance_to_ecdf(surface, y, cell, lams):
 
 def test_single_bin_fit_reproduces_ecdf(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 100_000, seed=5)
-    grid = rj.cutoff_grid_from_values(ds.x, 200)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 200)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
     surface = lone_fit(ds, ds.x, grid, binning)
     for y in (0, 1):
@@ -386,7 +407,7 @@ def test_surface_rejects_bad_grid_or_values(grid, w0):
 def test_w_matches_closed_form_cdf(uniform_gen):
     # statistic = x itself; a narrow bin centered at nu = 2
     ds = gm.sample_dataset(uniform_gen, 2_000_000, seed=6)
-    grid = rj.cutoff_grid_from_values(ds.x, 200)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 200)
     binning = rj.NuBinning(edges=np.array([1.0, 1.95, 2.05, 10.0]))
     surface = lone_fit(ds, ds.x, grid, binning)
     for x0 in np.linspace(0.05, 0.95, 10):
@@ -397,7 +418,7 @@ def test_w_matches_closed_form_cdf(uniform_gen):
 
 def test_invert_recovers_upper_quantile(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 1_000_000, seed=7)
-    grid = rj.cutoff_grid_from_values(ds.x, 400)
+    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 400)
     binning = rj.NuBinning(edges=np.array([1.0, 1.1, 10.0]))
     surface = lone_fit(ds, ds.x, grid, binning)
     # beta = 0.95 on the CDF scale is the alpha = 0.05 upper tail in x
