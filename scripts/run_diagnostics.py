@@ -41,11 +41,10 @@ def main() -> int:
         cutoff_grid_size=400,
         seed=args.seed,
     )
-    # One fit: its scored calibration set also feeds the PIT control surface.
-    fitted = harness._fit_scored(config)
-    pipeline = fitted[0]
+    # One fit: its calibration posterior also feeds the PIT control surface.
+    pipeline = harness.fit_pipeline(config)
 
-    pit = harness.run_pit_diagnostics(config, n_param_bins=args.param_bins, fitted=fitted)
+    pit = harness.run_pit_diagnostics(config, n_param_bins=args.param_bins, pipeline=pipeline)
     print("PIT diagnostics (KS distance vs the 1.36/sqrt(n) band):")
     for name in ("nuisance_aware", "nuisance_ignoring"):
         print(f"  {name}:")

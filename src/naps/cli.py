@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -137,13 +138,20 @@ def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions:
 
 
 def _check_fitted_under(config: ExperimentConfig, pipeline: Pipeline, models: str) -> None:
-    """Refuse artifacts fitted under another binning or classifier than ``config`` names.
+    """Refuse artifacts fitted under another binning, calibration set or classifier than ``config`` names.
 
     The report echoes ``config``, so it must also be what the artifacts were fitted under.
     """
     if files.jsonable(pipeline.binning) != files.jsonable(config.binning()):
         path = os.path.join(models, "surface_bf0.json")
         raise ConfigError(f"fitted artifact {path} holds another nuisance binning than the configuration's")
+    configured = (config.seed, config.n_calibration)
+    for y in (0, 1):
+        meta = pipeline.surfaces[y].metadata
+        fitted = (meta.get("seed"), meta.get("n_calibration"))
+        if fitted != configured:
+            path = os.path.join(models, f"surface_bf{y}.json")
+            raise ConfigError(f"fitted artifact {path} was fitted at (seed, n_calibration) {fitted}, not {configured}")
     model = pipeline.model
     if model.kind != config.classifier:
         mismatch = f"a {model.kind} classifier, not {config.classifier}"
@@ -175,9 +183,12 @@ def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
 def cmd_sweep_gamma(config: ExperimentConfig, alpha: float, grid_spec: str) -> None:
     try:
         lo, hi, count = grid_spec.split(":")
-        grid = np.geomspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
+        grid = np.geomspace(lo, hi, count)
     except ValueError as exc:
         raise ConfigError(f"malformed --gamma-grid {grid_spec!r}: expected lo:hi:count") from exc
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ConfigError(f"--gamma-grid {grid_spec!r}: its bounds must be finite and positive")
     result = harness.gamma_sweep(config, alpha, grid)
     out = config.output_dir
     files.write_json(os.path.join(out, "gamma_sweep.json"), result)

@@ -84,13 +84,16 @@ def cutoff_for_region(
 ) -> CutoffResult:
     """Optimum of the per-cell generalized inverses over the cells meeting ``region``.
 
-    The surface is piecewise constant across nuisance bins, so evaluating
-    every intersecting cell is exact on the representable class. A region
-    endpoint on an interior cell edge meets both neighbouring cells, which
-    can only widen the search (conservative): a one-point region inside a
-    cell gives that cell's ``invert_cell``, one on an edge the optimum of
-    both. Any saturated cell raises ``SaturationError`` carrying the
-    smallest fitted maximum among the saturated cells.
+    A cell's inverse is its smallest grid cutoff with W >= beta: its row is
+    nondecreasing, so the cutoff's index is the count of values below beta,
+    one count over the (cells, K) rows. The surface is piecewise constant
+    across nuisance bins, so evaluating every intersecting cell is exact on
+    the representable class. A region endpoint on an interior cell edge
+    meets both neighbouring cells, which can only widen the search
+    (conservative): a one-point region inside a cell gives that cell's
+    inverse, one on an edge the optimum of both. A row with no value at or
+    above beta saturates, raising ``SaturationError`` with the smallest
+    fitted maximum among the saturated cells.
     """
     if region.is_empty:
         raise NumericError("nuisance confidence set is empty; no cutoff is defined")
@@ -98,18 +101,15 @@ def cutoff_for_region(
     if len(cells) == 0:
         raise NumericError("nuisance confidence set does not intersect the fitted binning")
     y = request.slice_label
-    saturated = []
-    cand = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        try:
-            cand[i] = surface.invert_cell(request.beta, y, int(cell))
-        except SaturationError:
-            saturated.append(int(cell))
-    if saturated:
+    rows = surface.values[y, cells]
+    first = np.sum(rows < request.beta, axis=-1)
+    saturated = first == rows.shape[-1]
+    if np.any(saturated):
         raise SaturationError(
-            f"inversion at beta={request.beta} saturated in cells {saturated} (y={y})",
-            attainable_max=float(np.min(surface.values[y, saturated, -1])),
+            f"inversion at beta={request.beta} saturated in cells {cells[saturated].tolist()} (y={y})",
+            attainable_max=float(np.min(rows[saturated, -1])),
         )
+    cand = surface.grid[first]
     optimum = float(np.min(cand) if request.mode == MODE_FPR else np.max(cand))
     return CutoffResult(cutoff=optimum, cells=tuple(int(c) for c in cells[cand == optimum]))
 

@@ -142,10 +142,11 @@ def _parent_dir(path) -> None:
 
 
 def write_json(path, payload, indent: int | None = 2) -> None:
-    """``jsonable(payload)`` as strict JSON with sorted keys."""
+    """``jsonable(payload)`` as strict JSON with sorted keys, encoded first: a refused payload leaves no file."""
+    text = json.dumps(jsonable(payload), indent=indent, sort_keys=True, allow_nan=False)
     _parent_dir(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(payload), fh, indent=indent, sort_keys=True, allow_nan=False)
+        fh.write(text)
 
 
 def _reject_constant(text: str):

@@ -1,11 +1,13 @@
 """End-to-end experiment runner.
 
 Generates train/calibration/evaluation data, fits the classifier and the
-per-label rejection surfaces once, evaluates every configured set-valued
-method over a grid of miscoverage levels, and aggregates coverage, power,
-precision and ambiguity tables with binomial standard errors. Also hosts
-the gamma power sweep, the rejection-probability invariance check, and the
-PIT diagnostic driver used by the CLI.
+per-label rejection surfaces once (``fit_pipeline``, from the calibration
+posterior, which the pipeline keeps for the baselines and the PIT control),
+evaluates every configured set-valued method over a grid of miscoverage
+levels, and aggregates coverage, power, precision and ambiguity tables with
+binomial standard errors. Also hosts the gamma power sweep, the
+rejection-probability invariance check, and the PIT diagnostic driver used
+by the CLI.
 
 Everything is deterministic given the experiment seed: sampling uses
 counter-based streams keyed off fixed role offsets, and reports serialize
@@ -27,6 +29,7 @@ from .classifier import (
     AnalyticMarginalClassifier,
     ScoredDataset,
     fit_histogram_classifier,
+    label_bayes_factors,
     load_classifier,
     save_classifier,
     score_dataset,
@@ -214,7 +217,7 @@ class Pipeline:
 
     ``calibration_posterior`` is the ``(p1, y)`` of the calibration set the
     surfaces were fitted on, the posterior P(Y=1 | x) and the label per
-    sample: what the standard and class-conditional baselines are fitted
+    sample: what the surfaces, two baselines and the PIT control are fitted
     from. ``fit_pipeline`` keeps it in memory; it is never saved, so a
     loaded or hand-built pipeline has ``None`` there.
     """
@@ -256,39 +259,40 @@ def build_model(config: ExperimentConfig):
 
 def fit_pipeline(config: ExperimentConfig) -> Pipeline:
     """Fit the classifier and both Bayes-factor rejection surfaces."""
-    return _fit_scored(config)[0]
+    return _fit(config, config.calibration_set())
 
 
-def _fit_scored(config: ExperimentConfig) -> tuple[Pipeline, ScoredDataset]:
-    """The fitted pipeline together with the scored calibration set it was fitted on."""
+def _fit(config: ExperimentConfig, calibration: Dataset) -> Pipeline:
+    """``fit_pipeline`` on its calibration set, drawn by the caller."""
     model = build_model(config)
-    calibration = score_dataset(model, config.calibration_set())
+    p1 = model.posterior1(calibration.x)
     binning = config.binning()
-    surfaces = _fit_surfaces(config, calibration, binning)
-    posterior = (calibration.p1, calibration.data.y)
-    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=posterior), calibration
+    cells = binning.cell_index(calibration.nu)
+    surfaces = _fit_surfaces(config, binning, model.class1_prior, p1, calibration.y, cells)
+    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=(p1, calibration.y))
 
 
 def _fit_surfaces(
-    config: ExperimentConfig, calibration: ScoredDataset, binning: NuBinning
+    config: ExperimentConfig, binning: NuBinning, class1_prior: float, p1, labels, cells
 ) -> dict[int, RejectionSurface]:
-    """Both labels' Bayes-factor rejection surfaces, ``{y: surface}``, from one pass over ``calibration``.
+    """Both labels' Bayes-factor rejection surfaces, ``{y: surface}``, from one calibration posterior.
 
-    The calibration cells are computed once for both labels. One argsort of
-    ``p1`` orders both statistics: ``label_bayes_factors`` builds label 1's
-    from ``p1`` and label 0's from ``1 - p1`` by monotone rounded operations,
-    so ``order`` sorts label 1's and ``order[::-1]`` label 0's, up to ties,
-    which counting does not see. Each label's statistic is gathered into
-    that order once; its grid and its counting both read the sorted values.
+    ``p1``, ``labels`` and ``cells`` are the calibration set's posterior,
+    labels and ``binning`` cells. One argsort of ``p1`` orders both
+    statistics, which ``label_bayes_factors`` computes once, in that order:
+    it builds label 1's from ``p1`` and label 0's from ``1 - p1`` by
+    monotone rounded operations, elementwise, so label 1's comes out
+    ascending and label 0's descending, up to ties, which counting does not
+    see. Each label's grid and its counting read the same sorted values.
     """
-    cells = binning.cell_index(calibration.data.nu)
-    order = np.argsort(calibration.p1)
+    order = np.argsort(p1)
+    statistics = label_bayes_factors(p1[order], class1_prior)
     surfaces = {}
-    for y, order_y in ((0, order[::-1]), (1, order)):
-        ranked = calibration.statistics[y][0][order_y]
+    for y, step in ((0, -1), (1, 1)):
+        ranked, order_y = statistics[y][0][::step], order[::step]
         grid = cutoff_grid_from_values(ranked, config.cutoff_grid_size)
         surfaces[y] = fit_surface(
-            calibration.data, ranked, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
+            labels, ranked, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
         )
     return surfaces
 
@@ -459,8 +463,8 @@ def _run_scored(
     """The report together with the pipeline and the scored evaluation set it used."""
     calibration = None  # the calibration Dataset, once at hand
     if pipeline is None:
-        pipeline, scored = _fit_scored(config)
-        calibration = scored.data
+        calibration = config.calibration_set()
+        pipeline = _fit(config, calibration)
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
@@ -471,8 +475,8 @@ def _run_scored(
             continue
         if posterior is None:
             # A loaded pipeline keeps no calibration posterior: its calibration set is drawn and scored here.
-            scored = score_dataset(model, config.calibration_set())
-            posterior, calibration = (scored.p1, scored.data.y), scored.data
+            calibration = config.calibration_set()
+            posterior = (model.posterior1(calibration.x), calibration.y)
         if spec.kind == "plug-in":
             if calibration is None:
                 # plug-in scores the set its own way, so it is drawn but not scored
@@ -660,11 +664,7 @@ def invariance_check(
 # ---------------------------------------------------------------------------
 
 
-def run_pit_diagnostics(
-    config: ExperimentConfig,
-    n_param_bins: int = 2,
-    fitted: tuple[Pipeline, ScoredDataset] | None = None,
-) -> dict:
+def run_pit_diagnostics(config: ExperimentConfig, n_param_bins: int = 2, pipeline: Pipeline | None = None) -> dict:
     """PIT tables for the nuisance-aware surface and a one-cell control.
 
     The tables group by label and ``NuBinning.for_space(space, n_param_bins)``
@@ -673,10 +673,15 @@ def run_pit_diagnostics(
     whole space, so it deliberately ignores the nuisance parameter; its
     per-bin PIT failures demonstrate why marginal calibration is not enough.
 
-    ``fitted`` is the ``(pipeline, scored calibration set)`` of ``_fit_scored``
-    when the caller has fitted already; without it the driver fits here.
+    The control is fitted from the pipeline's ``calibration_posterior``, the
+    one its own surfaces were fitted from; without a ``pipeline`` the driver
+    fits one here. A loaded pipeline keeps no posterior and is refused.
     """
-    pipeline, calibration = _fit_scored(config) if fitted is None else fitted
+    if pipeline is None:
+        pipeline = fit_pipeline(config)
+    if pipeline.calibration_posterior is None:
+        raise ConfigError("the PIT control is fitted from a calibration posterior, which a loaded pipeline lacks")
+    p1, labels = pipeline.calibration_posterior
     eval_ds = genmodel.sample_dataset(
         config.generative("train"), config.n_evaluation, config.seed, stream_base=STREAM_DIAGNOSE
     )
@@ -684,7 +689,8 @@ def run_pit_diagnostics(
     space = config.train_prior.support
     lo, hi = space.bounds if space.is_continuous else (min(space.categories), max(space.categories))
     one_cell = NuBinning(edges=np.array([lo, hi], dtype=float)) if lo < hi else NuBinning.for_space(space, 1)
-    flat_surface = _fit_surfaces(config, calibration, one_cell)[0]
+    every_cell_0 = np.zeros(len(labels), dtype=np.intp)
+    flat_surface = _fit_surfaces(config, one_cell, pipeline.model.class1_prior, p1, labels, every_cell_0)[0]
 
     binning = NuBinning.for_space(space, n_param_bins)
     aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, binning)

@@ -14,8 +14,8 @@ full space (``full_space_set``) or a one-point region
 * ``OracleQuantileProvider`` -- the central (gamma/2, 1 - gamma/2) quantile
   interval of a known nuisance distribution. This is valid when the true
   nuisance values are drawn from that distribution, but NOT pointwise: a
-  fixed nuisance value outside the interval is never covered
-  (``region(0).contains(nu)`` is False there).
+  fixed nuisance value outside the interval, and so outside ``region(0)``,
+  is never covered.
 
 Class-1 events in the analytic scenario carry no nuisance information
 (their density is nuisance-free), so providers return the full space for
@@ -51,15 +51,6 @@ class NuisanceRegion:
     @property
     def is_empty(self) -> bool:
         return not self.intervals and not self.categories
-
-    def contains(self, nu) -> np.ndarray:
-        nu = np.asarray(nu)
-        if self.categories:
-            return np.isin(nu, np.asarray(self.categories))
-        out = np.zeros(np.shape(nu), dtype=bool)
-        for lo, hi in self.intervals:
-            out |= (nu >= lo) & (nu <= hi)
-        return out
 
     def cache_key(self) -> tuple:
         return (self.intervals, self.categories)

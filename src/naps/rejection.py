@@ -8,15 +8,15 @@ regresses Z on C by isotonic least squares. That fit is each cell's
 empirical CDF, which ``fit_surface`` counts in one pass without building the
 records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
 tests' reference. Both labels' surfaces are fitted on one calibration set, so
-``fit_surface`` takes the calibration cells, the statistic's sorting order
-and its sorted values from its caller: ``harness._fit_surfaces`` computes the
-cells once, sorts both labels' statistics with one argsort of the posterior,
+``fit_surface`` takes the calibration labels and cells, the statistic's
+sorting order and its sorted values from its caller: ``harness._fit_surfaces``
+sorts both labels' statistics with one argsort of the calibration posterior,
 and takes each label's cutoff grid from the same sorted values.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
-fitted surface double as the classifier's FPR and TPR curves, which is what
-the cutoff machinery inverts.
+fitted surface double as the classifier's FPR and TPR curves, which
+``cutoffs.cutoff_for_region`` inverts, the one place that does.
 
 Goodness of fit is checked by the probability integral transform: if the
 surface is well estimated, W(lambda(X); y, nu) evaluated on fresh simulator
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import files
-from .errors import BinningError, ConfigError, DomainError, SaturationError
+from .errors import BinningError, ConfigError, DomainError
 from .genmodel import Dataset, NuisanceSpace
 
 KS_BAND_COEFFICIENT = 1.36  # asymptotic two-sided 95% Kolmogorov-Smirnov band
@@ -174,16 +174,16 @@ def cutoff_grid_from_values(ranked: np.ndarray, grid_size: int) -> CutoffGrid:
     return CutoffGrid(values=grid)
 
 
-def _calibration_values(calibration: Dataset, values, order=None) -> np.ndarray:
-    """The statistic on a calibration set: one finite value per sample.
+def _calibration_values(n: int, values, order=None) -> np.ndarray:
+    """The statistic on a calibration set of ``n`` samples: one finite value per sample.
 
     ``values[i]`` belongs to sample ``order[i]`` if an ``order`` is given,
     else to sample ``i``; an error names the sample.
     """
-    if len(calibration) == 0:
+    if n == 0:
         raise ConfigError("calibration dataset is empty")
     lam = np.asarray(values, dtype=float)
-    if lam.shape != (len(calibration),):
+    if lam.shape != (n,):
         raise ConfigError("statistic must return one value per calibration sample")
     if np.any(~np.isfinite(lam)):
         bad = int(np.nonzero(~np.isfinite(lam))[0][0])
@@ -196,9 +196,9 @@ def _calibration_values(calibration: Dataset, values, order=None) -> np.ndarray:
 class RejectionSurface:
     """Fitted monotone step functions W(C; y, nu-bin) on a shared grid.
 
-    ``values[y, cell]`` is nondecreasing over the grid with range in [0, 1].
-    Below the first grid point the surface is 0 by convention; above the
-    last it stays at the fitted maximum.
+    ``values[y, cell]`` is nondecreasing over the grid, with no dip of any
+    size, and has range in [0, 1]. Below the first grid point the surface is
+    0 by convention; above the last it stays at the fitted maximum.
     """
 
     statistic_id: str
@@ -215,7 +215,7 @@ class RejectionSurface:
             raise ConfigError("surface values must have shape (2, n_cells, len(grid))")
         if not np.all((v >= 0.0) & (v <= 1.0)):
             raise ConfigError("surface values must be finite and inside [0, 1]")
-        if np.any(np.diff(v, axis=-1) < -1e-12):
+        if np.any(np.diff(v, axis=-1) < 0):
             raise ConfigError("fitted surface must be nondecreasing along the grid")
         g.flags.writeable = False
         v.flags.writeable = False
@@ -231,20 +231,6 @@ class RejectionSurface:
         out[below] = 0.0
         return out
 
-    def invert_cell(self, beta: float, y: int, cell: int) -> float:
-        """Generalized inverse: smallest grid cutoff with W >= beta in one cell."""
-        if not 0.0 <= beta <= 1.0:
-            raise DomainError("beta must lie in [0, 1]")
-        vals = self.values[y, cell]
-        pos = int(np.searchsorted(vals, beta, side="left"))
-        if pos >= len(vals):
-            raise SaturationError(
-                f"target level {beta} exceeds the fitted maximum {vals[-1]:.6f} "
-                f"in cell (y={y}, bin={cell})",
-                attainable_max=float(vals[-1]),
-            )
-        return float(self.grid[pos])
-
     def save(self, path) -> None:
         files.write_json(path, self, indent=None)
 
@@ -254,7 +240,7 @@ class RejectionSurface:
 
 
 def fit_surface(
-    calibration: Dataset,
+    labels: np.ndarray,
     ranked,
     grid: CutoffGrid,
     binning: NuBinning,
@@ -278,19 +264,20 @@ def fit_surface(
     exact CDFs; an absent label keeps a zero slice. ``ranked`` must hold one
     finite value per sample.
 
-    ``order`` is an ordering of the samples that sorts the statistic (ties
-    in any order), ``ranked`` the statistic's values in that order, which
-    must be ascending (any other is a ``ValueError``), and ``cells`` is
-    ``binning.cell_index`` of the calibration ``nu``. The caller computes
-    them because the grid is taken from the same ``ranked`` values, and a
-    fit of both labels on one calibration set (``harness._fit_surfaces``)
-    shares the cells and one argsort.
+    ``labels`` is the calibration label per sample, ``order`` an ordering
+    of the samples that sorts the statistic (ties in any order), ``ranked``
+    the statistic's values in that order, which must be ascending (any other
+    is a ``ValueError``), and ``cells`` is ``binning.cell_index`` of the
+    calibration ``nu``. The caller computes them because the grid is taken
+    from the same ``ranked`` values, and a fit of both labels on one
+    calibration set (``harness._fit_surfaces``) shares the cells and one
+    argsort.
     """
-    ranked = _calibration_values(calibration, ranked, order)
+    ranked = _calibration_values(len(labels), ranked, order)
     n_cells, K = binning.n_cells, len(grid)
     if np.any(ranked[1:] < ranked[:-1]):
         raise ValueError("order does not sort the statistic's values")
-    code = (calibration.y.astype(np.intp) * n_cells + cells) * (K + 1)
+    code = (labels.astype(np.intp) * n_cells + cells) * (K + 1)
     bounds = np.searchsorted(ranked, grid.values, side="right")
     column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(ranked)))  # per sample, sorted order
     counts = np.bincount(code[order] + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
@@ -299,7 +286,7 @@ def fit_surface(
         if n[y].any() and not n[y].all():
             raise BinningError(f"no calibration samples in cell (y={y}, bin={int(np.argmin(n[y]))})")
     fitted = np.cumsum(counts[..., :K], axis=-1) / np.maximum(n, 1)[..., None]
-    metadata = {"n_calibration": len(calibration), "grid_size": K, "seed": seed}
+    metadata = {"n_calibration": len(labels), "grid_size": K, "seed": seed}
     return RejectionSurface(statistic_id, binning, grid.values.copy(), fitted, metadata)
 
 

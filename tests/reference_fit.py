@@ -87,7 +87,7 @@ def augment(calibration: Dataset, statistic, grid: CutoffGrid) -> AugmentedRecor
     Z = 1{lambda(x_i) <= C_j}. The statistic's values are checked as
     ``fit_surface`` checks them.
     """
-    lam = _calibration_values(calibration, statistic(calibration.x))
+    lam = _calibration_values(len(calibration), statistic(calibration.x))
     K = len(grid)
     z = (lam[:, None] <= grid.values[None, :]).astype(np.int8).ravel()
     return AugmentedRecords(
@@ -139,7 +139,7 @@ def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning)
     values = np.asarray(values, dtype=float)
     order = np.argsort(values)
     cells = binning.cell_index(calibration.nu)
-    return fit_surface(calibration, values[order], grid, binning, cells=cells, order=order)
+    return fit_surface(calibration.y, values[order], grid, binning, cells=cells, order=order)
 
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:

@@ -142,8 +142,8 @@ def test_evaluate_dump_predictions_discrete_toy(tmp_path):
 
 def test_evaluate_dump_fits_once_with_the_method_provider(config_path, tmp_path, monkeypatch):
     fits = []
-    real_fit = harness._fit_scored
-    monkeypatch.setattr(cli.harness, "_fit_scored", lambda config: fits.append(config) or real_fit(config))
+    real_fit = harness._fit
+    monkeypatch.setattr(cli.harness, "_fit", lambda config, cal: fits.append(config) or real_fit(config, cal))
     out = str(tmp_path / "r")
     argv = ["evaluate", "--config", config_path, "--out", out, "--dump-predictions", "--method", "naps-oracle"]
     assert run(argv) == 0
@@ -234,6 +234,9 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
         (["evaluate"], {"methods": ["naps"]}),
         (["evaluate"], {"methods": [{"kind": "naps", "gamma_rule": "abc"}]}),
         (["sweep-gamma", "--alpha", "1.5"], {}),
+        (["sweep-gamma", "--gamma-grid", "1e-4:inf:3"], {}),
+        (["sweep-gamma", "--gamma-grid", "nan:1e-2:3"], {}),
+        (["sweep-gamma", "--gamma-grid=-1e-2:-1e-4:3"], {}),
         (["simulate"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
         (["fit"], {"train_prior": {"kind": "uniform", "support": WIDE_SPACE}}),
         (["evaluate"], {"train_prior": {"kind": "uniform", "support": {**WIDE_SPACE, "bounds": [5]}}}),
@@ -261,7 +264,8 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
     ],
     ids=[
         "alpha-list", "gamma", "gamma-factor", "method-not-object", "gamma-rule-string",
-        "sweep-alpha", "simulate-wide-space", "fit-wide-space", "one-bound", "three-bounds",
+        "sweep-alpha", "sweep-infinite-grid", "sweep-nan-grid", "sweep-negative-grid", "simulate-wide-space",
+        "fit-wide-space", "one-bound", "three-bounds",
         "costs-string", "one-cost", "negative-cost", "sd-overflow", "sd-nan", "sd-infinity",
         "float-size", "bool-size", "string-bins", "float-bins", "string-probability", "string-grid-size",
         "float-seed", "misspelt-key", "gamma-rule-number", "foreign-prior-parameter", "methods-object",
@@ -279,6 +283,7 @@ def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, 
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "o")  # refused before anything is written
 
 
 def test_point_mass_target_gives_one_point_region(config_path, tmp_path):
@@ -358,10 +363,18 @@ def _nan_value(path):
     open(path, "w").write(json.dumps(data))
 
 
+def _dip_1e_13(path):
+    # a decrease far below any count's resolution is still a decrease
+    data = json.loads(open(path).read())
+    row = data["values"][0][0]
+    row[0] = row[1] + 1e-13
+    open(path, "w").write(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_truncate, _drop_grid, _unsort_grid, _nan_value],
-    ids=["truncated", "no-grid", "unsorted-grid", "nan-value"],
+    [_truncate, _drop_grid, _unsort_grid, _nan_value, _dip_1e_13],
+    ids=["truncated", "no-grid", "unsorted-grid", "nan-value", "dip-1e-13"],
 )
 def test_malformed_model_artifact_exits_2(config_path, tmp_path, capsys, corrupt):
     models = str(tmp_path / "models")
@@ -440,6 +453,14 @@ def test_surfaces_on_different_binnings_exit_2(config_path, tmp_path):
     assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf1.json")
 
 
+def test_surfaces_from_two_calibration_sets_exit_2(config_path, tmp_path):
+    models, other = tmp_path / "models", tmp_path / "other"
+    assert run(["fit", "--config", config_path, "--out", str(models)]) == 0
+    assert run(["fit", "--config", config_path, "--seed", "11", "--out", str(other)]) == 0
+    (models / "surface_bf1.json").write_text((other / "surface_bf1.json").read_text())
+    assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf1.json")
+
+
 def test_models_fitted_under_another_config_exit_2(config_path, tmp_path):
     # fitted on 5 nu bins under a N(5, 2) training prior, evaluated under 10 bins and a uniform prior
     cfg = json.loads(open(config_path).read())
@@ -448,6 +469,17 @@ def test_models_fitted_under_another_config_exit_2(config_path, tmp_path):
     path.write_text(json.dumps(cfg))
     assert run(["fit", "--config", str(path), "--out", str(models)]) == 0
     assert_evaluate_refuses(config_path, tmp_path, models, "surface_bf0.json")
+
+
+@pytest.mark.parametrize("changes", [{"seed": 11}, {"n_calibration": 2_000}], ids=["seed", "n-calibration"])
+def test_models_fitted_on_another_calibration_set_exit_2(config_path, tmp_path, changes):
+    # the report would echo a seed or a calibration size that the surfaces were not fitted on
+    models = tmp_path / "models"
+    assert run(["fit", "--config", config_path, "--out", str(models)]) == 0
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({**json.loads(open(config_path).read()), **changes}))
+    assert_evaluate_refuses(str(path), tmp_path, models, "surface_bf0.json")
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize(

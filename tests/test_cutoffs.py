@@ -281,26 +281,37 @@ def test_full_space_cutoffs_control_rates(fine_pipeline):
 
 # --- the single path against its per-cell definition --------------------------
 
-LEVELS = st.integers(min_value=0, max_value=10).map(lambda i: i / 10)  # coarse, so cells tie
+LEVELS = [i / 10 for i in range(11)]  # coarse, so cells tie
 
 
 @st.composite
 def surface_region_request(draw):
-    n_cells = draw(st.integers(min_value=1, max_value=6))
-    k = draw(st.integers(min_value=2, max_value=5))
-    grid = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))).astype(float)
-    slices = st.lists(LEVELS, min_size=k, max_size=k).map(sorted)
-    values = np.array([[draw(slices) for _ in range(n_cells)] for _ in (0, 1)])
-    surface = RejectionSurface("s", NuBinning.equal_width(1.0, 10.0, n_cells), grid, values)
-    ends = st.floats(min_value=1.0, max_value=10.0, allow_nan=False)
-    lo, hi = sorted((draw(ends), draw(ends)))
     mode = draw(st.sampled_from(("fpr", "tpr")))
     alpha = draw(st.floats(min_value=0.01, max_value=0.99))
     gamma = draw(st.floats(min_value=0.0, max_value=0.5))
     beta = alpha - gamma if mode == "fpr" else alpha + gamma
     assume(0.0 < beta < 1.0)
     request = co.CutoffRequest(null_label=draw(st.integers(0, 1)), alpha=alpha, gamma=gamma, mode=mode)
+    n_cells = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=2, max_value=5))
+    grid = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))).astype(float)
+    # the levels include beta itself, so rows have plateaus exactly at beta
+    levels = st.sampled_from(sorted({*LEVELS, request.beta}))
+    slices = st.lists(levels, min_size=k, max_size=k).map(sorted)
+    values = np.array([[draw(slices) for _ in range(n_cells)] for _ in (0, 1)])
+    surface = RejectionSurface("s", NuBinning.equal_width(1.0, 10.0, n_cells), grid, values)
+    ends = st.floats(min_value=1.0, max_value=10.0, allow_nan=False)
+    lo, hi = sorted((draw(ends), draw(ends)))
     return surface, NuisanceRegion(intervals=((lo, hi),)), request
+
+
+def cell_inverse(surface, beta, y, cell):
+    """The smallest grid cutoff with W >= beta in one cell, or ``SaturationError`` with the cell's maximum."""
+    row = surface.values[y, cell]
+    pos = int(np.searchsorted(row, beta, "left"))
+    if pos == len(row):
+        raise SaturationError("saturated", attainable_max=float(row[-1]))
+    return float(surface.grid[pos])
 
 
 @given(surface_region_request())
@@ -311,7 +322,7 @@ def test_cutoff_for_region_is_the_per_cell_optimum(case):
     inverses, maxima = {}, {}
     for cell in surface.binning.cells_intersecting(region):
         try:
-            inverses[int(cell)] = surface.invert_cell(request.beta, y, int(cell))
+            inverses[int(cell)] = cell_inverse(surface, request.beta, y, int(cell))
         except SaturationError as exc:
             maxima[int(cell)] = exc.attainable_max
     if maxima:
@@ -332,11 +343,11 @@ def test_one_point_region_is_the_cell_inverse(fine_pipeline):
     reps = midpoints(surface.binning)
     for cell, nu0 in enumerate(reps):
         result = co.cutoff_for_region(surface, point_region(float(nu0)), request)
-        assert result.cutoff == surface.invert_cell(request.beta, 0, cell)
+        assert result.cutoff == cell_inverse(surface, request.beta, 0, cell)
         assert result.cells == (cell,)
     # an interior edge meets both neighbouring cells: the more conservative cutoff
     edge = float(surface.binning.edges[5])
     on_edge = co.cutoff_for_region(surface, point_region(edge), request)
-    both = [surface.invert_cell(request.beta, 0, c) for c in (4, 5)]
+    both = [cell_inverse(surface, request.beta, 0, c) for c in (4, 5)]
     assert on_edge.cutoff == min(both)
     assert set(on_edge.cells) <= {4, 5}

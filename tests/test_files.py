@@ -52,6 +52,13 @@ def test_parse_inverts_jsonable(artifact):
     assert files.jsonable(again) == data
 
 
+def test_refused_json_payload_leaves_no_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        files.write_json(path, {"rows": [{"x0_star": 0.5}, {"x0_star": float("inf")}]})
+    assert not path.exists()
+
+
 def test_method_name_defaults_to_kind():
     method = files.parse(harness.MethodSpec, {"kind": "standard"})
     assert method == harness.MethodSpec(kind="standard", name="standard")

@@ -142,6 +142,8 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
     counter = PassCounter(monkeypatch)
     for run, scored, cal_draws in (
         (lambda: harness.run_experiment(cfg), {cal: n_cal, ev: n_ev}, 1),
+        # a fresh fit hands its calibration set to plug-in: drawn once for both
+        (lambda: harness.run_experiment(every_baseline), {cal: n_cal, ev: n_ev}, 1),
         # the in-memory pipeline keeps its calibration posterior
         (lambda: harness.run_experiment(cfg, pipeline=pipeline), {ev: n_ev}, 0),
         (lambda: harness.run_experiment(naps_only, pipeline=pipeline), {ev: n_ev}, 0),
@@ -150,6 +152,8 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
         # a loaded pipeline draws and scores the calibration set once, for every baseline
         (lambda: harness.run_experiment(every_baseline, pipeline=loaded), {cal: n_cal, ev: n_ev}, 1),
         (lambda: harness.run_pit_diagnostics(cfg), {cal: n_cal, diag: n_ev}, 1),
+        # the PIT control is fitted from the pipeline's calibration posterior
+        (lambda: harness.run_pit_diagnostics(cfg, pipeline=pipeline), {diag: n_ev}, 0),
     ):
         counter.clear()
         run()
@@ -414,9 +418,9 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
     binnings = []
     fit_surfaces = harness._fit_surfaces
 
-    def spy(config, calibration, binning):
+    def spy(config, binning, *calibration):
         binnings.append(binning)
-        return fit_surfaces(config, calibration, binning)
+        return fit_surfaces(config, binning, *calibration)
 
     monkeypatch.setattr(harness, "_fit_surfaces", spy)
     result = harness.run_pit_diagnostics(cfg, n_param_bins=2)
@@ -428,6 +432,13 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
     flat = [r["ks_distance"] for r in result["nuisance_ignoring"]]
     assert aware != flat
     assert max(flat) > max(aware)
+
+
+def test_pit_diagnostics_refuses_a_loaded_pipeline(tmp_path):
+    cfg = small_config()
+    harness.fit_pipeline(cfg).save(tmp_path)
+    with pytest.raises(ConfigError, match="calibration posterior"):
+        harness.run_pit_diagnostics(cfg, pipeline=harness.Pipeline.load(str(tmp_path)))
 
 
 def test_gamma_sweep_rows_and_minimum():

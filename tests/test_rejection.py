@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naps
+from naps import cutoffs as co
 from naps import files
 from naps import genmodel as gm
 from naps import harness
 from naps import rejection as rj
+from naps.classifier import label_bayes_factors
 from naps.errors import BinningError, ConfigError, DomainError, SaturationError
+from naps.nuisance import NuisanceRegion
 from reference_fit import AugmentedRecords, augment, fit_rejection_surface, lone_fit, pool_adjacent_violators
 
 UQ0_005_NU1 = 0.9175778871209889
@@ -287,14 +290,18 @@ def test_fitted_surfaces_are_pinned(name):
 def test_shared_fit_equals_reference_on_discrete_toy():
     # one cell pass and one argsort of p1 for both labels; the toy's statistics have atoms and ties
     config = harness.ExperimentConfig(**dict(TOY_20K, n_calibration=4000, cutoff_grid_size=64))
-    pipeline, calibration = harness._fit_scored(config)
+    pipeline = harness.fit_pipeline(config)
+    calibration = config.calibration_set()
+    p1, labels = pipeline.calibration_posterior
+    assert np.array_equal(labels, calibration.y)
+    statistics = label_bayes_factors(p1, pipeline.model.class1_prior)
     for y in (0, 1):
-        tau = calibration.statistics[y][0]
+        tau = statistics[y][0]
         assert len(np.unique(tau)) < len(tau)  # ties
         surface = pipeline.surfaces[y]
         grid = rj.cutoff_grid_from_values(np.sort(tau), config.cutoff_grid_size)
         assert np.array_equal(surface.grid, grid.values)
-        reference = fit_rejection_surface(augment(calibration.data, lambda x: tau, grid), pipeline.binning)
+        reference = fit_rejection_surface(augment(calibration, lambda x: tau, grid), pipeline.binning)
         assert np.array_equal(surface.values, reference.values)
 
 
@@ -303,7 +310,7 @@ def test_fit_surface_refuses_an_order_that_does_not_sort(uniform_gen):
     grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     with pytest.raises(ValueError, match="does not sort"):
         binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
-        rj.fit_surface(ds, ds.x, grid, binning, cells=binning.cell_index(ds.nu), order=np.arange(len(ds)))
+        rj.fit_surface(ds.y, ds.x, grid, binning, cells=binning.cell_index(ds.nu), order=np.arange(len(ds)))
 
 
 @pytest.mark.parametrize(
@@ -354,6 +361,12 @@ def test_eval_boundary_conventions():
     assert w[4] == 1.0
 
 
+def invert_at(surface, nu0, beta):
+    """Label 0's inverse at level ``beta`` in the cell holding ``nu0``, through the one inversion path."""
+    region = NuisanceRegion(intervals=((nu0, nu0),))
+    return co.cutoff_for_region(surface, region, co.CutoffRequest(null_label=0, alpha=beta)).cutoff
+
+
 def test_invert_contracts():
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
     surface = rj.RejectionSurface(
@@ -362,23 +375,22 @@ def test_invert_contracts():
         grid=np.array([0.0, 1.0, 2.0, 3.0]),
         values=np.array([[[0.1, 0.4, 0.4, 0.9]], [[0.0, 0.3, 0.6, 1.0]]]),
     )
-    cell = int(binning.cell_index(2.0))
 
     def w0(c):
         return surface.rejection_probability_batch([c], [0], [2.0])[0]
 
-    assert surface.invert_cell(0.0, 0, cell) == 0.0  # smallest grid cutoff
+    assert invert_at(surface, 2.0, 0.05) == 0.0  # smallest grid cutoff
     for beta in (0.05, 0.1, 0.3, 0.4, 0.7, 0.9):
-        c = surface.invert_cell(beta, 0, cell)
+        c = invert_at(surface, 2.0, beta)
         assert w0(c) >= beta
     # ties resolve to the smaller cutoff
-    assert surface.invert_cell(0.4, 0, cell) == 1.0
+    assert invert_at(surface, 2.0, 0.4) == 1.0
     # round trip: inverting an attained level returns a cutoff no larger
     for c_in in (1.0, 2.0, 3.0):
-        assert surface.invert_cell(w0(c_in), 0, cell) <= c_in
+        assert invert_at(surface, 2.0, w0(c_in)) <= c_in
     with pytest.raises(SaturationError) as err:
-        surface.invert_cell(0.95, 0, cell)
-    assert err.value.attainable_max == pytest.approx(0.9)
+        invert_at(surface, 2.0, 0.95)
+    assert err.value.attainable_max == 0.9
 
 
 @pytest.mark.parametrize(
@@ -391,8 +403,12 @@ def test_invert_contracts():
         ([0.0, 1.0, 2.0], [np.nan, 0.4, 0.9]),
         ([0.0, 1.0, 2.0], [-0.1, 0.4, 0.9]),
         ([0.0, 1.0, 2.0], [0.1, 0.4, 1.5]),
+        ([0.0, 1.0, 2.0], [0.1, 0.4, 0.4 - 1e-13]),
     ],
-    ids=["unsorted-grid", "tied-grid", "nan-grid", "inf-grid", "nan-value", "negative-value", "value-above-1"],
+    ids=[
+        "unsorted-grid", "tied-grid", "nan-grid", "inf-grid", "nan-value", "negative-value", "value-above-1",
+        "dip-1e-13",
+    ],
 )
 def test_surface_rejects_bad_grid_or_values(grid, w0):
     with pytest.raises(ConfigError):
@@ -422,7 +438,7 @@ def test_invert_recovers_upper_quantile(uniform_gen):
     binning = rj.NuBinning(edges=np.array([1.0, 1.1, 10.0]))
     surface = lone_fit(ds, ds.x, grid, binning)
     # beta = 0.95 on the CDF scale is the alpha = 0.05 upper tail in x
-    cut = surface.invert_cell(0.95, 0, int(binning.cell_index(1.02)))
+    cut = invert_at(surface, 1.02, 0.95)
     assert abs(cut - UQ0_005_NU1) <= 0.02
 
 

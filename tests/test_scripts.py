@@ -68,7 +68,7 @@ def load_script(name, monkeypatch):
 
 
 def test_diagnostics_script_draws_and_scores_calibration_once(tmp_path, monkeypatch):
-    # one fit hands its scored calibration set to the PIT driver
+    # one fit hands its calibration posterior to the PIT driver
     script = load_script("run_diagnostics.py", monkeypatch)
     n_cal = 4000
     argv = [script.__file__, "--out", str(tmp_path), "--calibration", str(n_cal), "--evaluation", "2000"]
