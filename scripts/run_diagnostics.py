@@ -44,7 +44,7 @@ def main() -> int:
     # One fit: its calibration posterior also feeds the PIT control surface.
     pipeline = harness.fit_pipeline(config)
 
-    pit = harness.run_pit_diagnostics(config, n_param_bins=args.param_bins, pipeline=pipeline)
+    pit = harness.run_pit_diagnostics(config, pipeline, n_param_bins=args.param_bins)
     print("PIT diagnostics (KS distance vs the 1.36/sqrt(n) band):")
     for name in ("nuisance_aware", "nuisance_ignoring"):
         print(f"  {name}:")
@@ -53,8 +53,8 @@ def main() -> int:
             print(f"    {row['bin']:<22} n={row['n']:<7} ks={row['ks_distance']:.4f} "
                   f"band={row['ks_band']:.4f}  {verdict}")
 
-    clean = harness.invariance_check(config, pipeline=pipeline)
-    broken = harness.invariance_check(config, perturb_scale=1.5, pipeline=pipeline)
+    clean = harness.invariance_check(config, pipeline)
+    broken = harness.invariance_check(config, pipeline, perturb_scale=1.5)
     print("\nInvariance of the rejection probability under the target shift:")
     print(f"  cells compared: {len(clean['cells'])} (skipped {len(clean['skipped'])} sparse cells)")
     print(f"  max sup-distance: {_fmt(clean['max_sup_distance'])}")

@@ -214,15 +214,16 @@ class HistogramClassifier:
     """Per-bin class-1 frequency with add-one smoothing.
 
     Evaluation clamps x into the nearest bin, so the posterior is defined on
-    the whole real line and stays strictly inside (0, 1). ``config`` is the
-    training configuration the histogram was fitted under, recorded so that
-    a saved histogram is not evaluated under another one.
+    the whole real line and stays strictly inside (0, 1). ``config`` and
+    ``n_train`` are the training configuration and size it was fitted under,
+    recorded so that a saved histogram is not evaluated under another one.
     """
 
     bin_edges: np.ndarray
     bin_posterior: np.ndarray
     class1_prior: float
     config: GenerativeConfig
+    n_train: int
     kind: str = field(default="histogram", init=False)
 
     def __post_init__(self):
@@ -259,6 +260,7 @@ def fit_histogram_classifier(dataset: Dataset, n_bins: int, config: GenerativeCo
         bin_posterior=posterior,
         class1_prior=float(np.mean(dataset.y == 1)),
         config=config,
+        n_train=len(dataset),
     )
 
 

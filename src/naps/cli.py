@@ -138,25 +138,27 @@ def cmd_evaluate(config: ExperimentConfig, models: str | None, dump_predictions:
 
 
 def _check_fitted_under(config: ExperimentConfig, pipeline: Pipeline, models: str) -> None:
-    """Refuse artifacts fitted under another binning, calibration set or classifier than ``config`` names.
+    """Refuse artifacts fitted under another binning, calibration set, grid size or classifier than ``config`` names.
 
     The report echoes ``config``, so it must also be what the artifacts were fitted under.
     """
     if files.jsonable(pipeline.binning) != files.jsonable(config.binning()):
         path = os.path.join(models, "surface_bf0.json")
         raise ConfigError(f"fitted artifact {path} holds another nuisance binning than the configuration's")
-    configured = (config.seed, config.n_calibration)
+    configured = (config.seed, config.n_calibration, config.cutoff_grid_size)
     for y in (0, 1):
         meta = pipeline.surfaces[y].metadata
-        fitted = (meta.get("seed"), meta.get("n_calibration"))
+        fitted = (meta.get("seed"), meta.get("n_calibration"), meta.get("grid_size"))
         if fitted != configured:
             path = os.path.join(models, f"surface_bf{y}.json")
-            raise ConfigError(f"fitted artifact {path} was fitted at (seed, n_calibration) {fitted}, not {configured}")
+            raise ConfigError(f"fitted artifact {path} has (seed, n_calibration, grid_size) {fitted}, not {configured}")
     model = pipeline.model
     if model.kind != config.classifier:
         mismatch = f"a {model.kind} classifier, not {config.classifier}"
     elif model.kind == "histogram" and len(model.bin_posterior) != config.histogram_bins:
         mismatch = f"{len(model.bin_posterior)} histogram bins, not {config.histogram_bins}"
+    elif model.kind == "histogram" and model.n_train != config.n_train:
+        mismatch = f"a histogram trained on {model.n_train} samples, not {config.n_train}"
     elif model.config != config.generative("train"):
         mismatch = "another training distribution than the configuration's"
     else:
@@ -172,7 +174,7 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
 
 
 def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
-    result = harness.run_pit_diagnostics(config, n_param_bins=param_bins)
+    result = harness.run_pit_diagnostics(config, harness.fit_pipeline(config), n_param_bins=param_bins)
     out = config.output_dir
     files.write_json(os.path.join(out, "pit.json"), result)
     rows = [{"surface": name, **row} for name in ("nuisance_aware", "nuisance_ignoring") for row in result[name]]

@@ -422,7 +422,6 @@ class Dataset:
     y: np.ndarray
     nu: np.ndarray
     x: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         for arr in (self.y, self.nu, self.x):
@@ -475,4 +474,4 @@ def sample_dataset(config: GenerativeConfig, n: int, seed: int, stream_base: int
     else:
         u_x = rng_x.random(n)
         x = np.where(y == 1, quantile_class1(u_x), quantile_class0(u_x, nu))
-    return Dataset(config.scenario, y, nu, x, seed=seed)
+    return Dataset(config.scenario, y, nu, x)

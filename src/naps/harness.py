@@ -2,12 +2,12 @@
 
 Generates train/calibration/evaluation data, fits the classifier and the
 per-label rejection surfaces once (``fit_pipeline``, from the calibration
-posterior, which the pipeline keeps for the baselines and the PIT control),
+posterior, sorted once and kept for the baselines and the PIT control),
 evaluates every configured set-valued method over a grid of miscoverage
 levels, and aggregates coverage, power, precision and ambiguity tables with
-binomial standard errors. Also hosts the gamma power sweep, the
-rejection-probability invariance check, and the PIT diagnostic driver used
-by the CLI.
+binomial standard errors. Also hosts the gamma power sweep and two checks
+of a pipeline that they take, never fit: the rejection-probability
+invariance check and the PIT diagnostic driver used by the CLI.
 
 Everything is deterministic given the experiment seed: sampling uses
 counter-based streams keyed off fixed role offsets, and reports serialize
@@ -50,6 +50,7 @@ from .prediction_sets import (
 from .rejection import (
     NuBinning,
     RejectionSurface,
+    cell_cdfs,
     cutoff_grid_from_values,
     fit_surface,
     pit_diagnostics,
@@ -217,9 +218,9 @@ class Pipeline:
 
     ``calibration_posterior`` is the ``(p1, y)`` of the calibration set the
     surfaces were fitted on, the posterior P(Y=1 | x) and the label per
-    sample: what the surfaces, two baselines and the PIT control are fitted
-    from. ``fit_pipeline`` keeps it in memory; it is never saved, so a
-    loaded or hand-built pipeline has ``None`` there.
+    sample, sorted by ascending ``p1``: what the surfaces, two baselines and
+    the PIT control are fitted from. ``fit_pipeline`` keeps it in memory; it
+    is never saved, so a loaded or hand-built pipeline has ``None`` there.
     """
 
     model: object
@@ -263,36 +264,37 @@ def fit_pipeline(config: ExperimentConfig) -> Pipeline:
 
 
 def _fit(config: ExperimentConfig, calibration: Dataset) -> Pipeline:
-    """``fit_pipeline`` on its calibration set, drawn by the caller."""
+    """``fit_pipeline`` on its calibration set, drawn by the caller, which one argsort of ``p1`` orders."""
     model = build_model(config)
     p1 = model.posterior1(calibration.x)
     binning = config.binning()
-    cells = binning.cell_index(calibration.nu)
-    surfaces = _fit_surfaces(config, binning, model.class1_prior, p1, calibration.y, cells)
-    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=(p1, calibration.y))
+    order = np.argsort(p1)
+    p1, labels, cells = p1[order], calibration.y[order], binning.cell_index(calibration.nu)[order]
+    statistics = label_bayes_factors(p1, model.class1_prior)
+    surfaces = _fit_surfaces(config, binning, statistics, labels, cells)
+    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=(p1, labels))
 
 
 def _fit_surfaces(
-    config: ExperimentConfig, binning: NuBinning, class1_prior: float, p1, labels, cells
+    config: ExperimentConfig, binning: NuBinning, statistics: dict, labels, cells
 ) -> dict[int, RejectionSurface]:
-    """Both labels' Bayes-factor rejection surfaces, ``{y: surface}``, from one calibration posterior.
+    """The Bayes-factor rejection surface of each label in ``statistics``, ``{y: surface}``.
 
-    ``p1``, ``labels`` and ``cells`` are the calibration set's posterior,
-    labels and ``binning`` cells. One argsort of ``p1`` orders both
-    statistics, which ``label_bayes_factors`` computes once, in that order:
-    it builds label 1's from ``p1`` and label 0's from ``1 - p1`` by
-    monotone rounded operations, elementwise, so label 1's comes out
-    ascending and label 0's descending, up to ties, which counting does not
-    see. Each label's grid and its counting read the same sorted values.
+    ``statistics`` holds some labels of ``label_bayes_factors`` of an
+    ascending calibration posterior, and ``labels`` and ``cells`` are the
+    calibration labels and ``binning`` cells in its order. Label 1's
+    statistic is built from ``p1`` and label 0's from ``1 - p1`` by monotone
+    rounded operations, elementwise, so label 1's comes out ascending and
+    label 0's descending, up to ties, which counting does not see. Each
+    label's grid and its counting read the same sorted values.
     """
-    order = np.argsort(p1)
-    statistics = label_bayes_factors(p1[order], class1_prior)
     surfaces = {}
-    for y, step in ((0, -1), (1, 1)):
-        ranked, order_y = statistics[y][0][::step], order[::step]
-        grid = cutoff_grid_from_values(ranked, config.cutoff_grid_size)
+    for y, (statistic, _) in statistics.items():
+        step = 2 * y - 1  # label 0 reads every array reversed
+        grid = cutoff_grid_from_values(statistic[::step], config.cutoff_grid_size)
         surfaces[y] = fit_surface(
-            labels, ranked, grid, binning, f"bayes-factor-{y}", config.seed, cells=cells, order=order_y
+            labels[::step], statistic[::step], grid, binning, f"bayes-factor-{y}", config.seed,
+            cells=cells[::step], grid_size=config.cutoff_grid_size,
         )
     return surfaces
 
@@ -592,26 +594,23 @@ def gamma_sweep(config: ExperimentConfig, alpha: float, gamma_grid) -> dict:
 
 
 def invariance_check(
-    config: ExperimentConfig,
-    perturb_scale: float | None = None,
-    min_cell_count: int = 5000,
-    pipeline: Pipeline | None = None,
+    config: ExperimentConfig, pipeline: Pipeline, perturb_scale: float | None = None, min_cell_count: int = 5000
 ) -> dict:
-    """Compare the train-fitted surface against target-data rejection rates.
+    """Compare the pipeline's label-0 surface against target-data rejection rates.
 
     Within each (label, nuisance-bin) cell, the empirical CDF of the
     statistic on target-prior draws should match the calibration fit up to
-    sampling noise; conditioning on (y, nu) removes the shift. Passing
-    ``perturb_scale`` multiplies the class-0 rate parameter when generating
-    target observations (while recording the unscaled nuisance), which
-    breaks the shared-likelihood assumption and should blow up the
+    sampling noise; conditioning on (y, nu) removes the shift. The target
+    CDFs are counted as the fit counts its own, by ``cell_cdfs`` on the
+    surface's grid and binning, from the target posterior sorted once.
+    Passing ``perturb_scale`` multiplies the class-0 rate parameter when
+    generating target observations (while recording the unscaled nuisance),
+    which breaks the shared-likelihood assumption and should blow up the
     distances.
 
     Cells with fewer target samples than ``min_cell_count`` are skipped:
     their empirical CDFs are too noisy to certify a sup-distance bound.
     """
-    if pipeline is None:
-        pipeline = fit_pipeline(config)
     surface = pipeline.surfaces[0]
     target = genmodel.sample_dataset(
         config.generative("target"), config.n_calibration, config.seed, stream_base=STREAM_TARGET_CHECK
@@ -628,22 +627,22 @@ def invariance_check(
         x[mask] = -np.log1p(u * np.expm1(-nu_eff)) / nu_eff
         target = dataclasses.replace(target, x=x)
 
-    tau0 = score_dataset(pipeline.model, target).statistics[0][0]
-    cells = surface.binning.cell_index(target.nu)
-    rows = []
-    skipped = []
+    p1 = pipeline.model.posterior1(target.x)
+    order = np.argsort(p1)[::-1]  # label 0's statistic ascends along descending p1, as in the fit
+    ranked = label_bayes_factors(p1[order], pipeline.model.class1_prior)[0][0]
+    cells = surface.binning.cell_index(target.nu)[order]
+    ecdf, n = cell_cdfs(target.y[order], cells, ranked, surface.grid, surface.binning.n_cells)
+    rows, skipped = [], []
     for y in (0, 1):
         for cell in range(surface.binning.n_cells):
-            sel = tau0[(target.y == y) & (cells == cell)]
-            entry = {"y": y, "bin": cell, "n_target": int(len(sel))}
+            entry = {"y": y, "bin": cell, "n_target": int(n[y, cell])}
             if surface.binning.is_continuous:
                 lo, hi = surface.binning.cell_bounds(cell)
                 entry.update(nu_lo=lo, nu_hi=hi)
-            if len(sel) < min_cell_count:
+            if n[y, cell] < min_cell_count:
                 skipped.append(entry)
                 continue
-            ecdf = np.searchsorted(np.sort(sel), surface.grid, side="right") / len(sel)
-            entry["sup_distance"] = float(np.max(np.abs(ecdf - surface.values[y, cell])))
+            entry["sup_distance"] = float(np.max(np.abs(ecdf[y, cell] - surface.values[y, cell])))
             rows.append(entry)
     if skipped:
         warnings.warn(
@@ -664,8 +663,8 @@ def invariance_check(
 # ---------------------------------------------------------------------------
 
 
-def run_pit_diagnostics(config: ExperimentConfig, n_param_bins: int = 2, pipeline: Pipeline | None = None) -> dict:
-    """PIT tables for the nuisance-aware surface and a one-cell control.
+def run_pit_diagnostics(config: ExperimentConfig, pipeline: Pipeline, n_param_bins: int = 2) -> dict:
+    """PIT tables for the pipeline's label-0 surface and a one-cell control.
 
     The tables group by label and ``NuBinning.for_space(space, n_param_bins)``
     cell: ``n_param_bins`` equal-width intervals on a continuous space, one
@@ -673,12 +672,10 @@ def run_pit_diagnostics(config: ExperimentConfig, n_param_bins: int = 2, pipelin
     whole space, so it deliberately ignores the nuisance parameter; its
     per-bin PIT failures demonstrate why marginal calibration is not enough.
 
-    The control is fitted from the pipeline's ``calibration_posterior``, the
-    one its own surfaces were fitted from; without a ``pipeline`` the driver
-    fits one here. A loaded pipeline keeps no posterior and is refused.
+    The control is label 0's surface fitted from the pipeline's
+    ``calibration_posterior``, already sorted, the one its own surfaces were
+    fitted from. A loaded pipeline keeps no posterior and is refused.
     """
-    if pipeline is None:
-        pipeline = fit_pipeline(config)
     if pipeline.calibration_posterior is None:
         raise ConfigError("the PIT control is fitted from a calibration posterior, which a loaded pipeline lacks")
     p1, labels = pipeline.calibration_posterior
@@ -690,7 +687,8 @@ def run_pit_diagnostics(config: ExperimentConfig, n_param_bins: int = 2, pipelin
     lo, hi = space.bounds if space.is_continuous else (min(space.categories), max(space.categories))
     one_cell = NuBinning(edges=np.array([lo, hi], dtype=float)) if lo < hi else NuBinning.for_space(space, 1)
     every_cell_0 = np.zeros(len(labels), dtype=np.intp)
-    flat_surface = _fit_surfaces(config, one_cell, pipeline.model.class1_prior, p1, labels, every_cell_0)[0]
+    label0 = {0: label_bayes_factors(p1, pipeline.model.class1_prior)[0]}
+    flat_surface = _fit_surfaces(config, one_cell, label0, labels, every_cell_0)[0]
 
     binning = NuBinning.for_space(space, n_param_bins)
     aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, binning)

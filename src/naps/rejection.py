@@ -7,11 +7,11 @@ Z_{i,j} = 1{lambda(x_i) <= C_j} and, within each (label, nuisance-bin) cell,
 regresses Z on C by isotonic least squares. That fit is each cell's
 empirical CDF, which ``fit_surface`` counts in one pass without building the
 records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
-tests' reference. Both labels' surfaces are fitted on one calibration set, so
-``fit_surface`` takes the calibration labels and cells, the statistic's
-sorting order and its sorted values from its caller: ``harness._fit_surfaces``
-sorts both labels' statistics with one argsort of the calibration posterior,
-and takes each label's cutoff grid from the same sorted values.
+tests' reference. ``cell_cdfs`` is that count, shared by ``fit_surface`` and
+``harness.invariance_check``. The caller sorts the calibration set once
+(``harness._fit``), so ``fit_surface`` takes every per-sample input in the
+statistic's ascending order, label 0 reads the same arrays reversed, and
+each label's cutoff grid comes from the same sorted values.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -174,22 +174,36 @@ def cutoff_grid_from_values(ranked: np.ndarray, grid_size: int) -> CutoffGrid:
     return CutoffGrid(values=grid)
 
 
-def _calibration_values(n: int, values, order=None) -> np.ndarray:
-    """The statistic on a calibration set of ``n`` samples: one finite value per sample.
-
-    ``values[i]`` belongs to sample ``order[i]`` if an ``order`` is given,
-    else to sample ``i``; an error names the sample.
-    """
+def _calibration_values(n: int, values) -> np.ndarray:
+    """The statistic on a calibration set of ``n`` samples, one finite value each; an error names the first bad one."""
     if n == 0:
         raise ConfigError("calibration dataset is empty")
     lam = np.asarray(values, dtype=float)
     if lam.shape != (n,):
         raise ConfigError("statistic must return one value per calibration sample")
     if np.any(~np.isfinite(lam)):
-        bad = int(np.nonzero(~np.isfinite(lam))[0][0])
-        bad = bad if order is None else int(order[bad])
-        raise ConfigError(f"statistic evaluation failed at calibration sample {bad}")
+        raise ConfigError(f"statistic evaluation failed at calibration sample {np.flatnonzero(~np.isfinite(lam))[0]}")
     return lam
+
+
+def cell_cdfs(labels, cells, ranked, grid: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each (label, cell)'s empirical CDF on ``grid``, shape (2, n_cells, K), and size, shape (2, n_cells).
+
+    ``ranked`` holds a statistic's values in ascending order (any other is a
+    ``ValueError``), ``labels`` and ``cells`` their labels and cells. Each
+    value's column is the first cutoff at or above it (K past the last); one
+    ``bincount`` of (label, cell, column), cumulated along the columns and
+    divided by each cell's size, gives every CDF exactly; an empty cell's is 0.
+    """
+    if np.any(ranked[1:] < ranked[:-1]):
+        raise ValueError("the statistic's values are not in ascending order")
+    K = len(grid)
+    code = (labels.astype(np.intp) * n_cells + cells) * (K + 1)
+    bounds = np.searchsorted(ranked, grid, side="right")
+    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(ranked)))
+    counts = np.bincount(code + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
+    n = counts.sum(axis=-1)
+    return np.cumsum(counts[..., :K], axis=-1) / np.maximum(n, 1)[..., None], n
 
 
 @dataclass(frozen=True)
@@ -248,45 +262,28 @@ def fit_surface(
     seed: int | None = None,
     *,
     cells: np.ndarray,
-    order: np.ndarray,
+    grid_size: int | None = None,
 ) -> RejectionSurface:
-    """Fit the surface from the statistic's values on calibration data, ``ranked`` in sorted order.
+    """Fit the surface from calibration data: ``ranked`` the statistic's values, ascending, one finite per sample.
 
     Equivalent to the paper-literal isotonic fit of the B * K augmented
     records, which ``tests/reference_fit.py`` keeps as the tests' reference,
     but never materializes the records: within a cell, the per-cutoff mean
     of the indicators is the cell's empirical CDF of the statistic, which is
     already nondecreasing and inside [0, 1], so the isotonic fit is the
-    identity on it and is skipped. One counting pass fills every CDF: in the
-    statistic's sorted order, each sample's column is the first cutoff at or
-    above it (K past the last); a ``bincount`` of (label, cell, column),
-    cumulated along the columns and divided by each cell's size, gives the
-    exact CDFs; an absent label keeps a zero slice. ``ranked`` must hold one
-    finite value per sample.
-
-    ``labels`` is the calibration label per sample, ``order`` an ordering
-    of the samples that sorts the statistic (ties in any order), ``ranked``
-    the statistic's values in that order, which must be ascending (any other
-    is a ``ValueError``), and ``cells`` is ``binning.cell_index`` of the
-    calibration ``nu``. The caller computes them because the grid is taken
-    from the same ``ranked`` values, and a fit of both labels on one
-    calibration set (``harness._fit_surfaces``) shares the cells and one
-    argsort.
+    identity on it, and ``cell_cdfs`` counts it. An absent label keeps a
+    zero slice. ``labels`` and ``cells`` (``binning.cell_index`` of the
+    calibration ``nu``) are the samples' own, in the order of ``ranked``,
+    which also gives the grid: a fit of both labels on one calibration set
+    (``harness._fit``) sorts once for both. ``seed`` and the configured
+    ``grid_size`` are kept in the metadata.
     """
-    ranked = _calibration_values(len(labels), ranked, order)
-    n_cells, K = binning.n_cells, len(grid)
-    if np.any(ranked[1:] < ranked[:-1]):
-        raise ValueError("order does not sort the statistic's values")
-    code = (labels.astype(np.intp) * n_cells + cells) * (K + 1)
-    bounds = np.searchsorted(ranked, grid.values, side="right")
-    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(ranked)))  # per sample, sorted order
-    counts = np.bincount(code[order] + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
-    n = counts.sum(axis=-1)
+    ranked = _calibration_values(len(labels), ranked)
+    fitted, n = cell_cdfs(labels, cells, ranked, grid.values, binning.n_cells)
     for y in (0, 1):
         if n[y].any() and not n[y].all():
             raise BinningError(f"no calibration samples in cell (y={y}, bin={int(np.argmin(n[y]))})")
-    fitted = np.cumsum(counts[..., :K], axis=-1) / np.maximum(n, 1)[..., None]
-    metadata = {"n_calibration": len(labels), "grid_size": K, "seed": seed}
+    metadata = {"n_calibration": len(labels), "grid_size": grid_size, "seed": seed}
     return RejectionSurface(statistic_id, binning, grid.values.copy(), fitted, metadata)
 
 

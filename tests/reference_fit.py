@@ -7,9 +7,9 @@ Z_{i,j} = 1{lambda(x_i) <= C_j} over the cutoff grid, and
 the paper's estimate of W(C; y, nu); ``naps.rejection.fit_surface`` computes
 the same surface by counting, without building the B * K records.
 
-``lone_fit`` is ``fit_surface`` for one statistic by itself: it computes the
-calibration cells and the sorting order that a two-label fit shares, and
-the statistic's values in that order.
+``lone_fit`` is ``fit_surface`` for one statistic by itself: it sorts the
+statistic's values and gathers the calibration labels and cells into their
+order, as a two-label fit does once for both labels.
 
 ``toy_log_pmf`` is the discrete toy's Poisson log-likelihood, the independent
 reference for the toy posterior.
@@ -135,11 +135,11 @@ def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> Reje
 
 
 def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning) -> RejectionSurface:
-    """``fit_surface`` of one statistic, with its own calibration cells and sorting order."""
+    """``fit_surface`` of one statistic, with the calibration labels and cells gathered into its sorted order."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values)
     cells = binning.cell_index(calibration.nu)
-    return fit_surface(calibration.y, values[order], grid, binning, cells=cells, order=order)
+    return fit_surface(calibration.y[order], values[order], grid, binning, cells=cells[order])
 
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:

@@ -210,8 +210,8 @@ def test_criterion_5_invariance_check():
     pipeline = harness.fit_pipeline(cfg)
     # comparing empirical CDFs at the 0.03 level needs cells whose own
     # noise floor (1.36 / sqrt(n)) sits well below 0.03
-    clean = harness.invariance_check(cfg, min_cell_count=10_000, pipeline=pipeline)
-    broken = harness.invariance_check(cfg, perturb_scale=1.5, min_cell_count=10_000, pipeline=pipeline)
+    clean = harness.invariance_check(cfg, pipeline, min_cell_count=10_000)
+    broken = harness.invariance_check(cfg, pipeline, perturb_scale=1.5, min_cell_count=10_000)
     ok = (
         clean["max_sup_distance"] is not None
         and clean["max_sup_distance"] <= 0.03
@@ -267,7 +267,7 @@ def test_criterion_7_pit_diagnostics():
         cutoff_grid_size=400,
         seed=0,
     )
-    result = harness.run_pit_diagnostics(cfg, n_param_bins=2)
+    result = harness.run_pit_diagnostics(cfg, harness.fit_pipeline(cfg), n_param_bins=2)
     aware = result["nuisance_aware"]
     flat = result["nuisance_ignoring"]
     aware_ok = all(r["within_band"] for r in aware)

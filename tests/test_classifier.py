@@ -173,7 +173,7 @@ def test_histogram_all_class1(uniform_gen):
 )
 def test_histogram_validation(edges, posterior, prior, uniform_gen):
     with pytest.raises(ConfigError):
-        naps.HistogramClassifier(np.array(edges), np.array(posterior), prior, uniform_gen)
+        naps.HistogramClassifier(np.array(edges), np.array(posterior), prior, uniform_gen, n_train=100)
 
 
 def test_histogram_single_bin(uniform_gen):

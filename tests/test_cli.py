@@ -482,6 +482,17 @@ def test_models_fitted_on_another_calibration_set_exit_2(config_path, tmp_path, 
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_models_fitted_at_another_grid_size_exit_2(config_path, tmp_path):
+    # the report would echo a cutoff grid size that the surfaces were not fitted at
+    cfg = json.loads(open(config_path).read())
+    fitted, evaluated, models = tmp_path / "fitted.json", tmp_path / "evaluated.json", tmp_path / "models"
+    fitted.write_text(json.dumps({**cfg, "cutoff_grid_size": 400}))
+    evaluated.write_text(json.dumps({**cfg, "cutoff_grid_size": 50}))
+    assert run(["fit", "--config", str(fitted), "--out", str(models)]) == 0
+    assert_evaluate_refuses(str(evaluated), tmp_path, models, "surface_bf0.json")
+    assert not os.path.exists(tmp_path / "o")
+
+
 @pytest.mark.parametrize(
     "fitted, evaluated",
     [
@@ -494,9 +505,10 @@ def test_models_fitted_on_another_calibration_set_exit_2(config_path, tmp_path, 
              "train_prior": files.jsonable(naps.truncated_gaussian_prior(5.0, 2.0))},
             {"classifier": "histogram", "n_train": 20_000},
         ),
+        ({"classifier": "histogram", "n_train": 2_000}, {"classifier": "histogram", "n_train": 20_000}),
     ],
     ids=["training-prior", "histogram-not-analytic", "analytic-not-histogram", "histogram-bins",
-         "histogram-training-prior"],
+         "histogram-training-prior", "histogram-n-train"],
 )
 def test_classifier_fitted_under_another_config_exits_2(config_path, tmp_path, capsys, fitted, evaluated):
     base = json.loads(open(config_path).read())

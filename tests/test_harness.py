@@ -10,6 +10,7 @@ import naps
 from naps import genmodel as gm
 from naps import cli, files, harness
 from naps import prediction_sets as ps
+from naps.classifier import score_dataset
 from naps.errors import ConfigError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
 from naps.rejection import NuBinning, RejectionSurface
@@ -151,9 +152,8 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
         (lambda: harness.run_experiment(plug_in_only, pipeline=pipeline), {ev: n_ev}, 1),
         # a loaded pipeline draws and scores the calibration set once, for every baseline
         (lambda: harness.run_experiment(every_baseline, pipeline=loaded), {cal: n_cal, ev: n_ev}, 1),
-        (lambda: harness.run_pit_diagnostics(cfg), {cal: n_cal, diag: n_ev}, 1),
         # the PIT control is fitted from the pipeline's calibration posterior
-        (lambda: harness.run_pit_diagnostics(cfg, pipeline=pipeline), {diag: n_ev}, 0),
+        (lambda: harness.run_pit_diagnostics(cfg, pipeline), {diag: n_ev}, 0),
     ):
         counter.clear()
         run()
@@ -423,7 +423,7 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
         return fit_surfaces(config, binning, *calibration)
 
     monkeypatch.setattr(harness, "_fit_surfaces", spy)
-    result = harness.run_pit_diagnostics(cfg, n_param_bins=2)
+    result = harness.run_pit_diagnostics(cfg, harness.fit_pipeline(cfg), n_param_bins=2)
     # the fitted surfaces of both labels, then the control
     assert [b.n_cells for b in binnings] == [4, 1]
     cats = gm.DISCRETE_SPACE.categories
@@ -438,7 +438,23 @@ def test_pit_diagnostics_refuses_a_loaded_pipeline(tmp_path):
     cfg = small_config()
     harness.fit_pipeline(cfg).save(tmp_path)
     with pytest.raises(ConfigError, match="calibration posterior"):
-        harness.run_pit_diagnostics(cfg, pipeline=harness.Pipeline.load(str(tmp_path)))
+        harness.run_pit_diagnostics(cfg, harness.Pipeline.load(str(tmp_path)))
+
+
+def test_pit_control_fits_label_0_alone(monkeypatch):
+    cfg = small_config()
+    pipeline = harness.fit_pipeline(cfg)
+    fitted = []
+    fit_surface = harness.fit_surface
+
+    def spy(*args, **kwargs):
+        surface = fit_surface(*args, **kwargs)
+        fitted.append(surface.statistic_id)
+        return surface
+
+    monkeypatch.setattr(harness, "fit_surface", spy)
+    harness.run_pit_diagnostics(cfg, pipeline)
+    assert fitted == ["bayes-factor-0"]
 
 
 def test_gamma_sweep_rows_and_minimum():
@@ -482,14 +498,14 @@ def test_gamma_sweep_requires_analytic():
 
 def test_invariance_check_trivial_when_priors_match():
     cfg = small_config(target_prior=naps.uniform_prior(), n_calibration=100_000)
-    result = harness.invariance_check(cfg, min_cell_count=2000)
+    result = harness.invariance_check(cfg, harness.fit_pipeline(cfg), min_cell_count=2000)
     assert result["max_sup_distance"] <= 0.05
     assert len(result["cells"]) == 2 * cfg.nu_bins
 
 
 def test_invariance_check_skips_sparse_cells():
     cfg = small_config(n_calibration=50_000)
-    result = harness.invariance_check(cfg, min_cell_count=1000)
+    result = harness.invariance_check(cfg, harness.fit_pipeline(cfg), min_cell_count=1000)
     populated = {(r["y"], r["bin"]) for r in result["cells"]}
     # the target prior concentrates near nu = 4; far cells must be skipped
     assert len(result["skipped"]) > 0
@@ -499,7 +515,51 @@ def test_invariance_check_skips_sparse_cells():
 
 def test_invariance_check_detects_likelihood_violation():
     cfg = small_config(n_calibration=100_000)
-    clean = harness.invariance_check(cfg, min_cell_count=2000)
-    broken = harness.invariance_check(cfg, perturb_scale=1.5, min_cell_count=2000)
+    pipeline = harness.fit_pipeline(cfg)
+    clean = harness.invariance_check(cfg, pipeline, min_cell_count=2000)
+    broken = harness.invariance_check(cfg, pipeline, perturb_scale=1.5, min_cell_count=2000)
     assert broken["max_sup_distance"] > clean["max_sup_distance"]
     assert broken["max_sup_distance"] > 0.1
+
+
+def reference_invariance(cfg, pipeline, x, min_cell_count):
+    """Per-cell (n_target, sup-distance) of the target draw with observations ``x``, one mask, sort and search per cell.
+
+    Returns the kept cells, ``{(y, bin): (n_target, sup_distance)}``, and the skipped ones, ``{(y, bin): n_target}``.
+    """
+    target = gm.sample_dataset(
+        cfg.generative("target"), cfg.n_calibration, cfg.seed, stream_base=harness.STREAM_TARGET_CHECK
+    )
+    tau0 = score_dataset(pipeline.model, dataclasses.replace(target, x=x)).statistics[0][0]
+    surface = pipeline.surfaces[0]
+    cells = surface.binning.cell_index(target.nu)
+    kept, skipped = {}, {}
+    for y in (0, 1):
+        for cell in range(surface.binning.n_cells):
+            sel = tau0[(target.y == y) & (cells == cell)]
+            if len(sel) < min_cell_count:
+                skipped[y, cell] = len(sel)
+                continue
+            ecdf = np.searchsorted(np.sort(sel), surface.grid, side="right") / len(sel)
+            kept[y, cell] = (len(sel), float(np.max(np.abs(ecdf - surface.values[y, cell]))))
+    return kept, skipped
+
+
+@pytest.mark.parametrize("perturb_scale", [None, 1.5], ids=["clean", "perturbed"])
+def test_invariance_check_counts_each_cell_as_the_reference(monkeypatch, perturb_scale):
+    cfg = small_config(n_calibration=50_000)
+    pipeline = harness.fit_pipeline(cfg)
+    scored = []
+    posterior1 = naps.AnalyticMarginalClassifier.posterior1
+
+    def spy(model, x):
+        scored.append(x)
+        return posterior1(model, x)
+
+    monkeypatch.setattr(naps.AnalyticMarginalClassifier, "posterior1", spy)
+    result = harness.invariance_check(cfg, pipeline, perturb_scale=perturb_scale, min_cell_count=1000)
+    (x,) = scored  # the target observations, perturbed or not
+    kept, skipped = reference_invariance(cfg, pipeline, x, 1000)
+    assert kept and skipped  # the target prior concentrates near nu = 4, so far cells are skipped
+    assert {(r["y"], r["bin"]): (r["n_target"], r["sup_distance"]) for r in result["cells"]} == kept
+    assert {(r["y"], r["bin"]): r["n_target"] for r in result["skipped"]} == skipped

@@ -288,13 +288,19 @@ def test_fitted_surfaces_are_pinned(name):
 
 
 def test_shared_fit_equals_reference_on_discrete_toy():
-    # one cell pass and one argsort of p1 for both labels; the toy's statistics have atoms and ties
+    # one argsort of p1 for both labels; the toy's statistics have atoms and ties
     config = harness.ExperimentConfig(**dict(TOY_20K, n_calibration=4000, cutoff_grid_size=64))
     pipeline = harness.fit_pipeline(config)
     calibration = config.calibration_set()
     p1, labels = pipeline.calibration_posterior
-    assert np.array_equal(labels, calibration.y)
-    statistics = label_bayes_factors(p1, pipeline.model.class1_prior)
+    assert np.all(p1[1:] >= p1[:-1])
+    # the kept (p1, y) pairs are the calibration set's own, sorted by p1
+    scored = pipeline.model.posterior1(calibration.x)
+    by_pair = np.lexsort((labels, p1)), np.lexsort((calibration.y, scored))
+    assert np.array_equal(p1[by_pair[0]], scored[by_pair[1]])
+    assert np.array_equal(labels[by_pair[0]], calibration.y[by_pair[1]])
+    # the reference counts the calibration set in its drawn order
+    statistics = label_bayes_factors(scored, pipeline.model.class1_prior)
     for y in (0, 1):
         tau = statistics[y][0]
         assert len(np.unique(tau)) < len(tau)  # ties
@@ -305,12 +311,12 @@ def test_shared_fit_equals_reference_on_discrete_toy():
         assert np.array_equal(surface.values, reference.values)
 
 
-def test_fit_surface_refuses_an_order_that_does_not_sort(uniform_gen):
+def test_fit_surface_refuses_unsorted_values(uniform_gen):
     ds = gm.sample_dataset(uniform_gen, 200, seed=13)
     grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
-    with pytest.raises(ValueError, match="does not sort"):
-        binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
-        rj.fit_surface(ds.y, ds.x, grid, binning, cells=binning.cell_index(ds.nu), order=np.arange(len(ds)))
+    binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
+    with pytest.raises(ValueError, match="not in ascending order"):
+        rj.fit_surface(ds.y, ds.x, grid, binning, cells=binning.cell_index(ds.nu))
 
 
 @pytest.mark.parametrize(
@@ -321,8 +327,10 @@ def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
     ds = gm.sample_dataset(uniform_gen, 200, seed=13)
     grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
+    order = np.argsort(ds.x)
     with pytest.raises(ConfigError):
-        lone_fit(ds, bad(ds.x), grid, binning)
+        # the labels and cells gathered into the statistic's ascending order, as a caller hands them over
+        rj.fit_surface(ds.y[order], bad(ds.x[order]), grid, binning, cells=binning.cell_index(ds.nu)[order])
     with pytest.raises(ConfigError):
         augment(ds, bad, grid)
 
