@@ -319,7 +319,7 @@ def analytic_config(class1_probability: float, nuisance_prior: PriorSpec) -> Gen
 
 def _check_unit_interval(x, name="x"):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if (x < 0.0).any() or (x > 1.0).any():
         raise DomainError(f"{name} must lie in [0, 1]")
     return x
 

@@ -1,4 +1,7 @@
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from naps import classifier as clf
 from naps import genmodel as gm
 from naps.errors import ConfigError, DomainError
 from reference_fit import toy_log_pmf
+from test_cli import src_env
 from test_genmodel import TRUNCATED_GAUSSIANS
 
 POSTERIOR1_AT_1 = 0.9426053577545077  # 30-digit quadrature of the marginal posterior
@@ -302,15 +306,71 @@ def test_uniform_training_prior_needs_16_nodes(model):
     assert len(model._rule[0]) == 16
 
 
-def test_posterior_bit_identical_in_any_batch(model, readme_points):
-    # point by point, in chunks of 7 and in one batch across the rule's block edges
-    x = readme_points
-    assert len(x) > 2 * clf._BLOCK
-    for f in (model.posterior1, model.posterior_mean_nu):
+# A training prior for each rule size: the README's uniform prior takes 16 nodes, N(5, 1) 32, N(4, 0.1) 64.
+RULE_SIZES = [(naps.uniform_prior(), 16), (naps.truncated_gaussian_prior(5.0, 1.0), 32),
+              (naps.truncated_gaussian_prior(4.0, 0.1), 64)]
+
+
+@pytest.mark.parametrize("prior, n_nodes", RULE_SIZES, ids=[prior_id(p) for p, _ in RULE_SIZES])
+def test_posterior_bit_identical_in_any_batch(prior, n_nodes, readme_points):
+    # point by point, in chunks of 7 and in one batch across at least two of the rule's block edges
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, prior))
+    assert len(m._rule[0]) == n_nodes
+    extra = np.random.default_rng(n_nodes).random(3 * (clf._BLOCK + 2) - len(readme_points) - 2)
+    x = np.concatenate([readme_points, [0.0, 1.0], extra])
+    assert len(x) > 2 * clf._BLOCK and len(x) % 3 == 0
+    for f in (m.posterior1, m.posterior_mean_nu):
         whole = f(x)
         assert np.array_equal(np.array([f(xi) for xi in x]), whole)
         assert np.array_equal(np.concatenate([f(x[i : i + 7]) for i in range(0, len(x), 7)]), whole)
         assert np.array_equal(f(x.reshape(3, -1)), whole.reshape(3, -1))
+
+
+@pytest.mark.parametrize("prior, n_nodes", RULE_SIZES, ids=[prior_id(p) for p, _ in RULE_SIZES])
+def test_prior_moments_within_2_5_eps_of_30_digits(prior, n_nodes):
+    # the rule's own float64 nodes and weights, summed exactly, on a dense x grid with both ends
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    nodes, weights = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, prior))._rule
+    assert len(nodes) == n_nodes
+    x = np.linspace(0.0, 1.0, 2001)
+    minus_nodes = [-mpmath.mpf(float(v)) for v in nodes]
+    columns = [[mpmath.mpf(float(v)) for v in weights[:, j]] for j in (0, 1)]
+    reference = np.empty((2, x.size))
+    for i, xi in enumerate(x):
+        e = [mpmath.exp(v * mpmath.mpf(float(xi))) for v in minus_nodes]
+        for j, w in enumerate(columns):
+            reference[j, i] = float(mpmath.fsum(wj * ej for wj, ej in zip(w, e)))
+    error = np.abs(np.stack(clf._prior_moments(x, (nodes, weights))) - reference) / reference
+    assert np.max(error) <= 2.5 * np.finfo(float).eps
+
+
+# sha256 prefixes of posterior1 and posterior_mean_nu on fixed points, under the rule sizes above
+KERNEL_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+import naps
+
+x = np.random.default_rng(3).random(20_000)
+for prior in (naps.uniform_prior(), naps.truncated_gaussian_prior(5.0, 1.0), naps.truncated_gaussian_prior(4.0, 0.1)):
+    m = naps.AnalyticMarginalClassifier(naps.analytic_config(0.5, prior))
+    for f in (m.posterior1, m.posterior_mean_nu):
+        print(hashlib.sha256(f(x).tobytes()).hexdigest()[:16])
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_posterior_bits_do_not_depend_on_the_blas_kernel():
+    # Prescott is OpenBLAS's baseline SSE3 kernel set, so it runs on any x86-64 host
+    digests = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in src_env().items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", KERNEL_DIGEST_SCRIPT], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("sd", [1e-4, 1e-5, 1e-6, 1e-7])

@@ -268,8 +268,10 @@ TOY_20K = dict(
 
 # config -> sha256 prefixes of (values, grid) of the label-0 and label-1 surfaces from fit_pipeline.
 # The digests were recorded with the per-cell sort-and-search fit, so any change to a fitted bit fails here.
+# The analytic posterior calls no BLAS, so the digests are the same under every OpenBLAS kernel; they
+# still follow NumPy's own exp and log loops, which round differently on hosts without AVX-512.
 PINNED_SURFACES = {
-    "readme": (README_20K, [("6b511b20a520ca16", "224a9fbafa95337c"), ("7088681e4861614a", "a5d796fa912570d7")]),
+    "readme": (README_20K, [("6b511b20a520ca16", "f12ab761ee3a0c2e"), ("7088681e4861614a", "25b9a1c09d68b6a1")]),
     "discrete-toy": (TOY_20K, [("6d40c2da9c8127b7", "b65a3bdc68acd077"), ("ea2909be18e8a8a2", "7b042f0bebc71043")]),
     "histogram": (
         dict(README_20K, classifier="histogram"),
