@@ -26,8 +26,10 @@ scipy's own truncnorm algorithm (log-mass in the nearer tail, quantiles by
 ``scipy.stats.truncnorm`` wherever that is finite (a top quantile whose lower
 tail rounds to mass 1 is inverted from the upper tail instead) without
 importing ``scipy.stats``, which would add about half a second to every
-command-line start-up. ``scipy.special`` itself is imported only by the
-truncated Gaussian's functions, so a run on uniform priors never loads it.
+command-line start-up. The quantile's two-term log-sum-exp is NumPy
+arithmetic, scipy's own for two terms, so it keeps ``scipy.special.logsumexp``'s
+bits without its array-API layer. ``scipy.special`` itself is imported only
+by the truncated Gaussian's functions, so a run on uniform priors never loads it.
 """
 
 from __future__ import annotations
@@ -136,6 +138,17 @@ def _std_normal_pdf(z, log_mass):
     return np.exp(-z**2 / 2.0 - _LOG_SQRT_2PI - log_mass)
 
 
+def _log_add_exp(c, v):
+    """log(exp(c) + exp(v)) for a finite scalar c, bit-identical to ``scipy.special.logsumexp([c, v])``.
+
+    It is scipy's own arithmetic for two terms, on the same NumPy ufuncs: the
+    larger term plus log1p of the smaller one's shifted exponential, and
+    log(2) + c at an exact tie. NaN stays NaN.
+    """
+    hi = np.maximum(v, c)
+    return np.where(v == c, np.log(2.0) + c, np.log1p(np.exp(np.minimum(v, c) - hi)) + hi)
+
+
 # The parameters each prior kind takes; a prior given any other one is refused.
 _PRIOR_PARAMETERS = {
     "uniform": (), "truncated-gaussian": ("mean", "sd"), "discrete-weights": ("weights",), "point-mass": ("value",)
@@ -228,14 +241,14 @@ class PriorSpec:
         sign, edge = (1.0, a) if a < 0 else (-1.0, -b)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(u) if a < 0 else np.log1p(-u)
-            log_phi = special.logsumexp([np.full_like(u, special.log_ndtr(edge)), log_q + mass], axis=0)
-            z = special.ndtri_exp(log_phi)
+            # log Phi(z) = log(Phi(edge) + q * exp(mass)) at the quantile z, a two-term log-sum-exp
+            # in NumPy arithmetic (bit-identical to scipy's), inverted by ndtri_exp.
+            z = special.ndtri_exp(_log_add_exp(special.log_ndtr(edge), log_q + mass))
             # Unmirrored, that tail's cdf can round to 1 (z = inf) below the upper edge: there,
             # invert from the upper tail. Mirrored, it stays below ndtr(-a) <= 1/2.
             top = np.isinf(z) & (u > 0.0) & (u < 1.0)
             if np.any(top):
-                log_rest = special.logsumexp([np.full_like(u, special.log_ndtr(-b)), np.log1p(-u) + mass], axis=0)
-                z = np.where(top, -special.ndtri_exp(log_rest), z)
+                z = np.where(top, -special.ndtri_exp(_log_add_exp(special.log_ndtr(-b), np.log1p(-u) + mass)), z)
         z = sign * z
         return np.select([u == 0.0, u == 1.0, (u > 0.0) & (u < 1.0)], [a, b, z], np.nan)
 

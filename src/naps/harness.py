@@ -323,34 +323,18 @@ def naps_cutoffs_for_alpha(
 # ---------------------------------------------------------------------------
 
 
-def _rate(numer: int, denom: int) -> tuple[float | None, float | None]:
-    if denom == 0:
-        return None, None
-    p = numer / denom
-    return float(p), float(math.sqrt(p * (1.0 - p) / denom))
+def _rates(numer: np.ndarray, denom: np.ndarray) -> tuple[list, list]:
+    """Rates ``numer / denom`` and their binomial SEs as (nested) lists, ``None`` where ``denom`` is 0.
 
-
-def _segment_metrics(t: np.ndarray) -> dict:
-    """Metrics of one segment from its counts ``t[y, include0, include1]``."""
-    n = int(t.sum())
-    covered = int(t[0, 1, :].sum() + t[1, :, 1].sum())
-    other_included = int(t[0, :, 1].sum() + t[1, 1, :].sum())
-    coverage, coverage_se = _rate(covered, n)
-    power, power_se = _rate(n - other_included, n)
-    ambiguity, _ = _rate(int(t[:, 1, 1].sum()), n)
-    empty_rate, _ = _rate(int(t[:, 0, 0].sum()), n)
-    # (k0 + k1) / n is exactly the mean of the 0/1/2 set sizes.
-    size = int(t[:, 1, :].sum() + t[:, :, 1].sum()) / n if n else None
-    return {
-        "n": n,
-        "coverage": coverage,
-        "coverage_se": coverage_se,
-        "power": power,
-        "power_se": power_se,
-        "ambiguity_rate": ambiguity,
-        "empty_rate": empty_rate,
-        "mean_set_size": size,
-    }
+    The int64 counts stay below 2**53, so they convert to float exactly, and
+    the correctly rounded division and ``sqrt`` give each float the bits of
+    Python's ``numer / denom`` and ``math.sqrt``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = numer / denom
+        se = np.sqrt(p * (1.0 - p) / denom)
+    empty = denom == 0
+    return np.where(empty, None, p).tolist(), np.where(empty, None, se).tolist()
 
 
 def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> dict:
@@ -358,7 +342,9 @@ def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> 
 
     ``cells`` is each point's ``report_binning.cell_index``. One count over
     the code (cell, y, include0, include1); every table is a sum over that
-    count tensor.
+    count tensor. The segments (the marginal, each class, each (class, bin))
+    are stacked as ``t[segment, y, include0, include1]`` and their rates are
+    derived in one vectorized pass.
     """
     y = np.asarray(y).astype(np.intp)
     include0 = np.asarray(include0, dtype=bool)
@@ -379,31 +365,39 @@ def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> 
         "single_0_correct": int(single0[0]),
         "single_1_correct": int(single1[1]),
     }
-    precision0, precision0_se = _rate(table["single_0_correct"], table["single_0"])
-    precision1, precision1_se = _rate(table["single_1_correct"], table["single_1"])
+    value, se = _rates(np.array([single0[0], single1[1]]), np.array([single0.sum(), single1.sum()]))
+    precision = {str(c): {"value": value[c], "se": se[c], "n": table[f"single_{c}"]} for c in (0, 1)}
 
-    out = {
-        "marginal": _segment_metrics(total),
-        "precision": {
-            "0": {"value": precision0, "se": precision0_se, "n": table["single_0"]},
-            "1": {"value": precision1, "se": precision1_se, "n": table["single_1"]},
-        },
-        "by_class": {str(label): _segment_metrics(only[label] * total) for label in (0, 1)},
+    # t[segment]: the marginal, each class, then each (class, bin), label 0's bins first
+    t = np.concatenate([total[None], only * total, (only[:, None] * counts).reshape(2 * m, 2, 2, 2)])
+    n = t.sum(axis=(1, 2, 3))
+    with0, with1 = t[:, :, 1, :].sum(axis=2), t[:, :, :, 1].sum(axis=2)  # [segment, y]
+    rate, se = _rates(
+        np.stack([
+            with0[:, 0] + with1[:, 1],  # covered
+            n - with1[:, 0] - with0[:, 1],  # the other label excluded
+            t[:, :, 1, 1].sum(axis=1),  # ambiguous
+            t[:, :, 0, 0].sum(axis=1),  # empty
+            with0.sum(axis=1) + with1.sum(axis=1),  # (k0 + k1) / n is exactly the mean of the 0/1/2 set sizes
+        ]),
+        n,
+    )
+    keys = ("n", "coverage", "coverage_se", "power", "power_se", "ambiguity_rate", "empty_rate", "mean_set_size")
+    segments = [dict(zip(keys, row)) for row in zip(n.tolist(), rate[0], se[0], rate[1], se[1], *rate[2:])]
+    for i, seg in enumerate(segments[3:]):
+        cell = i % m
+        if report_binning.is_continuous:
+            lo, hi = report_binning.cell_bounds(cell)
+            seg["nu_bin"] = {"index": cell, "lo": lo, "hi": hi}
+        else:
+            seg["nu_bin"] = {"index": cell, "category": int(report_binning.categories[cell])}
+    return {
+        "marginal": segments[0],
+        "precision": precision,
+        "by_class": {"0": segments[1], "1": segments[2]},
         "counts": table,
+        "by_class_nu_bin": {"0": segments[3 : 3 + m], "1": segments[3 + m :]},
     }
-
-    by_bin: dict[str, list] = {"0": [], "1": []}
-    for label in (0, 1):
-        for cell in range(m):
-            seg = _segment_metrics(only[label] * counts[cell])
-            if report_binning.is_continuous:
-                lo, hi = report_binning.cell_bounds(cell)
-                seg["nu_bin"] = {"index": cell, "lo": lo, "hi": hi}
-            else:
-                seg["nu_bin"] = {"index": cell, "category": int(report_binning.categories[cell])}
-            by_bin[str(label)].append(seg)
-    out["by_class_nu_bin"] = by_bin
-    return out
 
 
 @dataclass

@@ -203,13 +203,21 @@ def masked_segment(y, include0, include1, mask):
     }
 
 
-def test_compute_metrics_matches_masked_reference():
+@pytest.mark.parametrize("draw", ["equal-width", "categories", "no-label-1"])
+def test_compute_metrics_matches_masked_reference(draw, tmp_path):
     rng = np.random.default_rng(5)
     n = 3000
     y = (rng.random(n) < 0.4).astype(np.int8)
-    nu = rng.uniform(1.0, 7.0, n)  # the top report bins stay empty
     include0, include1 = rng.random(n) < 0.7, rng.random(n) < 0.5
-    binning = NuBinning.equal_width(1.0, 10.0, 6)
+    if draw == "categories":
+        nu = rng.integers(0, 3, n)  # the last category stays empty
+        binning = NuBinning.discrete(range(4))
+    else:
+        nu = rng.uniform(1.0, 7.0, n)  # the top report bins stay empty
+        binning = NuBinning.equal_width(1.0, 10.0, 6)
+    if draw == "no-label-1":
+        y[:] = 0
+        include1 &= include0  # and no set is {1} alone
     cells = binning.cell_index(nu)
     got = harness.compute_metrics(y, cells, include0, include1, binning)
     assert got["marginal"] == masked_segment(y, include0, include1, np.ones(n, dtype=bool))
@@ -228,7 +236,25 @@ def test_compute_metrics_matches_masked_reference():
         "single_0_correct": int(np.sum(single0 & (y == 0))),
         "single_1_correct": int(np.sum(single1 & (y == 1))),
     }
-    assert got["by_class_nu_bin"]["0"][5]["n"] == 0
+    assert got["by_class_nu_bin"]["0"][-1]["n"] == 0
+    for label, single in (("0", single0), ("1", single1)):
+        k, hit = int(np.sum(single)), int(np.sum(single & (y == int(label))))
+        p = hit / k if k else None
+        assert got["precision"][label] == {"value": p, "se": math.sqrt(p * (1 - p) / k) if k else None, "n": k}
+    for label in ("0", "1"):
+        for cell, seg in enumerate(got["by_class_nu_bin"][label]):
+            if binning.is_continuous:
+                lo, hi = binning.cell_bounds(cell)
+                assert seg["nu_bin"] == {"index": cell, "lo": lo, "hi": hi}
+            else:
+                assert seg["nu_bin"] == {"index": cell, "category": cell}
+    if draw == "no-label-1":
+        # every rate of an empty segment is None, never NaN
+        empty = [got["by_class"]["1"], *got["by_class_nu_bin"]["1"]]
+        assert all(seg["n"] == 0 for seg in empty)
+        assert all(v is None for seg in empty for k, v in seg.items() if k not in ("n", "nu_bin"))
+        assert got["precision"]["1"] == {"value": None, "se": None, "n": 0}
+    files.write_json(tmp_path / "metrics.json", got)  # strict JSON: a NaN is refused
 
 
 def test_report_counts_reconcile():
