@@ -203,8 +203,8 @@ def masked_segment(y, include0, include1, mask):
     }
 
 
-@pytest.mark.parametrize("draw", ["equal-width", "categories", "no-label-1"])
-def test_compute_metrics_matches_masked_reference(draw, tmp_path):
+def check_compute_metrics(draw, tmp_path):
+    """compute_metrics against the masked reference on one synthetic draw."""
     rng = np.random.default_rng(5)
     n = 3000
     y = (rng.random(n) < 0.4).astype(np.int8)
@@ -255,6 +255,15 @@ def test_compute_metrics_matches_masked_reference(draw, tmp_path):
         assert all(v is None for seg in empty for k, v in seg.items() if k not in ("n", "nu_bin"))
         assert got["precision"]["1"] == {"value": None, "se": None, "n": 0}
     files.write_json(tmp_path / "metrics.json", got)  # strict JSON: a NaN is refused
+
+
+def test_compute_metrics_matches_masked_reference(tmp_path):
+    check_compute_metrics("equal-width", tmp_path)
+
+
+@pytest.mark.parametrize("draw", ["categories", "no-label-1"])
+def test_compute_metrics_matches_masked_reference_edge_draws(draw, tmp_path):
+    check_compute_metrics(draw, tmp_path)
 
 
 def test_report_counts_reconcile():
