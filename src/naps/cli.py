@@ -174,6 +174,8 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
 
 
 def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
+    if param_bins < 1:
+        raise ConfigError(f"--param-bins must be at least 1, got {param_bins}")
     result = harness.run_pit_diagnostics(config, harness.fit_pipeline(config), n_param_bins=param_bins)
     out = config.output_dir
     files.write_json(os.path.join(out, "pit.json"), result)
@@ -189,8 +191,8 @@ def cmd_sweep_gamma(config: ExperimentConfig, alpha: float, grid_spec: str) -> N
         grid = np.geomspace(lo, hi, count)
     except ValueError as exc:
         raise ConfigError(f"malformed --gamma-grid {grid_spec!r}: expected lo:hi:count") from exc
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise ConfigError(f"--gamma-grid {grid_spec!r}: its bounds must be finite and positive")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
+        raise ConfigError(f"--gamma-grid {grid_spec!r}: its bounds must be finite and positive, its count at least 1")
     result = harness.gamma_sweep(config, alpha, grid)
     out = config.output_dir
     files.write_json(os.path.join(out, "gamma_sweep.json"), result)
@@ -217,11 +219,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_evaluate(config, args.models, args.dump_predictions)
         elif args.command == "diagnose":
             cmd_diagnose(config, args.param_bins)
-        elif args.command == "sweep-gamma":
+        else:  # sweep-gamma: argparse enforces the choices
             cmd_sweep_gamma(config, args.alpha, args.gamma_grid)
-        else:  # unreachable; argparse enforces the choices
-            parser.print_usage(sys.stderr)
-            return 2
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,11 @@
 
 Generates train/calibration/evaluation data, fits the classifier and the
 per-label rejection surfaces once (``fit_pipeline``, from the calibration
-posterior, sorted once and kept for the baselines and the PIT control),
-evaluates every configured set-valued method over a grid of miscoverage
-levels, and aggregates coverage, power, precision and ambiguity tables with
-binomial standard errors. Also hosts the gamma power sweep and two checks
-of a pipeline that they take, never fit: the rejection-probability
+posterior, ranked by ``_ranked`` and kept for the baselines and the PIT
+control), evaluates every configured set-valued method over a grid of
+miscoverage levels, and aggregates coverage, power, precision and ambiguity
+tables with binomial standard errors. Also hosts the gamma power sweep and
+two checks of a pipeline that they take, never fit: the rejection-probability
 invariance check and the PIT diagnostic driver used by the CLI.
 
 Everything is deterministic given the experiment seed: sampling uses
@@ -17,6 +17,7 @@ with stable key order and full float precision.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import warnings
@@ -81,8 +82,8 @@ class GammaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "alpha-multiple"):
             raise ConfigError(f"unknown gamma rule {self.kind!r}")
-        if self.value < 0:
-            raise ConfigError("gamma rule value must be nonnegative")
+        if not 0.0 <= self.value < math.inf:
+            raise ConfigError(f"gamma rule value must be finite and nonnegative, got {self.value}")
 
     def gamma_for(self, alpha: float) -> float:
         g = self.value if self.kind == "fixed" else self.value * alpha
@@ -149,12 +150,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.train_prior is None or self.target_prior is None:
             raise ConfigError("train_prior and target_prior are required")
-        if min(self.n_train, self.n_calibration, self.n_evaluation) < 1:
-            raise ConfigError("dataset sizes must be >= 1")
         if not 0.0 < self.class1_probability < 1.0:
             raise ConfigError("class1_probability must lie strictly inside (0, 1): both labels need a Bayes factor")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ConfigError("alphas must lie strictly inside (0, 1)")
+        sizes = ("n_train", "n_calibration", "n_evaluation", "nu_bins", "report_nu_bins", "histogram_bins")
+        for key, least in [(key, 1) for key in sizes] + [("cutoff_grid_size", 2)]:
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.nu_bin_scheme not in ("equal", "geometric"):
             raise ConfigError(f"unknown binning scheme {self.nu_bin_scheme!r}")
         if self.classifier not in ("analytic-marginal", "histogram"):
@@ -220,7 +223,8 @@ class Pipeline:
     surfaces were fitted on, the posterior P(Y=1 | x) and the label per
     sample, sorted by ascending ``p1``: what the surfaces, two baselines and
     the PIT control are fitted from. ``fit_pipeline`` keeps it in memory; it
-    is never saved, so a loaded or hand-built pipeline has ``None`` there.
+    is never saved, so a loaded or hand-built pipeline has ``None`` there
+    and ranks its calibration set, redrawn, into the same record on demand.
     """
 
     model: object
@@ -264,15 +268,21 @@ def fit_pipeline(config: ExperimentConfig) -> Pipeline:
 
 
 def _fit(config: ExperimentConfig, calibration: Dataset) -> Pipeline:
-    """``fit_pipeline`` on its calibration set, drawn by the caller, which one argsort of ``p1`` orders."""
+    """``fit_pipeline`` on its calibration set, drawn by the caller and ranked by ``_ranked``."""
     model = build_model(config)
-    p1 = model.posterior1(calibration.x)
+    p1, labels, order = _ranked(model, calibration)
     binning = config.binning()
-    order = np.argsort(p1)
-    p1, labels, cells = p1[order], calibration.y[order], binning.cell_index(calibration.nu)[order]
+    cells = binning.cell_index(calibration.nu)[order]
     statistics = label_bayes_factors(p1, model.class1_prior)
     surfaces = _fit_surfaces(config, binning, statistics, labels, cells)
     return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=(p1, labels))
+
+
+def _ranked(model, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ``posterior1`` pass and one argsort: ``data``'s ascending ``p1``, its labels in that order, and the order."""
+    p1 = model.posterior1(data.x)
+    order = np.argsort(p1)
+    return p1[order], data.y[order], order
 
 
 def _fit_surfaces(
@@ -446,8 +456,8 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
     set, the one its NAPS surfaces were fitted on: the standard and
     class-conditional ones from the ``calibration_posterior`` it keeps, and
     the plug-in one from the set redrawn, which it scores its own way. A
-    pipeline without a calibration posterior, one loaded from disk, draws
-    and scores that set once if a baseline needs it. Each NAPS method's
+    pipeline loaded from disk ranks that set as the fit does, once, if a
+    standard or class-conditional baseline needs it. Each NAPS method's
     provider carries the gamma its rule gives at alpha.
     """
     return _run_scored(config, pipeline)[0]
@@ -457,31 +467,24 @@ def _run_scored(
     config: ExperimentConfig, pipeline: Pipeline | None = None
 ) -> tuple[MetricsReport, Pipeline, ScoredDataset]:
     """The report together with the pipeline and the scored evaluation set it used."""
-    calibration = None  # the calibration Dataset, once at hand
+    calibration_set = functools.cache(config.calibration_set)  # drawn at most once
     if pipeline is None:
-        calibration = config.calibration_set()
-        pipeline = _fit(config, calibration)
+        pipeline = _fit(config, calibration_set())
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
     posterior = pipeline.calibration_posterior
-    baselines: dict[str, object] = {}
+    baselines = {}  # each baseline's include_batch on the evaluation set, a function of alpha
     for spec in config.methods:
-        if spec.kind in ("naps", "bayes-point"):
-            continue
-        if posterior is None:
-            # A loaded pipeline keeps no calibration posterior: its calibration set is drawn and scored here.
-            calibration = config.calibration_set()
-            posterior = (model.posterior1(calibration.x), calibration.y)
         if spec.kind == "plug-in":
-            if calibration is None:
-                # plug-in scores the set its own way, so it is drawn but not scored
-                calibration = config.calibration_set()
-            baselines[spec.name] = PlugInConditionalBaseline.fit(model, calibration, pipeline.binning)
-        elif spec.kind == "standard":
-            baselines[spec.name] = StandardSetsBaseline.fit(*posterior)
-        else:
-            baselines[spec.name] = ClassConditionalBaseline.fit(*posterior)
+            # plug-in scores the set its own way, so it is drawn but not scored
+            plug_in = PlugInConditionalBaseline.fit(model, calibration_set(), pipeline.binning)
+            baselines[spec.name] = functools.partial(plug_in.include_batch, model, evaluation.data.x)
+        elif spec.kind in ("standard", "class-conditional"):
+            # a loaded pipeline keeps no posterior: its calibration set is ranked here, as a fit ranks it, once
+            posterior = posterior or _ranked(model, calibration_set())[:2]
+            fit = StandardSetsBaseline.fit if spec.kind == "standard" else ClassConditionalBaseline.fit
+            baselines[spec.name] = functools.partial(fit(*posterior).include_batch, evaluation.p1)
 
     report_binning = config.report_binning()
     cells = report_binning.cell_index(evaluation.data.nu)
@@ -503,10 +506,8 @@ def _run_scored(
                     "nuisance_regions": {str(y): files.jsonable(table[y].region) for y in (0, 1)},
                     "saturated_labels": [y for y in (0, 1) if table[y].saturated],
                 }
-            elif spec.kind in ("standard", "class-conditional"):
-                include0, include1 = baselines[spec.name].include_batch(evaluation.p1, alpha)
-            elif spec.kind == "plug-in":
-                include0, include1 = baselines[spec.name].include_batch(model, evaluation.data.x, alpha)
+            elif spec.name in baselines:
+                include0, include1 = baselines[spec.name](alpha)
             else:  # bayes-point
                 labels = bayes_point_batch(evaluation.p1, spec.costs)
                 include0 = labels == 0
@@ -596,7 +597,7 @@ def invariance_check(
     statistic on target-prior draws should match the calibration fit up to
     sampling noise; conditioning on (y, nu) removes the shift. The target
     CDFs are counted as the fit counts its own, by ``cell_cdfs`` on the
-    surface's grid and binning, from the target posterior sorted once.
+    surface's grid and binning, from the target draw ranked by ``_ranked``.
     Passing ``perturb_scale`` multiplies the class-0 rate parameter when
     generating target observations (while recording the unscaled nuisance),
     which breaks the shared-likelihood assumption and should blow up the
@@ -621,11 +622,11 @@ def invariance_check(
         x[mask] = -np.log1p(u * np.expm1(-nu_eff)) / nu_eff
         target = dataclasses.replace(target, x=x)
 
-    p1 = pipeline.model.posterior1(target.x)
-    order = np.argsort(p1)[::-1]  # label 0's statistic ascends along descending p1, as in the fit
-    ranked = label_bayes_factors(p1[order], pipeline.model.class1_prior)[0][0]
-    cells = surface.binning.cell_index(target.nu)[order]
-    ecdf, n = cell_cdfs(target.y[order], cells, ranked, surface.grid, surface.binning.n_cells)
+    p1, labels, order = _ranked(pipeline.model, target)
+    # label 0's statistic ascends along descending p1: read every array reversed, as in the fit
+    ranked = label_bayes_factors(p1, pipeline.model.class1_prior)[0][0][::-1]
+    cells = surface.binning.cell_index(target.nu)[order[::-1]]
+    ecdf, n = cell_cdfs(labels[::-1], cells, ranked, surface.grid, surface.binning.n_cells)
     rows, skipped = [], []
     for y in (0, 1):
         for cell in range(surface.binning.n_cells):
@@ -667,12 +668,10 @@ def run_pit_diagnostics(config: ExperimentConfig, pipeline: Pipeline, n_param_bi
     per-bin PIT failures demonstrate why marginal calibration is not enough.
 
     The control is label 0's surface fitted from the pipeline's
-    ``calibration_posterior``, already sorted, the one its own surfaces were
-    fitted from. A loaded pipeline keeps no posterior and is refused.
+    ``calibration_posterior``, the sorted record its surfaces were fitted
+    from; a loaded pipeline ranks its redrawn calibration set into the same.
     """
-    if pipeline.calibration_posterior is None:
-        raise ConfigError("the PIT control is fitted from a calibration posterior, which a loaded pipeline lacks")
-    p1, labels = pipeline.calibration_posterior
+    p1, labels = pipeline.calibration_posterior or _ranked(pipeline.model, config.calibration_set())[:2]
     eval_ds = genmodel.sample_dataset(
         config.generative("train"), config.n_evaluation, config.seed, stream_base=STREAM_DIAGNOSE
     )

@@ -37,6 +37,12 @@ from .genmodel import Dataset, NuisanceSpace
 KS_BAND_COEFFICIENT = 1.36  # asymptotic two-sided 95% Kolmogorov-Smirnov band
 
 
+def _edge_count(n_bins: int) -> int:
+    if n_bins < 1:
+        raise ConfigError(f"a nuisance binning needs at least 1 bin, got {n_bins}")
+    return n_bins + 1
+
+
 @dataclass(frozen=True)
 class NuBinning:
     """Partition of the nuisance space into cells.
@@ -59,11 +65,11 @@ class NuBinning:
 
     @classmethod
     def equal_width(cls, lo: float, hi: float, n_bins: int) -> "NuBinning":
-        return cls(edges=np.linspace(lo, hi, n_bins + 1))
+        return cls(edges=np.linspace(lo, hi, _edge_count(n_bins)))
 
     @classmethod
     def geometric(cls, lo: float, hi: float, n_bins: int) -> "NuBinning":
-        return cls(edges=np.geomspace(lo, hi, n_bins + 1))
+        return cls(edges=np.geomspace(lo, hi, _edge_count(n_bins)))
 
     @classmethod
     def discrete(cls, categories) -> "NuBinning":
@@ -72,10 +78,8 @@ class NuBinning:
     @classmethod
     def for_space(cls, space: NuisanceSpace, n_bins: int = 20, scheme: str = "equal") -> "NuBinning":
         if space.is_continuous:
-            lo, hi = space.bounds
-            if scheme == "geometric":
-                return cls.geometric(lo, hi, n_bins)
-            return cls.equal_width(lo, hi, n_bins)
+            spacing = cls.geometric if scheme == "geometric" else cls.equal_width
+            return spacing(*space.bounds, n_bins)
         return cls.discrete(space.categories)
 
     @property

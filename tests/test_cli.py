@@ -273,6 +273,11 @@ NU = {"kind": "continuous-interval", "bounds": [1.0, 10.0]}
     ],
 )
 def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, changes):
+    refused_stderr(config_path, tmp_path, argv, changes)
+
+
+def refused_stderr(config_path, tmp_path, argv, changes):
+    """The stderr of ``naps <argv>`` in a fresh interpreter on the config with ``changes``, which must exit 2 unwritten."""
     cfg = json.loads(open(config_path).read())
     cfg.update(changes)
     path = tmp_path / "config.json"
@@ -284,6 +289,29 @@ def test_malformed_input_exits_2_without_traceback(config_path, tmp_path, argv, 
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not os.path.exists(tmp_path / "o")  # refused before anything is written
+    return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, changes, named",
+    [
+        (["fit"], {"nu_bins": -3}, "nu_bins"),
+        (["simulate"], {"nu_bins": 0}, "nu_bins"),
+        (["simulate"], {"report_nu_bins": 0}, "report_nu_bins"),
+        (["simulate"], {"histogram_bins": 0}, "histogram_bins"),
+        (["simulate"], {"cutoff_grid_size": 1}, "cutoff_grid_size"),
+        (["diagnose", "--param-bins", "-3"], {}, "--param-bins"),
+        (["diagnose", "--param-bins", "0"], {}, "--param-bins"),
+        (["sweep-gamma", "--gamma-grid", "1e-4:1e-2:0"], {}, "--gamma-grid"),
+        (["evaluate", "--gamma", "nan"], {}, "gamma rule value"),
+    ],
+    ids=[
+        "fit-negative-nu-bins", "no-nu-bins", "no-report-bins", "no-histogram-bins", "one-grid-cutoff",
+        "negative-param-bins", "no-param-bins", "empty-gamma-grid", "nan-gamma",
+    ],
+)
+def test_bad_count_or_gamma_exits_2_naming_it(config_path, tmp_path, argv, changes, named):
+    assert named in refused_stderr(config_path, tmp_path, argv, changes)
 
 
 def test_point_mass_target_gives_one_point_region(config_path, tmp_path):

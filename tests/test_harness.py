@@ -78,6 +78,23 @@ def test_gamma_rule():
         harness.GammaRule("fixed", 0.3).gamma_for(0.2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+def test_gamma_rule_refuses_a_value_that_is_not_finite_and_nonnegative(value):
+    for kind in ("fixed", "alpha-multiple"):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            harness.GammaRule(kind, value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nu_bins", 0), ("nu_bins", -3), ("report_nu_bins", 0), ("histogram_bins", 0), ("cutoff_grid_size", 1),
+     ("n_train", 0), ("n_calibration", 0), ("n_evaluation", 0)],
+)
+def test_config_refuses_counts_below_their_least(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be at least"):
+        small_config(**{key: value})
+
+
 def test_run_experiment_deterministic():
     cfg = small_config()
     a = harness.run_experiment(cfg)
@@ -152,8 +169,12 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
         (lambda: harness.run_experiment(plug_in_only, pipeline=pipeline), {ev: n_ev}, 1),
         # a loaded pipeline draws and scores the calibration set once, for every baseline
         (lambda: harness.run_experiment(every_baseline, pipeline=loaded), {cal: n_cal, ev: n_ev}, 1),
+        # plug-in alone needs no calibration posterior, so a loaded pipeline only draws the set
+        (lambda: harness.run_experiment(plug_in_only, pipeline=loaded), {ev: n_ev}, 1),
         # the PIT control is fitted from the pipeline's calibration posterior
         (lambda: harness.run_pit_diagnostics(cfg, pipeline), {diag: n_ev}, 0),
+        # a loaded pipeline scores its calibration set once for it
+        (lambda: harness.run_pit_diagnostics(cfg, loaded), {cal: n_cal, diag: n_ev}, 1),
     ):
         counter.clear()
         run()
@@ -435,10 +456,9 @@ def test_discrete_scenario_end_to_end():
                 assert seg["coverage"] >= 0.9 - 3 * se_cell
 
 
-def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
-    weights = (0.4, 0.3, 0.2, 0.1)
-    prior = naps.PriorSpec(kind="discrete-weights", support=gm.DISCRETE_SPACE, weights=weights)
-    cfg = harness.ExperimentConfig(
+def discrete_toy_config():
+    prior = naps.PriorSpec(kind="discrete-weights", support=gm.DISCRETE_SPACE, weights=(0.4, 0.3, 0.2, 0.1))
+    return harness.ExperimentConfig(
         scenario=gm.SCENARIO_DISCRETE,
         train_prior=prior,
         target_prior=prior,
@@ -450,6 +470,10 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
         cutoff_grid_size=64,
         seed=11,
     )
+
+
+def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
+    cfg = discrete_toy_config()
     binnings = []
     fit_surfaces = harness._fit_surfaces
 
@@ -469,11 +493,14 @@ def test_discrete_pit_control_ignores_the_protocol(monkeypatch):
     assert max(flat) > max(aware)
 
 
-def test_pit_diagnostics_refuses_a_loaded_pipeline(tmp_path):
-    cfg = small_config()
-    harness.fit_pipeline(cfg).save(tmp_path)
-    with pytest.raises(ConfigError, match="calibration posterior"):
-        harness.run_pit_diagnostics(cfg, harness.Pipeline.load(str(tmp_path)))
+@pytest.mark.parametrize("make_config", [small_config, discrete_toy_config], ids=["analytic", "discrete-toy"])
+def test_pit_diagnostics_of_a_loaded_pipeline_equal_the_fitted_ones(tmp_path, make_config):
+    cfg = make_config()
+    pipeline = harness.fit_pipeline(cfg)
+    pipeline.save(tmp_path)
+    loaded = harness.Pipeline.load(str(tmp_path))
+    assert loaded.calibration_posterior is None
+    assert harness.run_pit_diagnostics(cfg, loaded) == harness.run_pit_diagnostics(cfg, pipeline)
 
 
 def test_pit_control_fits_label_0_alone(monkeypatch):

@@ -549,6 +549,17 @@ def test_binning_refuses_non_finite_edges(edges):
         rj.NuBinning(edges=np.array(edges))
 
 
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_binning_refuses_fewer_than_one_bin(n_bins):
+    space = naps.uniform_prior().support
+    for make in (rj.NuBinning.equal_width, rj.NuBinning.geometric):
+        with pytest.raises(ConfigError, match="at least 1 bin"):
+            make(1.0, 10.0, n_bins)
+    for scheme in ("equal", "geometric"):
+        with pytest.raises(ConfigError, match="at least 1 bin"):
+            rj.NuBinning.for_space(space, n_bins, scheme=scheme)
+
+
 def test_discrete_cell_index_matches_lookup():
     categories = (7, 2, 11, 0, 5)
     binning = rj.NuBinning.discrete(categories)
