@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 import reprlib
 import sys
@@ -62,7 +61,7 @@ def parse(cls, data):
 
 
 # What each plain annotation takes, as an error names it; a dataclass takes an object.
-_EXPECTED = {str: "a string", int: "an integer", float: "a finite number", dict: "an object of finite numbers"}
+_EXPECTED = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 @functools.cache
@@ -99,8 +98,6 @@ def _parse(tp, data, path: str):
     # a bool is no number; abs(x) <= max is False for NaN and infinities, and compares a huge int without overflow
     if not isinstance(data, accepted) or isinstance(data, bool) or tp is float and not abs(data) <= sys.float_info.max:
         raise _mismatch(path, _EXPECTED.get(tp, "an object"), data)
-    if tp is dict and not _all_finite(data):
-        raise _mismatch(path, _EXPECTED[dict], data)
     if not dataclasses.is_dataclass(tp):
         return float(data) if tp is float else data
     unknown = [f"{path}.{key}" for key in data if key not in _schema(tp)]
@@ -126,13 +123,6 @@ def _holds_bool(data: list, ndim: int) -> bool:
     for _ in range(ndim - 1):
         data = itertools.chain.from_iterable(data)
     return bool in map(type, data)
-
-
-def _all_finite(data) -> bool:
-    """Whether every number in a JSON value is finite, at any depth; an untyped ``dict`` field gets no other check."""
-    if isinstance(data, (dict, list)):
-        return all(map(_all_finite, data.values() if isinstance(data, dict) else data))
-    return not isinstance(data, float) or math.isfinite(data)
 
 
 def _parent_dir(path) -> None:

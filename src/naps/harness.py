@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import math
 import os
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError("class1_probability must lie strictly inside (0, 1): both labels need a Bayes factor")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ConfigError("alphas must lie strictly inside (0, 1)")
+        if len(set(map(float, self.alphas))) != len(self.alphas):
+            raise ConfigError(f"alphas must be distinct, got {list(self.alphas)}")
         sizes = ("n_train", "n_calibration", "n_evaluation", "nu_bins", "report_nu_bins", "histogram_bins")
         for key, least in [(key, 1) for key in sizes] + [("cutoff_grid_size", 2)]:
             if getattr(self, key) < least:
@@ -228,9 +231,12 @@ class Pipeline:
     """
 
     model: object
-    binning: NuBinning
     surfaces: dict[int, RejectionSurface]
     calibration_posterior: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def binning(self) -> NuBinning:
+        return self.surfaces[0].binning
 
     def save(self, out_dir: str) -> None:
         save_classifier(self.model, os.path.join(out_dir, "classifier.json"))
@@ -238,7 +244,15 @@ class Pipeline:
             self.surfaces[y].save(os.path.join(out_dir, f"surface_bf{y}.json"))
 
     @staticmethod
-    def load(model_dir: str) -> "Pipeline":
+    def load(model_dir: str, *, config: ExperimentConfig) -> "Pipeline":
+        """The pipeline saved in ``model_dir``, refused unless ``fit_pipeline`` would fit it under ``config``.
+
+        Checked in order: the class prior; each surface's statistic, binning
+        and ``SurfaceMetadata``, label 0's first; the classifier's kind and
+        training distribution, and a histogram's bin count and ``n_train``.
+        A refusal is a ``ConfigError`` naming the file and each differing
+        field, with its fitted and its configured value.
+        """
         path = os.path.join(model_dir, "classifier.json")
         model = load_classifier(path)
         if not 0.0 < model.class1_prior < 1.0:
@@ -247,13 +261,29 @@ class Pipeline:
         for y in (0, 1):
             path = os.path.join(model_dir, f"surface_bf{y}.json")
             surfaces[y] = RejectionSurface.load(path)
-            if surfaces[y].statistic_id != f"bayes-factor-{y}":
-                found = surfaces[y].statistic_id
-                raise ConfigError(f"malformed fitted artifact {path}: statistic {found!r}, not 'bayes-factor-{y}'")
-        # both labels' surfaces are fitted on one binning, which the pipeline takes from label 0's
-        if files.jsonable(surfaces[1].binning) != files.jsonable(surfaces[0].binning):
-            raise ConfigError(f"malformed fitted artifact {path}: its binning differs from surface_bf0.json's")
-        return Pipeline(model=model, binning=surfaces[0].binning, surfaces=surfaces)
+            fit = surfaces[y].metadata  # None in a hand-built surface, which no configuration fits
+            _refuse_unless_fitted_under(path, {
+                "statistic_id": (surfaces[y].statistic_id, f"bayes-factor-{y}"),
+                "binning": (surfaces[y].binning, config.binning()),
+                "n_calibration": (getattr(fit, "n_calibration", None), config.n_calibration),
+                "grid_size": (getattr(fit, "grid_size", None), config.cutoff_grid_size),
+                "seed": (getattr(fit, "seed", None), config.seed),
+            })
+        fields = {"kind": (model.kind, config.classifier)}
+        fields["training distribution"] = (model.config, config.generative("train"))
+        if model.kind == config.classifier == "histogram":
+            fields["histogram bins"] = (len(model.bin_posterior), config.histogram_bins)
+            fields["n_train"] = (model.n_train, config.n_train)
+        _refuse_unless_fitted_under(os.path.join(model_dir, "classifier.json"), fields)
+        return Pipeline(model=model, surfaces=surfaces)
+
+
+def _refuse_unless_fitted_under(path: str, fields: dict) -> None:
+    """Refuse the artifact ``path``, naming each field whose ``(fitted, configured)`` values differ in JSON's types."""
+    shown = {name: tuple(map(files.jsonable, pair)) for name, pair in fields.items()}
+    differ = [f"{name} is {reprlib.repr(a)}, configured {reprlib.repr(b)}" for name, (a, b) in shown.items() if a != b]
+    if differ:
+        raise ConfigError(f"fitted artifact {path} does not match the configuration: {'; '.join(differ)}")
 
 
 def build_model(config: ExperimentConfig):
@@ -275,7 +305,7 @@ def _fit(config: ExperimentConfig, calibration: Dataset) -> Pipeline:
     cells = binning.cell_index(calibration.nu)[order]
     statistics = label_bayes_factors(p1, model.class1_prior)
     surfaces = _fit_surfaces(config, binning, statistics, labels, cells)
-    return Pipeline(model=model, binning=binning, surfaces=surfaces, calibration_posterior=(p1, labels))
+    return Pipeline(model=model, surfaces=surfaces, calibration_posterior=(p1, labels))
 
 
 def _ranked(model, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ draws is uniform within every parameter-space bin.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class NuBinning:
     def __post_init__(self):
         if (self.edges is None) == (self.categories is None):
             raise ConfigError("binning needs either edges or categories, not both")
+        if self.categories is not None and len(set(self.categories)) != len(self.categories):
+            raise ConfigError(f"binning categories must be unique, got {list(self.categories)}")
         if self.edges is not None:
             e = np.asarray(self.edges, dtype=float)
             if e.ndim != 1 or len(e) < 2 or not np.all(np.isfinite(e)) or np.any(np.diff(e) <= 0):
@@ -211,6 +213,15 @@ def cell_cdfs(labels, cells, ranked, grid: np.ndarray, n_cells: int) -> tuple[np
 
 
 @dataclass(frozen=True)
+class SurfaceMetadata:
+    """What a surface was fitted under: the calibration set's size and seed, and the configured grid size."""
+
+    n_calibration: int
+    grid_size: int | None = None
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
 class RejectionSurface:
     """Fitted monotone step functions W(C; y, nu-bin) on a shared grid.
 
@@ -223,7 +234,7 @@ class RejectionSurface:
     binning: NuBinning
     grid: np.ndarray
     values: np.ndarray  # shape (2, n_cells, K)
-    metadata: dict = field(default_factory=dict)
+    metadata: SurfaceMetadata | None = None  # None in a hand-built surface
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -279,15 +290,15 @@ def fit_surface(
     zero slice. ``labels`` and ``cells`` (``binning.cell_index`` of the
     calibration ``nu``) are the samples' own, in the order of ``ranked``,
     which also gives the grid: a fit of both labels on one calibration set
-    (``harness._fit``) sorts once for both. ``seed`` and the configured
-    ``grid_size`` are kept in the metadata.
+    (``harness._fit``) sorts once for both. Its ``SurfaceMetadata`` keeps
+    ``seed``, the calibration size and the configured ``grid_size``.
     """
     ranked = _calibration_values(len(labels), ranked)
     fitted, n = cell_cdfs(labels, cells, ranked, grid.values, binning.n_cells)
     for y in (0, 1):
         if n[y].any() and not n[y].all():
             raise BinningError(f"no calibration samples in cell (y={y}, bin={int(np.argmin(n[y]))})")
-    metadata = {"n_calibration": len(labels), "grid_size": grid_size, "seed": seed}
+    metadata = SurfaceMetadata(n_calibration=len(labels), grid_size=grid_size, seed=seed)
     return RejectionSurface(statistic_id, binning, grid.values.copy(), fitted, metadata)
 
 

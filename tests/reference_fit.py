@@ -131,7 +131,7 @@ def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> Reje
                 raise BinningError(f"cell (y={y}, bin={cell}) is missing grid cutoffs")
             means = sums[cell] / counts[cell]
             values[y, cell] = np.clip(pool_adjacent_violators(means, counts[cell]), 0.0, 1.0)
-    return RejectionSurface("statistic", binning, grid, values, metadata={"n_records": len(records)})
+    return RejectionSurface("statistic", binning, grid, values)
 
 
 def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning) -> RejectionSurface:

@@ -304,10 +304,11 @@ def refused_stderr(config_path, tmp_path, argv, changes):
         (["diagnose", "--param-bins", "0"], {}, "--param-bins"),
         (["sweep-gamma", "--gamma-grid", "1e-4:1e-2:0"], {}, "--gamma-grid"),
         (["evaluate", "--gamma", "nan"], {}, "gamma rule value"),
+        (["evaluate", "--alpha", "0.1,0.1,0.10000000000000001", "--method", "naps"], {}, "alphas"),
     ],
     ids=[
         "fit-negative-nu-bins", "no-nu-bins", "no-report-bins", "no-histogram-bins", "one-grid-cutoff",
-        "negative-param-bins", "no-param-bins", "empty-gamma-grid", "nan-gamma",
+        "negative-param-bins", "no-param-bins", "empty-gamma-grid", "nan-gamma", "repeated-alpha",
     ],
 )
 def test_bad_count_or_gamma_exits_2_naming_it(config_path, tmp_path, argv, changes, named):

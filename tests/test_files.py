@@ -13,7 +13,7 @@ from naps import genmodel as gm
 from naps.classifier import load_classifier
 from naps.errors import ConfigError, DomainError
 from naps.nuisance import NuisanceRegion
-from naps.rejection import NuBinning, RejectionSurface
+from naps.rejection import NuBinning, RejectionSurface, SurfaceMetadata
 from test_harness import small_config
 
 
@@ -23,7 +23,7 @@ METHODS = (*harness.default_methods(), harness.MethodSpec(kind="bayes-point", co
 def small_surface(binning):
     grid = np.array([0.1, 0.2, 0.3])
     values = np.broadcast_to(np.array([0.0, 0.5, 1.0]), (2, binning.n_cells, 3)).copy()
-    return RejectionSurface("bayes-factor-0", binning, grid, values, metadata={"n_calibration": 7})
+    return RejectionSurface("bayes-factor-0", binning, grid, values, metadata=SurfaceMetadata(n_calibration=7))
 
 
 ANALYTIC = naps.AnalyticMarginalClassifier(naps.analytic_config(0.3, naps.truncated_gaussian_prior(5.0, 2.0)), 1e-8)
@@ -109,17 +109,25 @@ CONFIG = files.jsonable(small_config())
 @pytest.mark.parametrize(
     "load, data, message",
     [
-        (RejectionSurface.load, {**SURFACE, "metadata": {"seed": OVERFLOW}}, "RejectionSurface.metadata"),
-        (RejectionSurface.load, {**SURFACE, "metadata": {"runs": [{"seed": OVERFLOW}]}}, "RejectionSurface.metadata"),
-        (harness.ExperimentConfig.from_json_file, {**CONFIG, "class1_probability": OVERFLOW}, "class1_probability"),
-        (harness.ExperimentConfig.from_json_file, {**CONFIG, "alphas": [0.1, OVERFLOW]}, "ExperimentConfig.alphas[1]"),
+        (
+            RejectionSurface.load, {**SURFACE, "metadata": {"n_calibration": 7, "seed": OVERFLOW}},
+            "RejectionSurface.metadata.seed must be an integer",
+        ),
+        (
+            harness.ExperimentConfig.from_json_file, {**CONFIG, "class1_probability": OVERFLOW},
+            "class1_probability must be a finite number",
+        ),
+        (
+            harness.ExperimentConfig.from_json_file, {**CONFIG, "alphas": [0.1, OVERFLOW]},
+            "ExperimentConfig.alphas[1] must be a finite number",
+        ),
     ],
-    ids=["surface-metadata", "nested-surface-metadata", "config-float", "config-float-list"],
+    ids=["surface-metadata", "config-float", "config-float-list"],
 )
 def test_overflowing_number_raises_config_error(tmp_path, load, data, message):
     path = tmp_path / "file.json"
     path.write_text(json.dumps(data).replace(f'"{OVERFLOW}"', OVERFLOW))
-    with pytest.raises(ConfigError, match=re.escape(message) + ".* must be .*finite number"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load(str(path))
 
 

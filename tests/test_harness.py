@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_config_roundtrip(tmp_path):
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_config(alphas=(0.0, 0.1))
+    # 0.10000000000000001 is the float 0.1: a report would tabulate both under one key, '0.1'
+    with pytest.raises(ConfigError, match="alphas must be distinct"):
+        small_config(alphas=(0.05, 0.1, 0.10000000000000001))
     with pytest.raises(ConfigError):
         small_config(n_evaluation=0)
     with pytest.raises(ConfigError):
@@ -106,7 +110,7 @@ def test_amortization_refit_vs_loaded(tmp_path):
     for cfg in (small_config(), small_config(classifier="histogram", n_train=20_000)):
         pipeline = harness.fit_pipeline(cfg)
         pipeline.save(tmp_path / cfg.classifier)
-        loaded = harness.Pipeline.load(str(tmp_path / cfg.classifier))
+        loaded = harness.Pipeline.load(str(tmp_path / cfg.classifier), config=cfg)
         # every saved artifact reads back; the calibration posterior stays in memory
         for artifact in (lambda p: p.model, lambda p: p.binning, lambda p: p.surfaces[0], lambda p: p.surfaces[1]):
             assert files.jsonable(artifact(loaded)) == files.jsonable(artifact(pipeline))
@@ -118,6 +122,56 @@ def test_amortization_refit_vs_loaded(tmp_path):
             harness.run_experiment(cfg, pipeline=run).to_json(path)
             written.append(path.read_bytes())
         assert written[0] == written[1] == written[2]
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """``fit_pipeline`` of analytic and histogram configs, saved, by classifier kind: (config, models directory)."""
+    saved = {}
+    for cfg in (small_config(), small_config(classifier="histogram", n_train=20_000)):
+        models = tmp_path_factory.mktemp(cfg.classifier)
+        harness.fit_pipeline(cfg).save(str(models))
+        saved[cfg.classifier] = cfg, str(models)
+    return saved
+
+
+@pytest.mark.parametrize(
+    "kind, changes, artifact, field",
+    [
+        ("analytic-marginal", {"seed": 11}, "surface_bf0.json", "seed is 17, configured 11"),
+        ("analytic-marginal", {"n_calibration": 2_000}, "surface_bf0.json", "n_calibration is 20000, configured 2000"),
+        ("analytic-marginal", {"cutoff_grid_size": 50}, "surface_bf0.json", "grid_size is 100, configured 50"),
+        ("analytic-marginal", {"nu_bins": 5}, "surface_bf0.json", "binning is"),
+        ("analytic-marginal", {"nu_bin_scheme": "geometric"}, "surface_bf0.json", "binning is"),
+        ("analytic-marginal", {"train_prior": naps.truncated_gaussian_prior(5.0, 2.0)}, "classifier.json",
+         "training distribution is"),
+        ("analytic-marginal", {"classifier": "histogram"}, "classifier.json",
+         "kind is 'analytic-marginal', configured 'histogram'"),
+        ("histogram", {"classifier": "analytic-marginal"}, "classifier.json",
+         "kind is 'histogram', configured 'analytic-marginal'"),
+        ("histogram", {"histogram_bins": 32}, "classifier.json", "histogram bins is 64, configured 32"),
+        ("histogram", {"n_train": 2_000}, "classifier.json", "n_train is 20000, configured 2000"),
+    ],
+    ids=["seed", "n-calibration", "grid-size", "nu-bins", "nu-bin-scheme", "train-prior", "histogram-not-analytic",
+         "analytic-not-histogram", "histogram-bins", "n-train"],
+)
+def test_load_refuses_artifacts_fitted_under_another_config(saved_models, kind, changes, artifact, field):
+    cfg, models = saved_models[kind]
+    harness.Pipeline.load(models, config=cfg)
+    with pytest.raises(ConfigError) as refused:
+        harness.Pipeline.load(models, config=dataclasses.replace(cfg, **changes))
+    message = str(refused.value)
+    assert f"fitted artifact {os.path.join(models, artifact)} does not match the configuration" in message
+    assert field in message
+
+
+def test_library_refuses_artifacts_of_another_seed_and_binning(tmp_path):
+    # every library entry point takes a loaded pipeline, so a report, an invariance table or a PIT table
+    # would echo seed 11 and 5 bins over surfaces fitted at seed 7 on 20 bins
+    fitted = small_config(seed=7, nu_bins=20)
+    harness.fit_pipeline(fitted).save(str(tmp_path))
+    with pytest.raises(ConfigError, match=r"surface_bf0\.json does not match the configuration: binning is .*; seed is 7"):
+        harness.Pipeline.load(str(tmp_path), config=dataclasses.replace(fitted, seed=11, nu_bins=5))
 
 
 class PassCounter:
@@ -154,7 +208,7 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
     every_baseline = dataclasses.replace(cfg, methods=(*cfg.methods, plug_in))
     pipeline = harness.fit_pipeline(cfg)
     pipeline.save(tmp_path)
-    loaded = harness.Pipeline.load(str(tmp_path))
+    loaded = harness.Pipeline.load(str(tmp_path), config=cfg)
     cal, ev, diag = harness.STREAM_CALIBRATION, harness.STREAM_EVALUATION, harness.STREAM_DIAGNOSE
     n_cal, n_ev = cfg.n_calibration, cfg.n_evaluation
     counter = PassCounter(monkeypatch)
@@ -380,7 +434,7 @@ def saturating_pipeline(cfg):
     values[1] = [0.0, 0.5, 1.0]
     surface = RejectionSurface(statistic_id="hand", binning=binning, grid=grid, values=values)
     model = naps.AnalyticMarginalClassifier(cfg.generative("train"))
-    return harness.Pipeline(model=model, binning=binning, surfaces={0: surface, 1: surface})
+    return harness.Pipeline(model=model, surfaces={0: surface, 1: surface})
 
 
 def _reject_constant(token):
@@ -498,7 +552,7 @@ def test_pit_diagnostics_of_a_loaded_pipeline_equal_the_fitted_ones(tmp_path, ma
     cfg = make_config()
     pipeline = harness.fit_pipeline(cfg)
     pipeline.save(tmp_path)
-    loaded = harness.Pipeline.load(str(tmp_path))
+    loaded = harness.Pipeline.load(str(tmp_path), config=cfg)
     assert loaded.calibration_posterior is None
     assert harness.run_pit_diagnostics(cfg, loaded) == harness.run_pit_diagnostics(cfg, pipeline)
 

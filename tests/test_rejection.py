@@ -575,6 +575,17 @@ def test_discrete_cell_index_matches_lookup():
             binning.cell_index(unknown)
 
 
+def test_binning_refuses_repeated_categories():
+    # (0, 0, 1) would have 3 cells, and cell_index([0, 1]) would give [0, 2]: cell 1 could never fill
+    with pytest.raises(ConfigError, match="categories must be unique"):
+        rj.NuBinning.discrete((0, 0, 1))
+    surface = rj.RejectionSurface("s", rj.NuBinning.discrete((0, 1, 2)), np.array([0.5, 1.0]), np.zeros((2, 3, 2)))
+    data = files.jsonable(surface)
+    data["binning"]["categories"] = [0, 0, 1]
+    with pytest.raises(ConfigError, match=r"RejectionSurface\.binning: binning categories must be unique"):
+        files.parse(rj.RejectionSurface, data)
+
+
 def test_binning_region_intersection():
     from naps.nuisance import NuisanceRegion
 
