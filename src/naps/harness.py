@@ -48,6 +48,7 @@ from .prediction_sets import (
     PlugInConditionalBaseline,
     StandardSetsBaseline,
     bayes_point_batch,
+    class_scores,
 )
 from .rejection import (
     NuBinning,
@@ -225,9 +226,12 @@ class Pipeline:
     ``calibration_posterior`` is the ``(p1, y)`` of the calibration set the
     surfaces were fitted on, the posterior P(Y=1 | x) and the label per
     sample, sorted by ascending ``p1``: what the surfaces, two baselines and
-    the PIT control are fitted from. ``fit_pipeline`` keeps it in memory; it
-    is never saved, so a loaded or hand-built pipeline has ``None`` there
-    and ranks its calibration set, redrawn, into the same record on demand.
+    the PIT control are fitted from. The standard and class-conditional
+    baselines read each label's ascending scores straight off that order
+    (``class_scores``, once per run for both) and sort nothing.
+    ``fit_pipeline`` keeps it in memory; it is never saved, so a loaded or
+    hand-built pipeline has ``None`` there and ranks its calibration set,
+    redrawn, into the same record on demand.
     """
 
     model: object
@@ -377,21 +381,45 @@ def _rates(numer: np.ndarray, denom: np.ndarray) -> tuple[list, list]:
     return np.where(empty, None, p).tolist(), np.where(empty, None, se).tolist()
 
 
-def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> dict:
+@dataclass(frozen=True)
+class ReportRows:
+    """An evaluation set as ``compute_metrics`` counts it, built once and shared by every (method, alpha).
+
+    ``code`` holds each row's (report cell, label) part of the count code,
+    ``(cell * 2 + y) * 4``, which ``compute_metrics`` completes with the
+    row's two inclusions; it has the narrowest unsigned type that holds
+    every code, so each count reads as few bytes as it can. ``nu_bins``
+    holds each report cell's ``nu_bin`` record.
+    """
+
+    code: np.ndarray
+    nu_bins: tuple[dict, ...]
+
+
+def report_rows(y, cells, report_binning: NuBinning) -> ReportRows:
+    """The ``ReportRows`` of labels ``y`` whose ``report_binning.cell_index`` is ``cells``."""
+    code = (np.asarray(cells, dtype=np.intp) * 2 + np.asarray(y)) * 4
+    code = code.astype(np.min_scalar_type(8 * report_binning.n_cells - 1))
+    if report_binning.is_continuous:
+        bounds = (report_binning.cell_bounds(cell) for cell in range(report_binning.n_cells))
+        nu_bins = tuple({"index": cell, "lo": lo, "hi": hi} for cell, (lo, hi) in enumerate(bounds))
+    else:
+        nu_bins = tuple({"index": cell, "category": int(c)} for cell, c in enumerate(report_binning.categories))
+    return ReportRows(code=code, nu_bins=nu_bins)
+
+
+def compute_metrics(rows: ReportRows, include0, include1) -> dict:
     """Coverage/power/precision tables: marginal, per class, per (class, bin).
 
-    ``cells`` is each point's ``report_binning.cell_index``. One count over
-    the code (cell, y, include0, include1); every table is a sum over that
-    count tensor. The segments (the marginal, each class, each (class, bin))
-    are stacked as ``t[segment, y, include0, include1]`` and their rates are
+    One count over the code (cell, y, include0, include1), whose per-row
+    (cell, y) part ``rows`` holds; every table is a sum over that count
+    tensor. The segments (the marginal, each class, each (class, bin)) are
+    stacked as ``t[segment, y, include0, include1]`` and their rates are
     derived in one vectorized pass.
     """
-    y = np.asarray(y).astype(np.intp)
-    include0 = np.asarray(include0, dtype=bool)
-    include1 = np.asarray(include1, dtype=bool)
-    m = report_binning.n_cells
-    code = ((cells * 2 + y) * 2 + include0) * 2 + include1
-    counts = np.bincount(code, minlength=8 * m).reshape(m, 2, 2, 2)
+    m = len(rows.nu_bins)
+    inclusions = np.asarray(include0, dtype=bool).view(np.uint8) << 1 | np.asarray(include1, dtype=bool).view(np.uint8)
+    counts = np.bincount(rows.code + inclusions, minlength=8 * m).reshape(m, 2, 2, 2)
     total = counts.sum(axis=0)
     only = np.eye(2, dtype=counts.dtype)[:, :, None, None]  # only[y] keeps label y's counts
 
@@ -425,12 +453,7 @@ def compute_metrics(y, cells, include0, include1, report_binning: NuBinning) -> 
     keys = ("n", "coverage", "coverage_se", "power", "power_se", "ambiguity_rate", "empty_rate", "mean_set_size")
     segments = [dict(zip(keys, row)) for row in zip(n.tolist(), rate[0], se[0], rate[1], se[1], *rate[2:])]
     for i, seg in enumerate(segments[3:]):
-        cell = i % m
-        if report_binning.is_continuous:
-            lo, hi = report_binning.cell_bounds(cell)
-            seg["nu_bin"] = {"index": cell, "lo": lo, "hi": hi}
-        else:
-            seg["nu_bin"] = {"index": cell, "category": int(report_binning.categories[cell])}
+        seg["nu_bin"] = dict(rows.nu_bins[i % m])
     return {
         "marginal": segments[0],
         "precision": precision,
@@ -487,8 +510,10 @@ def run_experiment(config: ExperimentConfig, pipeline: Pipeline | None = None) -
     class-conditional ones from the ``calibration_posterior`` it keeps, and
     the plug-in one from the set redrawn, which it scores its own way. A
     pipeline loaded from disk ranks that set as the fit does, once, if a
-    standard or class-conditional baseline needs it. Each NAPS method's
-    provider carries the gamma its rule gives at alpha.
+    standard or class-conditional baseline needs it. The posterior is split
+    by class once for both, and the metrics' per-row (cell, label) code is
+    built once for every (method, alpha). Each NAPS method's provider
+    carries the gamma its rule gives at alpha.
     """
     return _run_scored(config, pipeline)[0]
 
@@ -503,7 +528,10 @@ def _run_scored(
     model = pipeline.model
     evaluation = score_dataset(model, config.evaluation_set())
 
+    # One class split serves both baselines. A loaded pipeline keeps no posterior: its calibration set is
+    # ranked here, as a fit ranks it, once.
     posterior = pipeline.calibration_posterior
+    split = functools.cache(lambda: class_scores(*(posterior or _ranked(model, calibration_set())[:2])))
     baselines = {}  # each baseline's include_batch on the evaluation set, a function of alpha
     for spec in config.methods:
         if spec.kind == "plug-in":
@@ -511,13 +539,11 @@ def _run_scored(
             plug_in = PlugInConditionalBaseline.fit(model, calibration_set(), pipeline.binning)
             baselines[spec.name] = functools.partial(plug_in.include_batch, model, evaluation.data.x)
         elif spec.kind in ("standard", "class-conditional"):
-            # a loaded pipeline keeps no posterior: its calibration set is ranked here, as a fit ranks it, once
-            posterior = posterior or _ranked(model, calibration_set())[:2]
-            fit = StandardSetsBaseline.fit if spec.kind == "standard" else ClassConditionalBaseline.fit
-            baselines[spec.name] = functools.partial(fit(*posterior).include_batch, evaluation.p1)
+            baseline = (StandardSetsBaseline if spec.kind == "standard" else ClassConditionalBaseline)(*split())
+            baselines[spec.name] = functools.partial(baseline.include_batch, evaluation.p1)
 
     report_binning = config.report_binning()
-    cells = report_binning.cell_index(evaluation.data.nu)
+    rows = report_rows(evaluation.data.y, report_binning.cell_index(evaluation.data.nu), report_binning)
     methods_out: dict[str, dict] = {}
     for spec in config.methods:
         alphas_out = {}
@@ -542,7 +568,7 @@ def _run_scored(
                 labels = bayes_point_batch(evaluation.p1, spec.costs)
                 include0 = labels == 0
                 include1 = labels == 1
-            tables = compute_metrics(evaluation.data.y, cells, include0, include1, report_binning)
+            tables = compute_metrics(rows, include0, include1)
             tables.update(extra)
             alphas_out[_alpha_key(alpha)] = tables
         methods_out[spec.name] = {"kind": spec.kind, "alphas": alphas_out}

@@ -12,7 +12,10 @@ to quantify how badly point estimation fails).
 
 Calibration quantiles use the lower empirical quantile: with n scores, the
 level-alpha cutoff is the ceil(alpha * n)-th smallest. This is the
-conservative choice for coverage.
+conservative choice for coverage. The standard and class-conditional
+baselines are fitted from the calibration posterior in ascending ``p1``
+order, as a fitted pipeline keeps it, and sort nothing: ``class_scores``
+splits it into each label's ascending scores.
 """
 
 from __future__ import annotations
@@ -62,13 +65,38 @@ def _members(include0: bool, include1: bool) -> tuple[int, ...]:
 
 
 def lower_quantile(sorted_scores: np.ndarray, alpha: float) -> float:
-    """ceil(alpha n)-th smallest of pre-sorted scores (1-based), floored at 1."""
-    n = len(sorted_scores)
+    """ceil(alpha n)-th smallest of ascending scores (1-based), floored at 1."""
+    return float(sorted_scores[_quantile_rank(alpha, len(sorted_scores)) - 1])
+
+
+def _quantile_rank(alpha: float, n: int) -> int:
+    """The 1-based rank of ``lower_quantile`` among n scores: ceil(alpha n), within [1, n]."""
     if n == 0:
         raise ConfigError("cannot take a quantile of zero scores")
-    k = int(math.ceil(alpha * n - 1e-9))
-    k = min(max(k, 1), n)
-    return float(sorted_scores[k - 1])
+    return min(max(int(math.ceil(alpha * n - 1e-9)), 1), n)
+
+
+def class_scores(p1: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each label's calibration scores in ascending order, split from a ranked posterior.
+
+    ``p1`` is a calibration set's posterior P(Y=1 | x) in ascending order,
+    and ``y`` its labels in that order. Label 1's scores are its ``p1`` as
+    they stand, and label 0's are its ``1 - p1`` reversed: rounding is
+    monotone, so that is their ascending order bit for bit, and nothing is
+    sorted. A posterior that is not finite, not inside [0, 1], not ascending
+    or not one per label is a ``ConfigError``.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    y = np.asarray(y)
+    if p1.ndim != 1 or p1.shape != y.shape:
+        raise ConfigError(f"the calibration posterior needs one value per label, got shapes {p1.shape} and {y.shape}")
+    # NaN fails every comparison, so an ascending posterior with both ends in [0, 1] is finite and inside it
+    if len(p1) and not (0.0 <= p1[0] and p1[-1] <= 1.0 and np.all(p1[1:] >= p1[:-1])):
+        raise ConfigError("the calibration posterior must be finite, inside [0, 1] and in ascending order")
+    is1 = y == 1
+    scores0 = np.compress(~is1, p1)
+    np.subtract(1.0, scores0, out=scores0)
+    return scores0[::-1], np.compress(is1, p1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +246,41 @@ class BatchPredictions:
 
 @dataclass(frozen=True)
 class StandardSetsBaseline:
-    """Single cutoff on the true-label posterior score, calibrated marginally."""
+    """Single cutoff on the true-label posterior score, calibrated marginally.
 
-    sorted_scores: np.ndarray
+    It keeps each label's calibration scores as ``class_scores`` splits
+    them, and takes its cutoff from the two ascending runs as if merged.
+    """
+
+    sorted_scores0: np.ndarray
+    sorted_scores1: np.ndarray
+
+    def __post_init__(self):
+        if len(self.sorted_scores0) + len(self.sorted_scores1) == 0:
+            raise ConfigError("standard sets need a nonempty calibration set")
 
     @classmethod
     def fit(cls, p1: np.ndarray, y: np.ndarray) -> "StandardSetsBaseline":
-        """From the calibration set's posterior P(Y=1 | x) ``p1`` and labels ``y``."""
-        if len(y) == 0:
-            raise ConfigError("standard sets need a nonempty calibration set")
-        scores = np.where(y == 1, p1, 1.0 - p1)
-        return cls(sorted_scores=np.sort(scores))
+        """From a calibration set's posterior P(Y=1 | x) ``p1``, ascending, and its labels ``y`` in that order."""
+        return cls(*class_scores(p1, y))
 
     def cutoff(self, alpha: float) -> float:
-        return lower_quantile(self.sorted_scores, alpha)
+        """``lower_quantile`` of both labels' scores together: the k-th smallest of two ascending runs.
+
+        Bisection finds how many of the k come from label 0's run: the
+        fewest ``i`` whose next label-0 score is not below the last of the
+        ``k - i`` label-1 scores taken.
+        """
+        a, b = self.sorted_scores0, self.sorted_scores1
+        k = _quantile_rank(alpha, len(a) + len(b))
+        lo, hi = max(0, k - len(b)), min(k, len(a))
+        while lo < hi:
+            i = (lo + hi) // 2
+            if a[i] < b[k - i - 1]:
+                lo = i + 1
+            else:
+                hi = i
+        return float(max(a[lo - 1] if lo else -math.inf, b[k - lo - 1] if lo < k else -math.inf))
 
     def include_batch(self, p1_eval: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         c = self.cutoff(alpha)
@@ -240,22 +289,19 @@ class StandardSetsBaseline:
 
 @dataclass(frozen=True)
 class ClassConditionalBaseline:
-    """Per-class cutoffs on per-class posterior scores."""
+    """Per-class cutoffs on per-class posterior scores, split by ``class_scores``."""
 
     sorted_scores0: np.ndarray
     sorted_scores1: np.ndarray
 
+    def __post_init__(self):
+        if len(self.sorted_scores0) == 0 or len(self.sorted_scores1) == 0:
+            raise ConfigError("class-conditional sets need calibration samples of both classes")
+
     @classmethod
     def fit(cls, p1: np.ndarray, y: np.ndarray) -> "ClassConditionalBaseline":
-        """From the calibration set's posterior P(Y=1 | x) ``p1`` and labels ``y``."""
-        m0 = y == 0
-        m1 = y == 1
-        if not np.any(m0) or not np.any(m1):
-            raise ConfigError("class-conditional sets need calibration samples of both classes")
-        return cls(
-            sorted_scores0=np.sort(1.0 - p1[m0]),
-            sorted_scores1=np.sort(p1[m1]),
-        )
+        """From a calibration set's posterior P(Y=1 | x) ``p1``, ascending, and its labels ``y`` in that order."""
+        return cls(*class_scores(p1, y))
 
     def cutoffs(self, alpha: float) -> tuple[float, float]:
         return (

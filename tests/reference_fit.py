@@ -13,6 +13,11 @@ order, as a two-label fit does once for both labels.
 
 ``toy_log_pmf`` is the discrete toy's Poisson log-likelihood, the independent
 reference for the toy posterior.
+
+``standard_cutoff`` and ``class_conditional_cutoffs`` calibrate the two
+split-conformal baselines by sorting their scores, in any order of the
+calibration posterior; ``naps.prediction_sets`` reads the same cutoffs off
+the posterior in ascending order, without sorting.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from scipy import special
 from naps import genmodel as gm
 from naps.errors import BinningError, ConfigError
 from naps.genmodel import Dataset
+from naps.prediction_sets import lower_quantile
 from naps.rejection import CutoffGrid, NuBinning, RejectionSurface, _calibration_values, fit_surface
 
 
@@ -151,3 +157,15 @@ def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:
     if rates.ndim == 1:
         rates = rates[None, :]
     return np.sum(x * np.log(rates) - rates - special.gammaln(x + 1.0), axis=-1)
+
+
+def standard_cutoff(p1, y, alpha: float) -> float:
+    """The standard baseline's cutoff: the lower quantile of every point's true-label score, sorted."""
+    return lower_quantile(np.sort(np.where(y == 1, p1, 1.0 - p1)), alpha)
+
+
+def class_conditional_cutoffs(p1, y, alpha: float) -> tuple[float, float]:
+    """The class-conditional baseline's cutoffs: each label's lower quantile of its own scores, sorted."""
+    if not np.any(y == 0) or not np.any(y == 1):
+        raise ConfigError("class-conditional sets need calibration samples of both classes")
+    return lower_quantile(np.sort(1.0 - p1[y == 0]), alpha), lower_quantile(np.sort(p1[y == 1]), alpha)

@@ -236,6 +236,37 @@ def test_each_dataset_drawn_and_scored_once(monkeypatch, tmp_path):
         assert counter.draws[cal] == cal_draws
 
 
+def test_prefitted_run_sorts_no_calibration_sized_array(monkeypatch):
+    # the baselines read the fitted pipeline's ranked posterior
+    cfg = small_config()
+    assert cfg.methods == harness.default_methods()
+    pipeline = harness.fit_pipeline(cfg)
+    sizes = []
+    for name in ("sort", "argsort"):
+        def spy(a, *args, real=getattr(np, name), **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    harness.run_experiment(cfg, pipeline)
+    assert [size for size in sizes if size >= cfg.n_calibration] == []
+
+
+def test_one_class_split_per_run(monkeypatch, tmp_path):
+    cfg = small_config()
+    pipeline = harness.fit_pipeline(cfg)
+    pipeline.save(tmp_path)
+    loaded = harness.Pipeline.load(str(tmp_path), config=cfg)
+    splits = []
+    real = harness.class_scores
+    monkeypatch.setattr(harness, "class_scores", lambda p1, y: splits.append(len(p1)) or real(p1, y))
+    for methods, used in ((cfg.methods, pipeline), (cfg.methods[2:], loaded), (cfg.methods[:2], pipeline)):
+        splits.clear()
+        harness.run_experiment(dataclasses.replace(cfg, methods=methods), used)
+        baselines = [m for m in methods if m.kind in ("standard", "class-conditional")]
+        assert splits == ([cfg.n_calibration] if baselines else [])
+
+
 @pytest.mark.parametrize("prefitted", [False, True])
 def test_evaluate_dump_draws_and_scores_each_dataset_once(tmp_path, monkeypatch, prefitted):
     cfg = small_config()
@@ -294,7 +325,7 @@ def check_compute_metrics(draw, tmp_path):
         y[:] = 0
         include1 &= include0  # and no set is {1} alone
     cells = binning.cell_index(nu)
-    got = harness.compute_metrics(y, cells, include0, include1, binning)
+    got = harness.compute_metrics(harness.report_rows(y, cells, binning), include0, include1)
     assert got["marginal"] == masked_segment(y, include0, include1, np.ones(n, dtype=bool))
     for label in (0, 1):
         assert got["by_class"][str(label)] == masked_segment(y, include0, include1, y == label)

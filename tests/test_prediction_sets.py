@@ -3,6 +3,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naps
 from naps import genmodel as gm
@@ -12,6 +14,7 @@ from naps.cutoffs import CutoffRequest, cutoff_for_region
 from naps.errors import ConfigError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
 from naps.rejection import NuBinning
+from reference_fit import class_conditional_cutoffs, standard_cutoff
 
 X0_STAR_005 = 0.9175778871209889
 X1_STAR_005 = 0.0824221128790111
@@ -176,12 +179,18 @@ def linear_calibration(n, seed):
     return naps.Dataset(gm.SCENARIO_ANALYTIC, y, np.full(n, 5.0), x)
 
 
+def ranked(p1, y):
+    """A calibration posterior and its labels in ascending ``p1`` order, as the baselines take them."""
+    order = np.argsort(p1)
+    return p1[order], y[order]
+
+
 def test_standard_sets_quantile_limit():
     model = LinearModel()
     cal = linear_calibration(500, seed=0)
-    baseline = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
+    baseline = ps.StandardSetsBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     cutoff = baseline.cutoff(1e-9)
-    assert cutoff == baseline.sorted_scores[0]
+    assert cutoff == min(baseline.sorted_scores0[0], baseline.sorted_scores1[0])
     # any point whose both-label scores exceed the smallest score gets both labels
     include0, include1 = baseline.include_batch(model.posterior1(np.array([0.5])), 1e-9)
     assert (bool(include0[0]), bool(include1[0])) == (True, True)
@@ -190,7 +199,7 @@ def test_standard_sets_quantile_limit():
 def test_standard_sets_marginal_coverage_no_shift(model, uniform_gen):
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=31)
     ev = gm.sample_dataset(uniform_gen, 20_000, seed=32)
-    baseline = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
+    baseline = ps.StandardSetsBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     p1 = model.posterior1(ev.x)
     for alpha in (0.1, 0.2):
         i0, i1 = baseline.include_batch(p1, alpha)
@@ -202,7 +211,7 @@ def test_standard_sets_marginal_coverage_no_shift(model, uniform_gen):
 def test_class_conditional_symmetric_cutoffs():
     model = LinearModel()
     cal = linear_calibration(40_000, seed=1)
-    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
+    baseline = ps.ClassConditionalBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     c0, c1 = baseline.cutoffs(0.1)
     # the construction is label-symmetric, so the two cutoffs agree up to noise
     assert abs(c0 - c1) < 0.02
@@ -211,7 +220,7 @@ def test_class_conditional_symmetric_cutoffs():
 def test_class_conditional_per_class_coverage(model, uniform_gen):
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=33)
     ev = gm.sample_dataset(uniform_gen, 20_000, seed=34)
-    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
+    baseline = ps.ClassConditionalBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     p1 = model.posterior1(ev.x)
     alpha = 0.1
     i0, i1 = baseline.include_batch(p1, alpha)
@@ -225,7 +234,7 @@ def test_class_conditional_per_class_coverage(model, uniform_gen):
 def test_class_conditional_fails_at_nu_1(model, uniform_gen):
     # conditioning on the hardest nuisance value exposes the invalidity
     cal = gm.sample_dataset(uniform_gen, 50_000, seed=35)
-    baseline = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
+    baseline = ps.ClassConditionalBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     xs = gm.sample_dataset(gm.analytic_config(0.0, gm.point_mass_prior(1.0)), 20_000, seed=36).x
     i0, _ = baseline.include_batch(model.posterior1(xs), 0.1)
     cov = np.mean(i0)
@@ -239,12 +248,63 @@ def test_class_conditional_requires_both_classes():
     keep = cal.y == 1
     one_class = naps.Dataset(cal.scenario, cal.y[keep], cal.nu[keep], cal.x[keep])
     with pytest.raises(ConfigError):
-        ps.ClassConditionalBaseline.fit(model.posterior1(one_class.x), one_class.y)
+        ps.ClassConditionalBaseline.fit(*ranked(model.posterior1(one_class.x), one_class.y))
 
 
 def test_standard_sets_require_a_calibration_set():
     with pytest.raises(ConfigError, match="nonempty calibration set"):
         ps.StandardSetsBaseline.fit(np.array([]), np.array([], dtype=np.int8))
+
+
+BASELINES = (ps.StandardSetsBaseline, ps.ClassConditionalBaseline)
+
+
+@pytest.mark.parametrize("baseline", BASELINES)
+@pytest.mark.parametrize(
+    "p1, y, fault",
+    [
+        ([0.2, np.nan, 0.7, 0.9], [1, 0, 1, 1], "finite"),
+        ([0.2, 0.7, 0.9, np.inf], [1, 0, 1, 1], "finite"),
+        ([-3.0, 0.2, 1.5], [1, 0, 1], r"inside \[0, 1\]"),
+        ([0.2, 1.5, -3.0], [1, 0, 1], "ascending"),
+        ([0.2, 0.7, 0.9], [1, 0], "one value per label"),
+        ([0.2, 0.7], [1, 0, 1], "one value per label"),
+    ],
+)
+def test_baselines_refuse_a_malformed_posterior(baseline, p1, y, fault):
+    with pytest.raises(ConfigError, match=fault):
+        baseline.fit(np.array(p1), np.array(y, dtype=np.int8))
+
+
+@st.composite
+def ranked_calibrations(draw):
+    """A ranked calibration posterior with ties, exact 0s and 1s and sometimes one label absent, and an alpha."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 8, 1000, None]))  # None keeps every float
+    p1 = rng.random(n) if levels is None else np.round(rng.random(n) * levels) / levels
+    y = (rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))).astype(np.int8)
+    alpha = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, n).map(lambda j: j / n)))
+    order = np.argsort(p1)
+    return p1[order], y[order], alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=ranked_calibrations())
+def test_baseline_cutoffs_equal_the_sorting_references(draw):
+    p1, y, alpha = draw
+    shuffled = np.random.default_rng(len(p1)).permutation(len(p1))  # the references take any order
+    got = ps.StandardSetsBaseline.fit(p1, y).cutoff(alpha)
+    assert np.float64(got).tobytes() == np.float64(standard_cutoff(p1[shuffled], y[shuffled], alpha)).tobytes()
+    if np.all(y == y[0]):
+        with pytest.raises(ConfigError, match="both classes"):
+            ps.ClassConditionalBaseline.fit(p1, y)
+        with pytest.raises(ConfigError, match="both classes"):
+            class_conditional_cutoffs(p1[shuffled], y[shuffled], alpha)
+        return
+    got = ps.ClassConditionalBaseline.fit(p1, y).cutoffs(alpha)
+    want = class_conditional_cutoffs(p1[shuffled], y[shuffled], alpha)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_bayes_point_thresholds(model):
@@ -290,7 +350,7 @@ def test_plug_in_point_mass_reduces_to_class_conditional():
             return self.base.posterior1_given_nu(x, self.nu0)
 
     known = KnownNuModel(model, 3.8)
-    cc = ps.ClassConditionalBaseline.fit(known.posterior1(cal.x), cal.y)
+    cc = ps.ClassConditionalBaseline.fit(*ranked(known.posterior1(cal.x), cal.y))
     ev = np.linspace(0.0, 1.0, 301)
     for alpha in (0.05, 0.2):
         pi0, pi1 = plug.include_batch(model, ev, alpha)
@@ -320,8 +380,8 @@ def test_baselines_single_point_matches_batch(model, uniform_gen):
     # baselines are fitted once; one point is a batch of one
     cal = gm.sample_dataset(uniform_gen, 5000, seed=42)
     xs = np.array([0.05, 0.5, 0.95])
-    std = ps.StandardSetsBaseline.fit(model.posterior1(cal.x), cal.y)
-    cc = ps.ClassConditionalBaseline.fit(model.posterior1(cal.x), cal.y)
+    std = ps.StandardSetsBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
+    cc = ps.ClassConditionalBaseline.fit(*ranked(model.posterior1(cal.x), cal.y))
     plug = ps.PlugInConditionalBaseline.fit(model, cal, NuBinning.equal_width(1.0, 10.0, 5))
     for include in (
         lambda x: std.include_batch(model.posterior1(x), 0.1),
