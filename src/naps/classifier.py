@@ -232,9 +232,10 @@ class HistogramClassifier:
     """Per-bin class-1 frequency with add-one smoothing.
 
     Evaluation clamps x into the nearest bin, so the posterior is defined on
-    the whole real line and stays strictly inside (0, 1). ``config`` and
-    ``n_train`` are the training configuration and size it was fitted under,
-    recorded so that a saved histogram is not evaluated under another one.
+    the whole real line and stays strictly inside (0, 1); a NaN x is a
+    ``DomainError``. ``config`` and ``n_train`` are the training
+    configuration and size it was fitted under, recorded so that a saved
+    histogram is not evaluated under another one.
     """
 
     bin_edges: np.ndarray
@@ -254,6 +255,8 @@ class HistogramClassifier:
 
     def posterior1(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DomainError("x must not be NaN")
         idx = np.searchsorted(self.bin_edges, x, side="right") - 1
         idx = np.clip(idx, 0, len(self.bin_posterior) - 1)
         out = self.bin_posterior[idx]

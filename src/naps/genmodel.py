@@ -332,7 +332,7 @@ def analytic_config(class1_probability: float, nuisance_prior: PriorSpec) -> Gen
 
 def _check_unit_interval(x, name="x"):
     x = np.asarray(x, dtype=float)
-    if (x < 0.0).any() or (x > 1.0).any():
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # a NaN fails both
         raise DomainError(f"{name} must lie in [0, 1]")
     return x
 

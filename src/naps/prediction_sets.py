@@ -84,7 +84,7 @@ def class_scores(p1: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     they stand, and label 0's are its ``1 - p1`` reversed: rounding is
     monotone, so that is their ascending order bit for bit, and nothing is
     sorted. A posterior that is not finite, not inside [0, 1], not ascending
-    or not one per label is a ``ConfigError``.
+    or not one per label is a ``ConfigError``, as is a label other than 0 or 1.
     """
     p1 = np.asarray(p1, dtype=float)
     y = np.asarray(y)
@@ -93,10 +93,11 @@ def class_scores(p1: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # NaN fails every comparison, so an ascending posterior with both ends in [0, 1] is finite and inside it
     if len(p1) and not (0.0 <= p1[0] and p1[-1] <= 1.0 and np.all(p1[1:] >= p1[:-1])):
         raise ConfigError("the calibration posterior must be finite, inside [0, 1] and in ascending order")
-    is1 = y == 1
-    scores0 = np.compress(~is1, p1)
+    scores0, scores1 = np.compress(y == 0, p1), np.compress(y == 1, p1)
+    if len(scores0) + len(scores1) != len(p1):
+        raise ConfigError("calibration labels must be 0 or 1")
     np.subtract(1.0, scores0, out=scores0)
-    return scores0[::-1], np.compress(is1, p1)
+    return scores0[::-1], scores1
 
 
 # ---------------------------------------------------------------------------

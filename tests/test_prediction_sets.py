@@ -11,7 +11,7 @@ from naps import genmodel as gm
 from naps import harness
 from naps import prediction_sets as ps
 from naps.cutoffs import CutoffRequest, cutoff_for_region
-from naps.errors import ConfigError
+from naps.errors import ConfigError, DomainError
 from naps.nuisance import FullSpaceProvider, OracleQuantileProvider
 from naps.rejection import NuBinning
 from reference_fit import class_conditional_cutoffs, standard_cutoff
@@ -100,6 +100,22 @@ def test_predict_statistics_bitwise_equal_to_batch(naps_clf, readme_points):
         single = naps_clf.predict(x, alpha=0.05)
         assert single.decisions[0].statistic == batch.statistic0[i]
         assert single.decisions[1].statistic == batch.statistic1[i]
+
+
+@pytest.mark.parametrize("kind", ["analytic-marginal", "histogram"])
+def test_nan_observation_is_a_domain_error(kind, fine_pipeline, uniform_gen):
+    if kind == "histogram":
+        model = naps.fit_histogram_classifier(gm.sample_dataset(uniform_gen, 2000, seed=7), 4, uniform_gen)
+    else:
+        model = fine_pipeline.model
+    provider = FullSpaceProvider(space=gm.ANALYTIC_SPACE)
+    clf = ps.NapsSetClassifier(model=model, surfaces=fine_pipeline.surfaces, providers={0: provider, 1: provider})
+    with pytest.raises(DomainError):
+        model.posterior1(np.nan)
+    with pytest.raises(DomainError):
+        model.posterior1(np.array([0.5, np.nan]))
+    with pytest.raises(DomainError):
+        clf.predict(np.nan, 0.1)
 
 
 def test_naps_empty_set_flagged(naps_clf):
@@ -269,6 +285,8 @@ BASELINES = (ps.StandardSetsBaseline, ps.ClassConditionalBaseline)
         ([0.2, 1.5, -3.0], [1, 0, 1], "ascending"),
         ([0.2, 0.7, 0.9], [1, 0], "one value per label"),
         ([0.2, 0.7], [1, 0, 1], "one value per label"),
+        ([0.2, 0.7], [2, 1], "labels must be 0 or 1"),
+        ([0.2, 0.7, 0.9], [0, -1, 1], "labels must be 0 or 1"),
     ],
 )
 def test_baselines_refuse_a_malformed_posterior(baseline, p1, y, fault):

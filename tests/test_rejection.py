@@ -513,8 +513,9 @@ def edge_probes(edges):
 
 
 CONTINUOUS_BINNINGS = {
-    **{f"equal-{n}": rj.NuBinning.equal_width(1.0, 10.0, n) for n in (1, 2, 5, 20, 200)},
-    **{f"geometric-{n}": rj.NuBinning.geometric(1.0, 10.0, n) for n in (1, 2, 5, 20, 200)},
+    # 300 cells: past 255 a cell number no longer fits one byte
+    **{f"equal-{n}": rj.NuBinning.equal_width(1.0, 10.0, n) for n in (1, 2, 5, 20, 200, 300)},
+    **{f"geometric-{n}": rj.NuBinning.geometric(1.0, 10.0, n) for n in (1, 2, 5, 20, 200, 300)},
     # cells from 1e-9 wide to 5 wide, one edge one ulp above a round value
     "irregular": rj.NuBinning(
         edges=np.array([1.0, 1.0 + 1e-9, 1.5, np.nextafter(2.125, 3.0), 2.2, 7.25, 9.9, 10.0])
