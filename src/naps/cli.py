@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="write PIT goodness-of-fit tables")
     _add_common(p)
-    p.add_argument("--models", default=None, help="directory of fitted artifacts (skips refitting)")
     p.add_argument(
         "--param-bins", type=int, default=2, help="nuisance bins per label in the PIT table (continuous spaces only)"
     )
@@ -142,11 +141,10 @@ def _first_naps_method(config: ExperimentConfig) -> harness.MethodSpec:
     raise ConfigError("--dump-predictions needs a NAPS method in the configuration")
 
 
-def cmd_diagnose(config: ExperimentConfig, models: str | None, param_bins: int) -> None:
+def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
     if param_bins < 1:
         raise ConfigError(f"--param-bins must be at least 1, got {param_bins}")
-    pipeline = Pipeline.load(models, config=config) if models else harness.fit_pipeline(config)
-    result = harness.run_pit_diagnostics(config, pipeline, n_param_bins=param_bins)
+    result = harness.run_pit_diagnostics(config, harness.fit_pipeline(config), n_param_bins=param_bins)
     out = config.output_dir
     files.write_json(os.path.join(out, "pit.json"), result)
     rows = [{"surface": name, **row} for name in ("nuisance_aware", "nuisance_ignoring") for row in result[name]]
@@ -188,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(config, args.models, args.dump_predictions)
         elif args.command == "diagnose":
-            cmd_diagnose(config, args.models, args.param_bins)
+            cmd_diagnose(config, args.param_bins)
         else:  # sweep-gamma: argparse enforces the choices
             cmd_sweep_gamma(config, args.alpha, args.gamma_grid)
     except ConfigError as exc:

@@ -172,22 +172,6 @@ def test_diagnose_outputs(config_path, tmp_path):
     assert len(lines) == 1 + 8
 
 
-def test_diagnose_with_models_matches_a_refit(config_path, tmp_path):
-    models, refit, loaded = (str(tmp_path / name) for name in ("models", "refit", "loaded"))
-    assert run(["fit", "--config", config_path, "--out", models]) == 0
-    assert run(["diagnose", "--config", config_path, "--out", refit]) == 0
-    assert run(["diagnose", "--config", config_path, "--out", loaded, "--models", models]) == 0
-    assert read_all(loaded) == read_all(refit)
-    assert set(read_all(loaded)) == {"pit.json", "pit_bins.csv"}
-    # artifacts fitted under another nu_bins are refused before anything is written
-    coarse, path = str(tmp_path / "coarse"), tmp_path / "coarse.json"
-    path.write_text(json.dumps({**json.loads(open(config_path).read()), "nu_bins": 5}))
-    assert run(["fit", "--config", str(path), "--out", coarse]) == 0
-    out = tmp_path / "refused"
-    assert run(["diagnose", "--config", config_path, "--out", str(out), "--models", coarse]) == 2
-    assert not out.exists()
-
-
 def test_sweep_gamma_row_count(config_path, tmp_path):
     out = str(tmp_path / "s")
     code = run(
