@@ -111,6 +111,16 @@ _TOY_CLASS_CENTS = np.rint(100.0 * genmodel.TOY_CLASS_SHIFT)
 _TOY_PROTOCOL_CENTS = np.rint(100.0 * genmodel.TOY_PROTOCOL_SHIFT)
 
 
+def _check_counts(x) -> np.ndarray:
+    """The toy's count vectors as floats: finite nonnegative integers, ``TOY_N_DIMS`` to a vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != genmodel.TOY_N_DIMS:
+        raise DomainError(f"a count vector has {genmodel.TOY_N_DIMS} entries, got shape {x.shape}")
+    if not ((x >= 0.0) & (x < np.inf) & (x == np.floor(x))).all():  # a NaN fails all three
+        raise DomainError("counts must be finite nonnegative integers")
+    return x
+
+
 def _toy_log_numerator(x, y: int, weights, protocols) -> np.ndarray:
     """log sum_k weights[k] p(x | y, protocols[k]), less x . TOY_LOG_BASE and the log-factorials.
 
@@ -120,7 +130,6 @@ def _toy_log_numerator(x, y: int, weights, protocols) -> np.ndarray:
     """
     from scipy import special
 
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):  # a zero weight is a -inf term
         log_w = np.log(np.asarray(weights, dtype=float))
     class_term = y * (x @ _TOY_CLASS_CENTS) / 100.0
@@ -189,6 +198,7 @@ class AnalyticMarginalClassifier:
         # Discrete toy: finite mixture over protocols.
         from scipy import special
 
+        x = _check_counts(x)
         protocols = self.config.nuisance_space.categories
         weights1 = p1 * self.config.nuisance_prior_class1.pdf(protocols)
         weights0 = (1.0 - p1) * self.config.nuisance_prior_class0.pdf(protocols)
@@ -205,6 +215,7 @@ class AnalyticMarginalClassifier:
             return num1 / (num1 + num0)
         from scipy import special
 
+        x = _check_counts(x)
         log_odds = _toy_log_numerator(x, 1, [p1], [int(nu)]) - _toy_log_numerator(x, 0, [1.0 - p1], [int(nu)])
         out = special.expit(log_odds)
         return float(out) if np.ndim(x) == 1 else out

@@ -6,7 +6,8 @@ Subcommands:
 * ``fit``         fit the classifier and rejection surfaces, write artifacts
 * ``evaluate``    run the experiment and write the metrics report
 * ``diagnose``    write PIT goodness-of-fit tables
-* ``sweep-gamma`` write the gamma power-sweep table
+* ``invariance``  write the invariance table, clean and under a perturbed likelihood
+* ``sweep-gamma`` write the gamma power-sweep table, led by the full-space gamma = 0 row
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error. Every
 subcommand is byte-reproducible under a fixed seed.
@@ -56,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--param-bins", type=int, default=2, help="nuisance bins per label in the PIT table (continuous spaces only)"
     )
+
+    p = sub.add_parser("invariance", help="write the invariance table, clean and under a perturbed likelihood")
+    _add_common(p)
 
     p = sub.add_parser("sweep-gamma", help="write the gamma power-sweep table")
     _add_common(p)
@@ -152,11 +156,20 @@ def cmd_diagnose(config: ExperimentConfig, param_bins: int) -> None:
     files.write_table(os.path.join(out, "pit_bins.csv"), header, None, [[r[k] for r in rows] for k in header])
 
 
+def cmd_invariance(config: ExperimentConfig) -> None:
+    pipeline = harness.fit_pipeline(config)
+    # a class-0 rate scaled by 1.5 breaks the shared likelihood; this check refuses a non-analytic scenario,
+    # so it runs before the clean one
+    perturbed = harness.invariance_check(config, pipeline, perturb_scale=1.5)
+    table = {"clean": harness.invariance_check(config, pipeline), "perturbed": perturbed}
+    files.write_json(os.path.join(config.output_dir, "invariance.json"), table)
+
+
 def cmd_sweep_gamma(config: ExperimentConfig, alpha: float, grid_spec: str) -> None:
     try:
         lo, hi, count = grid_spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        grid = np.geomspace(lo, hi, count)
+        grid = np.concatenate([[0.0], np.geomspace(lo, hi, count)])  # gamma = 0: the full-space reference
     except ValueError as exc:
         raise ConfigError(f"malformed --gamma-grid {grid_spec!r}: expected lo:hi:count") from exc
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
@@ -187,6 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_evaluate(config, args.models, args.dump_predictions)
         elif args.command == "diagnose":
             cmd_diagnose(config, args.param_bins)
+        elif args.command == "invariance":
+            cmd_invariance(config)
         else:  # sweep-gamma: argparse enforces the choices
             cmd_sweep_gamma(config, args.alpha, args.gamma_grid)
     except ConfigError as exc:

@@ -340,7 +340,7 @@ def _check_unit_interval(x, name="x"):
 def _check_nu(nu):
     nu = np.asarray(nu, dtype=float)
     lo, hi = ANALYTIC_SPACE.bounds
-    if np.any(nu < lo) or np.any(nu > hi):
+    if not ((nu >= lo) & (nu <= hi)).all():  # a NaN fails both
         raise DomainError(f"nu must lie in [{lo}, {hi}]")
     return nu
 
@@ -366,9 +366,7 @@ def cdf_class1(x):
 
 def quantile_class1(u):
     """Inverse of :func:`cdf_class1`: log(1 + u (e - 1))."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise DomainError("quantile level must lie in [0, 1]")
+    u = _check_unit_interval(u, "quantile level")
     # clip away one-ulp overshoot at the support endpoints
     return np.clip(np.log1p(u * E_MINUS_1), 0.0, 1.0)
 
@@ -382,9 +380,7 @@ def cdf_class0(x, nu):
 
 def quantile_class0(u, nu):
     """Inverse of :func:`cdf_class0` in x."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise DomainError("quantile level must lie in [0, 1]")
+    u = _check_unit_interval(u, "quantile level")
     nu = _check_nu(nu)
     return np.clip(-np.log1p(u * np.expm1(-nu)) / nu, 0.0, 1.0)
 
@@ -402,7 +398,7 @@ def upper_quantile_class0(alpha, nu):
     alpha = 1 maps to the lower support point 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0.0) or np.any(alpha > 1.0):
+    if not ((alpha > 0.0) & (alpha <= 1.0)).all():  # a NaN fails both
         raise DomainError("upper-quantile level must lie in (0, 1]")
     nu = _check_nu(nu)
     return -np.log(alpha * (1.0 - np.exp(-nu)) + np.exp(-nu)) / nu

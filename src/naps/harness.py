@@ -662,13 +662,13 @@ def invariance_check(
     Cells with fewer target samples than ``min_cell_count`` are skipped:
     their empirical CDFs are too noisy to certify a sup-distance bound.
     """
+    if perturb_scale is not None and config.scenario != SCENARIO_ANALYTIC:
+        raise ConfigError("the likelihood perturbation applies to the analytic scenario")
     surface = pipeline.surfaces[0]
     target = genmodel.sample_dataset(
         config.generative("target"), config.n_calibration, config.seed, stream_base=STREAM_TARGET_CHECK
     )
     if perturb_scale is not None:
-        if config.scenario != SCENARIO_ANALYTIC:
-            raise ConfigError("the likelihood perturbation applies to the analytic scenario")
         mask = target.y == 0
         u = genmodel.stream_rng(config.seed, STREAM_PERTURB).random(int(np.sum(mask)))
         nu_eff = target.nu[mask] * perturb_scale

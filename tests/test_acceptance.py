@@ -409,6 +409,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         "fit": ["fit"],
         "evaluate": ["evaluate"],
         "diagnose": ["diagnose"],
+        "invariance": ["invariance"],
         "sweep-gamma": ["sweep-gamma", "--alpha", "0.05"],
     }
     all_ok = True

@@ -477,6 +477,30 @@ def test_discrete_toy_posterior_matches_direct_mixture():
     assert isinstance(m.posterior1(x[0]), float) and m.posterior1(x[0]) == m.posterior1(x[:1])[0]
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.full(8, np.nan),
+        np.r_[-1.5, np.zeros(7)],
+        np.r_[np.inf, np.zeros(7)],
+        np.r_[2.5, np.zeros(7)],
+        np.zeros(5),
+        np.zeros((3, 9)),
+        3.0,
+    ],
+    ids=["nan", "negative", "inf", "fraction", "too-narrow", "too-wide", "scalar"],
+)
+def test_discrete_toy_refuses_counts_outside_its_domain(counts):
+    # a count is a finite nonnegative integer and a vector has TOY_N_DIMS of them, in both toy branches
+    m = toy_model((0.25, 0.25, 0.25, 0.25), (0.05, 0.05, 0.1, 0.8))
+    with pytest.raises(DomainError):
+        m.posterior1(counts)
+    with pytest.raises(DomainError):
+        m.posterior1_given_nu(counts, 2)
+    batch = np.vstack([np.zeros(8), np.ones(8)])
+    assert np.all(np.isfinite(m.posterior1(batch))) and np.isfinite(m.posterior1_given_nu(batch[1], 2))
+
+
 def test_discrete_toy_ties_are_exact():
     # x enters the posterior only through x . TOY_CLASS_SHIFT and x . TOY_PROTOCOL_SHIFT[k];
     # distinct count vectors with equal sums (in integer hundredths) must get the same float

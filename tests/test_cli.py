@@ -116,14 +116,19 @@ def test_evaluate_dump_predictions(config_path, tmp_path):
     assert len(lines) == 4000 + 1
 
 
+PROTOCOLS = {"kind": "discrete-set", "categories": [0, 1, 2, 3]}
+TOY_PRIORS = {
+    "scenario": "discrete-toy",
+    "train_prior": {"kind": "discrete-weights", "weights": [0.25] * 4, "support": PROTOCOLS},
+    "target_prior": {"kind": "discrete-weights", "weights": [0.05, 0.05, 0.1, 0.8], "support": PROTOCOLS},
+}
+
+
 def test_evaluate_dump_predictions_discrete_toy(tmp_path):
     # vector observations: one column per count
-    protocols = {"kind": "discrete-set", "categories": [0, 1, 2, 3]}
     cfg = {
-        "scenario": "discrete-toy",
+        **TOY_PRIORS,
         "class1_probability": 0.5,
-        "train_prior": {"kind": "discrete-weights", "weights": [0.25] * 4, "support": protocols},
-        "target_prior": {"kind": "discrete-weights", "weights": [0.05, 0.05, 0.1, 0.8], "support": protocols},
         "n_calibration": 8_000,
         "n_evaluation": 1_000,
         "alphas": [0.1],
@@ -138,6 +143,17 @@ def test_evaluate_dump_predictions_discrete_toy(tmp_path):
     assert lines[0].startswith("x1,x2,x3,x4,x5,x6,x7,x8,statistic0,statistic1")
     assert len(lines) == cfg["n_evaluation"] + 1
     assert all(len(line.split(",")) == 8 + 6 for line in lines)
+
+
+def test_invariance_on_discrete_toy_exits_2_writing_nothing(tmp_path, capsys):
+    # the perturbed check scales the analytic class-0 rate, which the toy does not have
+    cfg = {**TOY_PRIORS, "n_calibration": 2_000, "n_evaluation": 100, "seed": 3}
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "inv"
+    assert run(["invariance", "--config", str(path), "--out", str(out)]) == 2
+    assert "analytic scenario" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_dump_fits_once_with_the_method_provider(config_path, tmp_path, monkeypatch):
@@ -180,11 +196,12 @@ def test_sweep_gamma_row_count(config_path, tmp_path):
     )
     assert code == 0
     payload = json.loads(open(os.path.join(out, "gamma_sweep.json")).read())
-    assert len(payload["rows"]) == 12
+    assert len(payload["rows"]) == 1 + 12  # the gamma = 0 full-space reference leads the grid
+    assert payload["rows"][0]["gamma"] == 0.0 and not payload["rows"][0]["skipped"]
     skipped = payload["n_skipped"]
     assert skipped > 0  # grid extends past alpha
     lines = open(os.path.join(out, "gamma_sweep.csv")).read().splitlines()
-    assert len(lines) == 1 + 12 - skipped
+    assert len(lines) == 1 + 13 - skipped
 
 
 def test_sweep_gamma_reproducible(config_path, tmp_path):
@@ -338,13 +355,16 @@ def test_cli_files_are_well_formed(config_path, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    commands = (["simulate"], ["evaluate", "--dump-predictions"], ["diagnose", "--param-bins", "200"], ["sweep-gamma"])
+    commands = (
+        ["simulate"], ["evaluate", "--dump-predictions"], ["diagnose", "--param-bins", "200"], ["invariance"],
+        ["sweep-gamma"],
+    )
     for argv in commands:
         assert run([argv[0], "--config", str(path), "--out", str(out / argv[0]), *argv[1:]]) == 0
     written = {os.path.relpath(os.path.join(d, f), out) for d, _, names in os.walk(out) for f in names}
     assert written == {
         "simulate/calibration.csv", "simulate/evaluation.csv", "evaluate/report.json", "evaluate/report_long.csv",
-        "evaluate/naps_predictions.csv", "diagnose/pit.json", "diagnose/pit_bins.csv",
+        "evaluate/naps_predictions.csv", "diagnose/pit.json", "diagnose/pit_bins.csv", "invariance/invariance.json",
         "sweep-gamma/gamma_sweep.json", "sweep-gamma/gamma_sweep.csv",
     }
     tables = {}

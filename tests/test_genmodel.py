@@ -100,6 +100,28 @@ def test_survival_upper_quantile_class0():
         gm.upper_quantile_class0(0.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gm.density_class0(0.5, np.nan),
+        lambda: gm.cdf_class0(0.5, np.array([2.0, np.nan])),
+        lambda: gm.survival_class0(0.5, np.nan),
+        lambda: gm.quantile_class1(np.nan),
+        lambda: gm.quantile_class0(np.nan, 2.0),
+        lambda: gm.quantile_class0(np.array([0.5, np.nan]), 2.0),
+        lambda: gm.quantile_class0(0.5, np.nan),
+        lambda: gm.upper_quantile_class0(np.nan, 2.0),
+        lambda: gm.upper_quantile_class0(0.05, np.nan),
+    ],
+    ids=["density0-nu", "cdf0-nu", "survival0-nu", "quantile1-level", "quantile0-level", "quantile0-levels",
+         "quantile0-nu", "upper-quantile0-level", "upper-quantile0-nu"],
+)
+def test_nan_nuisance_or_level_is_a_domain_error(call):
+    # each check compares so that a NaN fails it, rather than passing both one-sided tests
+    with pytest.raises(DomainError):
+        call()
+
+
 @given(
     u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     nu=st.floats(min_value=1.0, max_value=10.0, allow_nan=False),
