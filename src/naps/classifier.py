@@ -207,7 +207,7 @@ class AnalyticMarginalClassifier:
         return float(out) if x.ndim == 1 else out
 
     def posterior1_given_nu(self, x, nu) -> np.ndarray:
-        """P(Y=1 | x, nu) at a fixed nuisance value."""
+        """P(Y=1 | x, nu) at a fixed nuisance value; a toy protocol outside its space is a ``DomainError``."""
         p1 = self.config.class1_probability
         if self.config.scenario == SCENARIO_ANALYTIC:
             num1 = p1 * genmodel.density_class1(x)
@@ -216,6 +216,8 @@ class AnalyticMarginalClassifier:
         from scipy import special
 
         x = _check_counts(x)
+        if np.ndim(nu) or not self.config.nuisance_space.contains(nu):
+            raise DomainError(f"protocol must be one of {list(self.config.nuisance_space.categories)}, got {nu!r}")
         log_odds = _toy_log_numerator(x, 1, [p1], [int(nu)]) - _toy_log_numerator(x, 0, [1.0 - p1], [int(nu)])
         out = special.expit(log_odds)
         return float(out) if np.ndim(x) == 1 else out

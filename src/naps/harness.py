@@ -306,9 +306,8 @@ def _fit(config: ExperimentConfig, calibration: Dataset) -> Pipeline:
     model = build_model(config)
     p1, labels, order = _ranked(model, calibration)
     binning = config.binning()
-    cells = binning.cell_index(calibration.nu)[order]
-    statistics = label_bayes_factors(p1, model.class1_prior)
-    surfaces = _fit_surfaces(config, binning, statistics, labels, cells)
+    code = binning.cell_code(calibration.y, calibration.nu)[order]
+    surfaces = _fit_surfaces(config, binning, label_bayes_factors(p1, model.class1_prior), code)
     return Pipeline(model=model, surfaces=surfaces, calibration_posterior=(p1, labels))
 
 
@@ -319,28 +318,20 @@ def _ranked(model, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p1[order], data.y[order], order
 
 
-def _fit_surfaces(
-    config: ExperimentConfig, binning: NuBinning, statistics: dict, labels, cells
-) -> dict[int, RejectionSurface]:
-    """The Bayes-factor rejection surface of each label in ``statistics``, ``{y: surface}``.
+def _fit_surfaces(config: ExperimentConfig, binning: NuBinning, statistics: dict, code) -> dict[int, RejectionSurface]:
+    """The Bayes-factor rejection surface of each label in ``statistics``, ``{y: surface}``, from one ``fit_surface``.
 
     ``statistics`` holds some labels of ``label_bayes_factors`` of an
-    ascending calibration posterior, and ``labels`` and ``cells`` are the
-    calibration labels and ``binning`` cells in its order. Label 1's
-    statistic is built from ``p1`` and label 0's from ``1 - p1`` by monotone
-    rounded operations, elementwise, so label 1's comes out ascending and
-    label 0's descending, up to ties, which counting does not see. Each
-    label's grid and its counting read the same sorted values.
+    ascending calibration posterior, and ``code`` the calibration rows'
+    ``binning.cell_code`` in its order. Label 1's statistic is built from
+    ``p1`` and label 0's from ``1 - p1`` by monotone rounded operations,
+    elementwise, so label 1's comes out ascending and label 0's descending,
+    up to ties, which counting does not see. Each label's grid reads its
+    statistic in ascending order, label 0's reversed.
     """
-    surfaces = {}
-    for y, (statistic, _) in statistics.items():
-        step = 2 * y - 1  # label 0 reads every array reversed
-        grid = cutoff_grid_from_values(statistic[::step], config.cutoff_grid_size)
-        surfaces[y] = fit_surface(
-            labels[::step], statistic[::step], grid, binning, f"bayes-factor-{y}", config.seed,
-            cells=cells[::step], grid_size=config.cutoff_grid_size,
-        )
-    return surfaces
+    values = {y: statistic for y, (statistic, _) in statistics.items()}
+    grids = {y: cutoff_grid_from_values(tau[:: 2 * y - 1], config.cutoff_grid_size) for y, tau in values.items()}
+    return fit_surface(code, values, grids, binning, "bayes-factor", config.seed, grid_size=config.cutoff_grid_size)
 
 
 def naps_cutoffs_for_alpha(
@@ -653,7 +644,8 @@ def invariance_check(
     statistic on target-prior draws should match the calibration fit up to
     sampling noise; conditioning on (y, nu) removes the shift. The target
     CDFs are counted as the fit counts its own, by ``cell_cdfs`` on the
-    surface's grid and binning, from the target draw ranked by ``_ranked``.
+    surface's grid and binning, from the target draw ranked by ``_ranked``,
+    along which label 0's statistic descends.
     Passing ``perturb_scale`` multiplies the class-0 rate parameter when
     generating target observations (while recording the unscaled nuisance),
     which breaks the shared-likelihood assumption and should blow up the
@@ -678,11 +670,10 @@ def invariance_check(
         x[mask] = -np.log1p(u * np.expm1(-nu_eff)) / nu_eff
         target = dataclasses.replace(target, x=x)
 
-    p1, labels, order = _ranked(pipeline.model, target)
-    # label 0's statistic ascends along descending p1: read every array reversed, as in the fit
-    ranked = label_bayes_factors(p1, pipeline.model.class1_prior)[0][0][::-1]
-    cells = surface.binning.cell_index(target.nu)[order[::-1]]
-    ecdf, n = cell_cdfs(labels[::-1], cells, ranked, surface.grid, surface.binning.n_cells)
+    p1, _, order = _ranked(pipeline.model, target)
+    tau0 = label_bayes_factors(p1, pipeline.model.class1_prior)[0][0]
+    code = surface.binning.cell_code(target.y, target.nu)[order]
+    ecdfs, n = cell_cdfs(code, {0: tau0}, {0: surface.grid}, surface.binning.n_cells)
     rows, skipped = [], []
     for y in (0, 1):
         for cell in range(surface.binning.n_cells):
@@ -693,7 +684,7 @@ def invariance_check(
             if n[y, cell] < min_cell_count:
                 skipped.append(entry)
                 continue
-            entry["sup_distance"] = float(np.max(np.abs(ecdf[y, cell] - surface.values[y, cell])))
+            entry["sup_distance"] = float(np.max(np.abs(ecdfs[0][y, cell] - surface.values[y, cell])))
             rows.append(entry)
     if skipped:
         warnings.warn(
@@ -735,9 +726,8 @@ def run_pit_diagnostics(config: ExperimentConfig, pipeline: Pipeline, n_param_bi
     space = config.train_prior.support
     lo, hi = space.bounds if space.is_continuous else (min(space.categories), max(space.categories))
     one_cell = NuBinning(edges=np.array([lo, hi], dtype=float)) if lo < hi else NuBinning.for_space(space, 1)
-    every_cell_0 = np.zeros(len(labels), dtype=np.intp)
     label0 = {0: label_bayes_factors(p1, pipeline.model.class1_prior)[0]}
-    flat_surface = _fit_surfaces(config, one_cell, label0, labels, every_cell_0)[0]
+    flat_surface = _fit_surfaces(config, one_cell, label0, labels)[0]  # in one cell, a row's code is its label
 
     binning = NuBinning.for_space(space, n_param_bins)
     aware = pit_diagnostics(pipeline.surfaces[0], eval_ds, tau0, binning)

@@ -5,13 +5,15 @@ grid C_1 < ... < C_K of the statistic's calibration quantiles. The paper's
 estimate augments each calibration point i with indicator records
 Z_{i,j} = 1{lambda(x_i) <= C_j} and, within each (label, nuisance-bin) cell,
 regresses Z on C by isotonic least squares. That fit is each cell's
-empirical CDF, which ``fit_surface`` counts in one pass without building the
-records; the paper-literal fit is kept in ``tests/reference_fit.py`` as the
-tests' reference. ``cell_cdfs`` is that count, shared by ``fit_surface`` and
-``harness.invariance_check``. The caller sorts the calibration set once
-(``harness._fit``), so ``fit_surface`` takes every per-sample input in the
-statistic's ascending order, label 0 reads the same arrays reversed, and
-each label's cutoff grid comes from the same sorted values.
+empirical CDF, which ``fit_surface`` counts for every statistic it is given
+in one pass, without building the records; the paper-literal fit is kept in
+``tests/reference_fit.py`` as the tests' reference. ``cell_cdfs`` is that
+count, shared by ``fit_surface`` and ``harness.invariance_check``. The
+caller sorts the calibration set by its posterior once (``harness._fit``):
+label 1's statistic ascends along that order and label 0's descends, so the
+rows at or below a cutoff are a prefix for label 1 and a suffix for label 0,
+and one count of each row's (label, cell) code between those bounds gives
+both labels' surfaces. Each label's cutoff grid reads the same sorted values.
 
 Smoothness across the nuisance parameter is handled purely by binning, so
 the estimate is a per-cell monotone step function in C. Both slices of the
@@ -121,6 +123,11 @@ class NuBinning:
             raise DomainError(f"unknown nuisance category {nu[unknown][0]}")
         return order[pos]
 
+    def cell_code(self, y, nu) -> np.ndarray:
+        """Each row's (label, cell) code ``y * n_cells + cell_index(nu)``, in the narrowest type that holds them all."""
+        code = self.cell_index(nu) + self.n_cells * np.asarray(y, dtype=np.intp)
+        return code.astype(np.min_scalar_type(2 * self.n_cells - 1))
+
     def cell_bounds(self, i: int) -> tuple[float, float]:
         if not self.is_continuous:
             raise ConfigError("cell_bounds applies to continuous binnings")
@@ -201,24 +208,29 @@ def _calibration_values(n: int, values) -> np.ndarray:
     return lam
 
 
-def cell_cdfs(labels, cells, ranked, grid: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each (label, cell)'s empirical CDF on ``grid``, shape (2, n_cells, K), and size, shape (2, n_cells).
+def cell_cdfs(code, statistics: dict, grids: dict, n_cells: int) -> tuple[dict, np.ndarray]:
+    """Each (label, cell)'s CDF of each given statistic on its grid, ``{y: shape (2, n_cells, K_y)}``, and size.
 
-    ``ranked`` holds a statistic's values in ascending order (any other is a
-    ``ValueError``), ``labels`` and ``cells`` their labels and cells. Each
-    value's column is the first cutoff at or above it (K past the last); one
-    ``bincount`` of (label, cell, column), cumulated along the columns and
-    divided by each cell's size, gives every CDF exactly; an empty cell's is 0.
+    ``code`` holds each row's ``y * n_cells + cell`` and ``statistics[y]``
+    its label-y statistic, in one row order along which label 1's statistic
+    ascends and label 0's descends. So "statistic <= cutoff" holds on a
+    prefix of the rows for label 1 and on a suffix for label 0, whose bounds
+    one ``searchsorted`` per grid finds. Every label's bounds cut the rows
+    into segments, and one ``bincount`` of (segment, code), cumulated over
+    the segments, counts each code before every bound: label 1's counts are
+    those, label 0's each size, shape (2, n_cells), less them. Each count
+    is divided by its size; an empty (label, cell)'s CDF is 0.
     """
-    if np.any(ranked[1:] < ranked[:-1]):
-        raise ValueError("the statistic's values are not in ascending order")
-    K = len(grid)
-    code = (labels.astype(np.intp) * n_cells + cells) * (K + 1)
-    bounds = np.searchsorted(ranked, grid, side="right")
-    column = np.repeat(np.arange(K + 1), np.diff(bounds, prepend=0, append=len(ranked)))
-    counts = np.bincount(code + column, minlength=2 * n_cells * (K + 1)).reshape(2, n_cells, K + 1)
-    n = counts.sum(axis=-1)
-    return np.cumsum(counts[..., :K], axis=-1) / np.maximum(n, 1)[..., None], n
+    n = len(code)
+    ends = {y: np.searchsorted(v[:: 2 * y - 1], grids[y], side="right") for y, v in statistics.items()}
+    bounds = {y: end if y else n - end for y, end in ends.items()}
+    cuts = np.unique(np.concatenate([*bounds.values(), [n]]))
+    segment = np.repeat(np.arange(len(cuts)) * (2 * n_cells), np.diff(cuts, prepend=0))
+    counts = np.bincount(segment + code, minlength=len(cuts) * 2 * n_cells).reshape(len(cuts), 2, n_cells)
+    before = np.cumsum(counts, axis=0).transpose(1, 2, 0)
+    size = before[..., -1]
+    hits = {y: np.take(before, np.searchsorted(cuts, b), axis=-1) for y, b in bounds.items()}
+    return {y: (h if y else size[..., None] - h) / np.maximum(size, 1)[..., None] for y, h in hits.items()}, size
 
 
 @dataclass(frozen=True)
@@ -278,37 +290,39 @@ class RejectionSurface:
 
 
 def fit_surface(
-    labels: np.ndarray,
-    ranked,
-    grid: CutoffGrid,
-    binning: NuBinning,
-    statistic_id: str = "statistic",
-    seed: int | None = None,
-    *,
-    cells: np.ndarray,
-    grid_size: int | None = None,
-) -> RejectionSurface:
-    """Fit the surface from calibration data: ``ranked`` the statistic's values, ascending, one finite per sample.
+    code, statistics: dict, grids: dict, binning: NuBinning, statistic_id: str = "statistic",
+    seed: int | None = None, *, grid_size: int | None = None,
+) -> dict[int, RejectionSurface]:
+    """Fit from calibration data the surface ``{y: surface}`` of each label's statistic in ``statistics``, in one count.
 
     Equivalent to the paper-literal isotonic fit of the B * K augmented
     records, which ``tests/reference_fit.py`` keeps as the tests' reference,
     but never materializes the records: within a cell, the per-cutoff mean
     of the indicators is the cell's empirical CDF of the statistic, which is
     already nondecreasing and inside [0, 1], so the isotonic fit is the
-    identity on it, and ``cell_cdfs`` counts it. An absent label keeps a
-    zero slice. ``labels`` and ``cells`` (``binning.cell_index`` of the
-    calibration ``nu``) are the samples' own, in the order of ``ranked``,
-    which also gives the grid: a fit of both labels on one calibration set
-    (``harness._fit``) sorts once for both. Its ``SurfaceMetadata`` keeps
+    identity on it, and one ``cell_cdfs`` counts it for every label at once.
+    ``code`` is the samples' ``binning.cell_code`` and ``statistics[y]``
+    their label-y statistic, one finite value each, in one order along which
+    label 1's ascends and label 0's descends (any other is a ``ValueError``):
+    ``harness._fit`` sorts the posterior once for both. ``grids[y]`` is
+    label y's ``CutoffGrid``. An absent label keeps a zero slice. Surface y
+    is named ``f"{statistic_id}-{y}"``; its ``SurfaceMetadata`` keeps
     ``seed``, the calibration size and the configured ``grid_size``.
     """
-    ranked = _calibration_values(len(labels), ranked)
-    fitted, n = cell_cdfs(labels, cells, ranked, grid.values, binning.n_cells)
+    statistics = {y: _calibration_values(len(code), values) for y, values in statistics.items()}
+    for y, values in statistics.items():
+        ascending = values[:: 2 * y - 1]
+        if np.any(ascending[1:] < ascending[:-1]):
+            raise ValueError(f"label {y}'s statistic is not in {('descending', 'ascending')[y]} order")
+    fitted, n = cell_cdfs(code, statistics, {y: grid.values for y, grid in grids.items()}, binning.n_cells)
     for y in (0, 1):
         if n[y].any() and not n[y].all():
             raise BinningError(f"no calibration samples in cell (y={y}, bin={int(np.argmin(n[y]))})")
-    metadata = SurfaceMetadata(n_calibration=len(labels), grid_size=grid_size, seed=seed)
-    return RejectionSurface(statistic_id, binning, grid.values.copy(), fitted, metadata)
+    metadata = SurfaceMetadata(n_calibration=len(code), grid_size=grid_size, seed=seed)
+    return {
+        y: RejectionSurface(f"{statistic_id}-{y}", binning, grids[y].values.copy(), cdfs, metadata)
+        for y, cdfs in fitted.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the paper's estimate of W(C; y, nu); ``naps.rejection.fit_surface`` computes
 the same surface by counting, without building the B * K records.
 
 ``lone_fit`` is ``fit_surface`` for one statistic by itself: it sorts the
-statistic's values and gathers the calibration labels and cells into their
-order, as a two-label fit does once for both labels.
+statistic's values and gathers the calibration rows' (label, cell) codes into
+their order, as a two-label fit does once for both labels.
 
 ``toy_log_pmf`` is the discrete toy's Poisson log-likelihood, the independent
 reference for the toy posterior.
@@ -141,11 +141,11 @@ def fit_rejection_surface(records: AugmentedRecords, binning: NuBinning) -> Reje
 
 
 def lone_fit(calibration: Dataset, values, grid: CutoffGrid, binning: NuBinning) -> RejectionSurface:
-    """``fit_surface`` of one statistic, with the calibration labels and cells gathered into its sorted order."""
+    """``fit_surface`` of one statistic, as label 1's, with the calibration codes gathered into its ascending order."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values)
-    cells = binning.cell_index(calibration.nu)
-    return fit_surface(calibration.y[order], values[order], grid, binning, cells=cells[order])
+    code = binning.cell_code(calibration.y, calibration.nu)[order]
+    return fit_surface(code, {1: values[order]}, {1: grid}, binning)[1]
 
 
 def toy_log_pmf(x: np.ndarray, y: int, protocol) -> np.ndarray:

@@ -501,6 +501,25 @@ def test_discrete_toy_refuses_counts_outside_its_domain(counts):
     assert np.all(np.isfinite(m.posterior1(batch))) and np.isfinite(m.posterior1_given_nu(batch[1], 2))
 
 
+@pytest.mark.parametrize(
+    "protocol", [2.7, -0.5, 4, np.nan, np.array([1, 2])], ids=["fraction", "negative", "past-the-last", "nan", "array"]
+)
+def test_discrete_toy_refuses_protocols_outside_its_space(protocol):
+    # a protocol is one of the space's categories: 2.7 must not read as protocol 2, nor -0.5 as protocol 0
+    m = toy_model((0.25, 0.25, 0.25, 0.25), (0.05, 0.05, 0.1, 0.8))
+    with pytest.raises(DomainError, match=r"protocol must be one of \[0, 1, 2, 3\]"):
+        m.posterior1_given_nu(np.arange(8), protocol)
+
+
+def test_discrete_toy_takes_each_protocol_of_its_space():
+    m = toy_model((0.25, 0.25, 0.25, 0.25), (0.05, 0.05, 0.1, 0.8))
+    x = np.arange(8)
+    for k in gm.DISCRETE_SPACE.categories:
+        expected = expit(toy_log_joint(x, 1, 0.5, k) - toy_log_joint(x, 0, 0.5, k))
+        for protocol in (k, float(k), np.int64(k)):
+            assert m.posterior1_given_nu(x, protocol) == pytest.approx(expected, rel=1e-12)
+
+
 def test_discrete_toy_ties_are_exact():
     # x enters the posterior only through x . TOY_CLASS_SHIFT and x . TOY_PROTOCOL_SHIFT[k];
     # distinct count vectors with equal sums (in integer hundredths) must get the same float

@@ -594,14 +594,15 @@ def test_pit_control_fits_label_0_alone(monkeypatch):
     fitted = []
     fit_surface = harness.fit_surface
 
-    def spy(*args, **kwargs):
-        surface = fit_surface(*args, **kwargs)
-        fitted.append(surface.statistic_id)
-        return surface
+    def spy(code, statistics, *args, **kwargs):
+        surfaces = fit_surface(code, statistics, *args, **kwargs)
+        fitted.append((sorted(statistics), [surface.statistic_id for surface in surfaces.values()]))
+        return surfaces
 
     monkeypatch.setattr(harness, "fit_surface", spy)
     harness.run_pit_diagnostics(cfg, pipeline)
-    assert fitted == ["bayes-factor-0"]
+    # one call, given label 0's statistic alone, fits label 0's surface alone
+    assert fitted == [([0], ["bayes-factor-0"])]
 
 
 def test_gamma_sweep_rows_and_minimum():

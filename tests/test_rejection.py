@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naps
+from naps import cli
 from naps import cutoffs as co
 from naps import files
 from naps import genmodel as gm
@@ -194,14 +195,33 @@ def test_fit_records_empty_cell_raises(uniform_gen):
         fit_rejection_surface(records, binning)
 
 
+def fit_both_labels(ds, rank, statistics, binning, grid_size):
+    """Both labels' surfaces from one ``fit_surface`` call, its rows sorted once by ``rank``, and each label's grid.
+
+    Each label's statistic is a function of ``rank``: label 1's nondecreasing and label 0's nonincreasing.
+    """
+    order = np.argsort(rank, kind="stable")
+    grids = {y: rj.cutoff_grid_from_values(np.sort(tau), grid_size) for y, tau in statistics.items()}
+    ranked = {y: tau[order] for y, tau in statistics.items()}
+    return rj.fit_surface(binning.cell_code(ds.y, ds.nu)[order], ranked, grids, binning), grids
+
+
+def assert_each_label_is_the_reference(ds, statistics, surfaces, grids, binning):
+    for y, tau in statistics.items():
+        reference = fit_rejection_surface(augment(ds, lambda x: tau, grids[y]), binning)
+        assert surfaces[y].statistic_id == f"statistic-{y}"
+        assert np.array_equal(surfaces[y].grid, reference.grid)
+        assert np.array_equal(surfaces[y].values, reference.values)
+
+
 def test_fit_surface_equals_records_path(uniform_gen):
+    # both labels' surfaces from one call, each equal to its own records-path fit
     ds = gm.sample_dataset(uniform_gen, 3000, seed=4)
-    grid = rj.cutoff_grid_from_values(np.sort(ds.x), 32)
+    statistics = {1: ds.x, 0: np.exp(-ds.x)}
     binning = rj.NuBinning.equal_width(1.0, 10.0, 5)
-    fused = lone_fit(ds, ds.x, grid, binning)
-    from_records = fit_rejection_surface(augment(ds, identity_statistic, grid), binning)
-    assert np.array_equal(fused.values, from_records.values)
-    assert np.array_equal(fused.grid, from_records.grid)
+    surfaces, grids = fit_both_labels(ds, ds.x, statistics, binning, 32)
+    assert sorted(surfaces) == [0, 1]
+    assert_each_label_is_the_reference(ds, statistics, surfaces, grids, binning)
 
 
 def brute_force_cdfs(ds, lam, grid, binning):
@@ -233,13 +253,15 @@ def test_fit_surface_counts_atoms_on_grid_values():
 
 
 def test_fit_surface_absent_label_keeps_zero_slice():
+    # both labels' statistics in one call: each surface keeps a zero slice for the absent label 1
     ds = toy_dataset(3000, seed=23, class1_probability=0.0)
     lam = ds.x[:, 0].astype(float)
-    grid = rj.cutoff_grid_from_values(np.sort(lam), 20)
+    statistics = {1: lam, 0: -lam}
     binning = rj.NuBinning.discrete((0, 1, 2, 3))
-    surface = lone_fit(ds, lam, grid, binning)
-    assert not np.any(surface.values[1])
-    assert np.array_equal(surface.values, brute_force_cdfs(ds, lam, grid, binning))
+    surfaces, grids = fit_both_labels(ds, lam, statistics, binning, 20)
+    for y, tau in statistics.items():
+        assert not np.any(surfaces[y].values[1]) and np.any(surfaces[y].values[0])
+        assert np.array_equal(surfaces[y].values, brute_force_cdfs(ds, tau, grids[y], binning))
 
 
 @pytest.mark.parametrize(
@@ -251,11 +273,36 @@ def test_fit_surface_absent_label_keeps_zero_slice():
     ids=["label-0", "label-1"],
 )
 def test_fit_surface_names_first_empty_cell(y, nu, message):
-    # cells [1, 3), [3, 5), [5, 7), [7, 10]; label 0's cells are checked before label 1's
+    # cells [1, 3), [3, 5), [5, 7), [7, 10]; one call for both statistics checks label 0's cells before label 1's
     ds = _tiny_dataset([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], y=y, nu=nu)
     binning = rj.NuBinning(edges=np.array([1.0, 3.0, 5.0, 7.0, 10.0]))
-    with pytest.raises(BinningError, match=message):
-        lone_fit(ds, ds.x, rj.CutoffGrid(values=np.array([0.2, 0.4])), binning)
+    grid = rj.CutoffGrid(values=np.array([0.2, 0.4]))
+    with pytest.raises(BinningError, match=rf"^no calibration samples in cell {message}$"):
+        rj.fit_surface(binning.cell_code(ds.y, ds.nu), {1: ds.x, 0: -ds.x}, {1: grid, 0: grid}, binning)
+
+
+def test_fit_surface_fits_grids_of_unequal_length_in_one_call():
+    # total counts are integer atoms; label 0's rounded statistic ties more, so np.unique drops more of its grid
+    ds = toy_dataset(5000, seed=21)
+    total = ds.x.sum(axis=1).astype(float)
+    statistics = {1: total, 0: np.round(10.0 / (1.0 + total), 1)}
+    binning = rj.NuBinning.discrete((2, 0, 3, 1))
+    surfaces, grids = fit_both_labels(ds, total, statistics, binning, 64)
+    assert len(grids[0]) < len(grids[1]) < 64
+    assert_each_label_is_the_reference(ds, statistics, surfaces, grids, binning)
+
+
+def test_an_empty_cell_is_a_configuration_error_on_the_command_line(tmp_path, capsys):
+    # 60 calibration samples cannot fill 40 cells per label; BinningError is a ConfigError, so the CLI exits 2
+    cfg = harness.ExperimentConfig(
+        train_prior=naps.uniform_prior(), target_prior=naps.uniform_prior(),
+        n_calibration=60, n_evaluation=10, nu_bins=40, cutoff_grid_size=8, seed=3,
+    )
+    path = tmp_path / "config.json"
+    files.write_json(path, cfg)
+    assert cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "models")]) == 2
+    assert capsys.readouterr().err == "configuration error: no calibration samples in cell (y=0, bin=0)\n"
+    assert not (tmp_path / "models").exists()
 
 
 README_20K = dict(
@@ -325,11 +372,17 @@ def test_shared_fit_equals_reference_on_discrete_toy():
 
 
 def test_fit_surface_refuses_unsorted_values(uniform_gen):
+    # label 1's statistic must ascend along the rows and label 0's descend
     ds = gm.sample_dataset(uniform_gen, 200, seed=13)
     grid = rj.cutoff_grid_from_values(np.sort(ds.x), 8)
     binning = rj.NuBinning.equal_width(1.0, 10.0, 2)
-    with pytest.raises(ValueError, match="not in ascending order"):
-        rj.fit_surface(ds.y, ds.x, grid, binning, cells=binning.cell_index(ds.nu))
+    code = binning.cell_code(ds.y, ds.nu)
+    with pytest.raises(ValueError, match="label 1's statistic is not in ascending order"):
+        rj.fit_surface(code, {1: ds.x}, {1: grid}, binning)
+    with pytest.raises(ValueError, match="label 0's statistic is not in descending order"):
+        rj.fit_surface(code, {0: np.sort(ds.x)}, {0: grid}, binning)
+    with pytest.raises(ValueError, match="label 1's statistic is not in ascending order"):
+        rj.fit_surface(code, {0: np.sort(ds.x)[::-1], 1: np.sort(ds.x)[::-1]}, {0: grid, 1: grid}, binning)
 
 
 @pytest.mark.parametrize(
@@ -342,8 +395,8 @@ def test_statistic_values_validated_on_both_fit_paths(uniform_gen, bad):
     binning = rj.NuBinning.equal_width(1.0, 10.0, 1)
     order = np.argsort(ds.x)
     with pytest.raises(ConfigError):
-        # the labels and cells gathered into the statistic's ascending order, as a caller hands them over
-        rj.fit_surface(ds.y[order], bad(ds.x[order]), grid, binning, cells=binning.cell_index(ds.nu)[order])
+        # the (label, cell) codes gathered into the statistic's ascending order, as a caller hands them over
+        rj.fit_surface(binning.cell_code(ds.y, ds.nu)[order], {1: bad(ds.x[order])}, {1: grid}, binning)
     with pytest.raises(ConfigError):
         augment(ds, bad, grid)
 
@@ -499,6 +552,19 @@ def test_binning_cells():
     assert disc.cell_index(np.array([2, 0])).tolist() == [2, 0]
     with pytest.raises(DomainError):
         disc.cell_index(np.array([5]))
+
+
+@pytest.mark.parametrize("n_bins, dtype", [(20, np.uint8), (128, np.uint8), (129, np.uint16)])
+def test_cell_code_is_label_and_cell_in_the_narrowest_type(n_bins, dtype):
+    # the int8 labels must not overflow past 127 cells
+    binning = rj.NuBinning.equal_width(1.0, 10.0, n_bins)
+    nu = np.linspace(1.0, 10.0, 1001)
+    y = (np.arange(1001) % 2).astype(np.int8)
+    code = binning.cell_code(y, nu)
+    assert code.dtype == dtype
+    assert np.array_equal(code, y.astype(np.intp) * n_bins + binning.cell_index(nu))
+    disc = rj.NuBinning.discrete((2, 0, 3, 1))
+    assert disc.cell_code(np.array([0, 1, 1], dtype=np.int8), np.array([3, 3, 2])).tolist() == [2, 6, 4]
 
 
 def searchsorted_cells(binning, nu):
